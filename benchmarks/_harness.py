@@ -209,10 +209,3 @@ class BenchSuite:
         target = Path(path) if path is not None else Path(f"BENCH_{self.label}.json")
         target.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
         return target
-
-    @staticmethod
-    def load(path: str | Path) -> dict[str, Any]:
-        data = json.loads(Path(path).read_text())
-        if data.get("schema") != SCHEMA:
-            raise ValueError(f"{path} is not a {SCHEMA} file")
-        return data

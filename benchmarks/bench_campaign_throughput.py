@@ -1,5 +1,5 @@
-"""Campaign throughput: points/sec for serial vs thread vs process
-executors, on the object and vectorized backends.
+"""Campaign throughput: points/sec for serial vs process executors,
+on the object and vectorized backends.
 
 The campaign layer's perf claim is orchestration, not kernels: the same
 plan, streamed through different executors, must scale with cores while
@@ -7,13 +7,12 @@ staying bit-identical.  This benchmark times a fixed dna_assay campaign
 (concentration grid × chip replicates) through every executor × backend
 combination and writes ``BENCH_campaigns.json`` via the shared
 ``benchmarks/_harness.py`` schema — records carry ``points_per_s`` and
-process/thread records additionally carry ``speedup_vs_serial``.
+process records additionally carry ``speedup_vs_serial``.
 
-Thread-executor numbers on the object backend are expected to hover
-near 1× (GIL-bound Python loops); the process executor is the
-multi-core path, and the CI campaigns-smoke job asserts its speedup on
-a multi-core runner.  ``cpu_count`` is recorded in every record's meta
-so single-core measurements are legible as such.
+The process executor is the multi-core path, and the CI campaigns-smoke
+job asserts its speedup on a multi-core runner.  ``cpu_count`` is
+recorded in every record's meta so single-core measurements are legible
+as such.
 
 Run:  PYTHONPATH=src python benchmarks/bench_campaign_throughput.py \\
           [--quick] [--points N] [--workers N] [--out BENCH_campaigns.json] \\
@@ -35,7 +34,7 @@ from repro.campaigns import CampaignSpec, MemoryResultStore, run_campaign  # noq
 from repro.experiments import BACKENDS, DnaAssaySpec  # noqa: E402
 
 CONCENTRATIONS = (1e-8, 1e-7, 1e-6, 1e-5)
-EXECUTOR_ORDER = ("serial", "thread", "process")
+EXECUTOR_ORDER = ("serial", "process")
 
 #: Per-point workloads.  ``small`` keeps the committed BENCH cheap to
 #: regenerate; ``fig4`` is the paper-default assay (~4x the per-point

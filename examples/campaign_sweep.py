@@ -40,7 +40,7 @@ def main() -> None:
         result = run_campaign(
             campaign,
             seed=1,
-            executor="process",      # serial / thread give bit-identical results
+            executor="process",      # serial gives bit-identical results
             store="jsonl",
             out=out,
         )

@@ -71,10 +71,10 @@ def main() -> None:
     #    fault environment.
     # ------------------------------------------------------------------
     serial = run_campaign(CAMPAIGN, seed=11)
-    threaded = run_campaign(CAMPAIGN, seed=11, executor="thread", workers=4)
+    processed = run_campaign(CAMPAIGN, seed=11, executor="process", workers=2)
     reference = [r.to_json() for r in serial.results()]
-    assert [r.to_json() for r in threaded.results()] == reference
-    print(f"\n{len(serial)} points, thread executor bit-identical to serial")
+    assert [r.to_json() for r in processed.results()] == reference
+    print(f"\n{len(serial)} points, process executor bit-identical to serial")
 
     with tempfile.TemporaryDirectory() as tmp:
         cold = run_campaign(CAMPAIGN, seed=11, cache=tmp)

@@ -94,7 +94,7 @@ from .neuro import (
     score_detection,
 )
 from .pixel import DnaSensorPixel, SawtoothAdc
-from .screening import CompoundLibrary, ScreeningFunnel, compare_cmos_vs_conventional
+from .screening import CompoundLibrary, ScreeningFunnel
 from .wafer import WaferSpec
 
 __all__ = [
@@ -146,7 +146,6 @@ __all__ = [
     "analyze",
     "campaigns",
     "chip",
-    "compare_cmos_vs_conventional",
     "core",
     "detect_spikes",
     "devices",

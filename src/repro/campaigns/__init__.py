@@ -12,7 +12,7 @@ layer over :mod:`repro.experiments`:
   each carrying a Runner root seed derived stably from
   ``(campaign seed, replicate)`` so results never depend on point
   position, execution order or worker count;
-* executors (``executors.py``) — ``serial`` / ``thread`` / ``process``,
+* executors (``executors.py``) — ``serial`` / ``process``,
   parity-tested bit-identical per point, plus the ``batched`` fast path
   (``batched.py``) that compiles same-spec vectorized-kind point groups
   into chip-batched engine calls (bit-identical to serial);
@@ -36,7 +36,7 @@ Use::
 
 or, from a Runner / the shell::
 
-    Runner(seed=1).run_campaign(campaign, executor="thread", workers=8)
+    Runner(seed=1).run_campaign(campaign, executor="process", workers=8)
     # python -m repro sweep --campaign campaign.json --executor process
 """
 
@@ -52,7 +52,6 @@ from .executors import (
     PointOutcome,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
 )
 from .plan import Plan, PlanPoint
@@ -90,7 +89,6 @@ __all__ = [
     "ProcessExecutor",
     "ResultStore",
     "SerialExecutor",
-    "ThreadExecutor",
     "campaign_from_dict",
     "make_executor",
     "make_store",

@@ -361,7 +361,7 @@ class BatchedExecutor(Executor):
         if inputs:
             raise ValueError(
                 "pre-built `inputs` substrates cannot ride a batched compile; "
-                "use the serial or thread executor to inject them"
+                "use the serial executor to inject them"
             )
         if runner_factory is not None:
             raise ValueError("the batched executor derives Runners from point seeds")

@@ -1,24 +1,18 @@
-"""Pluggable campaign executors: serial, thread pool, process pool.
+"""Pluggable campaign executors: serial and process pool.
 
 An executor turns a :class:`~repro.campaigns.plan.Plan` into a stream of
 :class:`PointOutcome` — one per completed run, possibly out of plan
-order.  All three built-ins honour the SeedTree contract: a point's
+order.  Every built-in (these two plus ``batched``, see
+:mod:`repro.campaigns.batched`) honours the SeedTree contract: a point's
 result depends only on ``(point.seed, point.spec, backend)``, never on
 which worker ran it, in what order, or how many workers there are, so
-``serial``, ``thread`` and ``process`` are bit-identical per point (the
-parity tests in ``tests/test_campaign_executors.py`` enforce this).
+the executors are bit-identical per point (the parity tests in
+``tests/test_campaign_executors.py`` enforce this).
 
 * :class:`SerialExecutor` — runs in the calling thread, one Runner per
   distinct point seed; the only executor that accepts a shared
   ``runner_factory`` (how ``Runner.run_batch`` executes a plan on an
   existing Runner, preserving its caches/stats/artifacts).
-* :class:`ThreadExecutor` — a thread pool; each worker thread owns its
-  own Runner clones.  NumPy kernels release the GIL poorly for the
-  object backend, so expect ~1× there; useful when runs block on I/O or
-  to overlap vectorized kernels.  Injected ``inputs`` values are shared
-  by reference across threads: only *read-only* substrates (e.g. a
-  compound library) are safe — a stateful chip would be mutated
-  concurrently; inject those with the serial executor.
 * :class:`ProcessExecutor` — a process pool; each worker process owns
   cloned Runners keyed by point seed.  Specs travel as their
   ``to_dict()`` payloads and results come back artifact-free (rich
@@ -30,11 +24,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, Executor as _PoolExecutor
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, Union
 
@@ -46,10 +39,8 @@ from .plan import Plan, PlanPoint
 #: Names accepted by :func:`make_executor` (and the CLI's ``--executor``).
 #: ``"batched"`` (see :mod:`repro.campaigns.batched`) compiles same-spec
 #: vectorized-kind point groups into chip-batched engine calls and runs
-#: everything else serially.  ``"async"`` (see :mod:`repro.service.jobs`)
-#: submits the plan to a background job manager and streams outcomes back
-#: as they land — same bit-identical results, non-blocking submission.
-EXECUTORS = ("serial", "thread", "process", "batched", "async")
+#: everything else serially.
+EXECUTORS = ("serial", "process", "batched")
 
 RunnerFactory = Callable[[int], Runner]
 
@@ -210,57 +201,6 @@ class SerialExecutor(Executor):
             yield _run_point(runners, factory, point, backend, inputs, capture_errors)
 
 
-class ThreadExecutor(Executor):
-    """Run points on a thread pool; each thread owns its Runners."""
-
-    name = "thread"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self.workers = _check_workers(workers)
-
-    def run(
-        self,
-        plan: Plan,
-        *,
-        backend: Optional[str] = None,
-        inputs: Optional[dict[str, Any]] = None,
-        runner_factory: Optional[RunnerFactory] = None,
-        capture_errors: bool = False,
-    ) -> Iterator[PointOutcome]:
-        # Validate eagerly, NOT inside the generator: run_campaign must
-        # see bad arguments before any store touches the filesystem.
-        if runner_factory is not None:
-            # Runner carries per-run mutable state (_active_backend,
-            # _overridden, provenance); a factory handing threads a
-            # shared instance would race on it silently.
-            raise ValueError(
-                "the thread executor owns per-thread Runners; a shared "
-                "runner_factory is only meaningful with the serial executor"
-            )
-        return self._iter(plan, backend, inputs, capture_errors)
-
-    def _iter(
-        self,
-        plan: Plan,
-        backend: Optional[str],
-        inputs: Optional[dict[str, Any]],
-        capture_errors: bool = False,
-    ) -> Iterator[PointOutcome]:
-        factory: RunnerFactory = Runner
-        local = threading.local()
-
-        def task(point: PlanPoint) -> PointOutcome:
-            runners = getattr(local, "runners", None)
-            if runners is None:
-                runners = local.runners = OrderedDict()
-            return _run_point(runners, factory, point, backend, inputs, capture_errors)
-
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            yield from _stream_pool(
-                pool, lambda point: pool.submit(task, point), plan, self.workers
-            )
-
-
 # Per-process Runner clones, keyed by point seed.  Module-level so the
 # cache survives across tasks dispatched to the same worker process;
 # bounded like the in-process caches.
@@ -311,7 +251,7 @@ class ProcessExecutor(Executor):
         if inputs:
             raise ValueError(
                 "in-memory `inputs` substrates cannot cross process boundaries; "
-                "use the serial or thread executor to inject pre-built objects"
+                "use the serial executor to inject pre-built objects"
             )
         if runner_factory is not None:
             raise ValueError("the process executor always clones fresh Runners per worker")
@@ -354,16 +294,10 @@ def make_executor(
         return executor
     if executor == "serial":
         return SerialExecutor(workers)
-    if executor == "thread":
-        return ThreadExecutor(workers)
     if executor == "process":
         return ProcessExecutor(workers)
     if executor == "batched":
         from .batched import BatchedExecutor
 
         return BatchedExecutor(workers)
-    if executor == "async":
-        from ..service.jobs import AsyncExecutor
-
-        return AsyncExecutor(workers)
     raise ValueError(f"unknown executor {executor!r}; choose from {EXECUTORS}")

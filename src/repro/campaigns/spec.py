@@ -26,7 +26,7 @@ import dataclasses
 import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional
 
 from ..core.rng import stable_entropy
 from ..experiments.specs import BACKENDS, ExperimentSpec, spec_from_dict

@@ -21,12 +21,10 @@ import numpy as np
 
 from ..core.process import C5_PROCESS, ProcessSpec
 from ..core.rng import RngLike, ensure_rng, spawn_children
-from ..core.units import fF
 from ..devices.bandgap import BandgapReference
 from ..devices.current_mirror import ReferenceCurrentFanout
 from ..devices.dac import ResistorStringDac
 from ..dna.assay import AssayResult
-from ..electrochem.redox_cycling import RedoxCyclingSensor
 from ..pixel.pixel import DnaSensorPixel, PixelVariation
 from .registers import RegisterFile, dna_chip_registers
 from .sequencer import SiteSequence

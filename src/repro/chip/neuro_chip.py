@@ -17,7 +17,7 @@ The chip model combines:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from ..neuro.culture import ArrayGeometry, Culture, NEURO_GEOMETRY
 from ..neuro.readout_chain import ReadoutChannel, TOTAL_GAIN
 from ..neuro.sensor_pixel import NeuralPixelDesign
 from .registers import RegisterFile, neuro_chip_registers
-from .sequencer import NEURO_SCAN, ScanTiming
+from .sequencer import ScanTiming
 from .serial_interface import Command, Frame, SerialLink
 
 

@@ -484,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=EXECUTORS,
         default="serial",
-        help="serial/thread/process, or 'batched' to compile vectorized-kind "
+        help="serial/process, or 'batched' to compile vectorized-kind "
         "point groups into chip-batched engine calls",
     )
     sweep.add_argument("--workers", type=int, default=None, help="worker count (default: cores)")
@@ -589,10 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--seed", type=int, default=0, help="campaign root seed (default 0)")
     submit.add_argument(
         "--executor",
-        choices=[name for name in EXECUTORS if name != "async"],
+        choices=EXECUTORS,
         default="serial",
-        help="executor the service runs the job with (jobs are already "
-        "asynchronous server-side)",
+        help="executor the service runs the job with",
     )
     submit.add_argument("--workers", type=int, default=None, help="worker count for the job")
     submit.add_argument("--backend", choices=BACKENDS, default=None, help="compute backend")

@@ -9,7 +9,7 @@ reproducible and lets tests pin seeds without monkeypatching globals.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

@@ -9,8 +9,8 @@ rendering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 

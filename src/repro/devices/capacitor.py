@@ -37,9 +37,6 @@ class Capacitor:
     def effective_capacitance(self, voltage: float) -> float:
         return self.capacitance_f * (1.0 + self.voltage_coefficient * voltage)
 
-    def leakage_current(self, voltage: float) -> float:
-        return self.leakage_conductance_s * voltage
-
     def charge_time(self, current_a: float, delta_v: float, start_v: float = 0.0) -> float:
         """Time for a constant current to slew the cap by ``delta_v``.
 

@@ -9,7 +9,7 @@ instances rather than an abstract gain number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -55,16 +55,6 @@ class OpAmp:
         out = self.dc_gain * (v_plus - v_minus + self.offset_v)
         return float(np.clip(out, self.rail_low, self.rail_high))
 
-    def follower_error(self, v_target: float) -> float:
-        """Static error of a unity-feedback buffer: target/(1+A) + offset.
-
-        This quantifies how precisely the regulation loop pins the sensor
-        electrode voltage.
-        """
-        return (v_target - self.rail_low) / (1.0 + self.dc_gain) + self.offset_v * (
-            self.dc_gain / (1.0 + self.dc_gain)
-        )
-
     def closed_loop_gain(self, feedback_fraction: float) -> float:
         """A / (1 + A*beta) for a resistive feedback fraction beta."""
         if not 0.0 < feedback_fraction <= 1.0:

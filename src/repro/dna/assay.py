@@ -16,7 +16,7 @@ site's capture is shared proportionally to each target's k_on * c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

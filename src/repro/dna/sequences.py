@@ -8,7 +8,6 @@ a nominal total length.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..core.rng import RngLike, ensure_rng

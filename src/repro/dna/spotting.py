@@ -7,7 +7,7 @@ The paper's chip is 16x8 = 128 positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -50,15 +50,3 @@ class LabelledSurface:
         enzymes_per_area = bound_target_density * self.labels_per_target
         rate_per_enzyme = self.label.turnover_rate(self.substrate_concentration)
         return enzymes_per_area * rate_per_enzyme / AVOGADRO
-
-    def time_to_concentration(
-        self,
-        bound_target_density: float,
-        target_concentration: float,
-        boundary_layer: float,
-    ) -> float:
-        """Rough time until the quasi-static surface concentration is
-        reached (diffusive time constant), used for assay scheduling."""
-        from .diffusion import ramp_time_constant
-
-        return ramp_time_constant(boundary_layer, self.label.product.diffusion_coefficient)

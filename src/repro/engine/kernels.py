@@ -116,13 +116,6 @@ def current_from_frequency(
     return np.where(positive, current, 0.0)
 
 
-def expected_count(i_sensor, frame_s, cint_f, swing_v, leakage_a, comparator_delay_s, tau_delay_s):
-    """Mean (un-quantised) count in a frame; 0 where never firing."""
-    period = cycle_period(i_sensor, cint_f, swing_v, leakage_a, comparator_delay_s, tau_delay_s)
-    with np.errstate(divide="ignore"):
-        return np.where(np.isfinite(period), frame_s / period, 0.0)
-
-
 def count_noise_sigma(
     i_sensor,
     frame_s,

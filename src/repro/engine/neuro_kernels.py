@@ -46,11 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..neuro.action_potential import (
-    HHParameters,
-    StimulusProtocol,
-    template_action_potential,
-)
+from ..neuro.action_potential import HHParameters, template_action_potential
 
 HH_REFRACTORY_S = 2e-3  # detect_spike_times' default hold-off
 

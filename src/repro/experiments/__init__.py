@@ -14,10 +14,10 @@ Runner owns the seed tree, batches over shared chips/layouts/libraries,
 and always returns the uniform :class:`ResultSet`.
 """
 
-from .compat import run_legacy_dna_assay, run_legacy_neural_recording
 from .results import ResultSet, stack_metrics
-from .runner import BACKENDS, Runner, RunnerStats
+from .runner import Runner, RunnerStats
 from .specs import (
+    BACKENDS,
     AdcTransferSpec,
     ArrayScaleSpec,
     DnaAssaySpec,
@@ -46,8 +46,6 @@ __all__ = [
     "experiment_type",
     "register_experiment",
     "register_workload",
-    "run_legacy_dna_assay",
-    "run_legacy_neural_recording",
     "spec_from_dict",
     "stack_metrics",
     "validate_backend",

@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from ..core.rng import RngLike, SeedTree, ensure_rng
+from ..core.rng import SeedTree
 from .results import ResultSet
-from .specs import BACKENDS, ExperimentSpec, experiment_type
+from .specs import ExperimentSpec, experiment_type
 from .workloads import validate_backend, workload_for
 
 
@@ -65,10 +65,8 @@ class Runner:
         self.seed_tree = SeedTree(seed)
         self.stats = RunnerStats()
         self._caches: dict[str, dict[str, Any]] = {}
-        # Per-run context (single-threaded): which streams were
-        # explicitly overridden, the active compute backend, and the
-        # provenance to stamp on results.
-        self._overridden: frozenset[str] = frozenset()
+        # Per-run context (single-threaded): the active compute backend
+        # and the provenance to stamp on results.
         self._current_seeds: dict[str, Any] = {}
         self._active_backend: str = "object"
 
@@ -90,7 +88,6 @@ class Runner:
         spec: ExperimentSpec | str,
         *,
         backend: Optional[str] = None,
-        rng_overrides: Optional[dict[str, RngLike]] = None,
         inputs: Optional[dict[str, Any]] = None,
         **params: Any,
     ) -> ResultSet:
@@ -107,14 +104,11 @@ class Runner:
         independent, but the two backends *consume* them differently, so
         equality across backends is to documented tolerance, not bitwise.
 
-        ``rng_overrides`` replaces named random streams (see each
-        workload's ``streams``) — the hook the legacy shims use to
-        reproduce seed-era numbers exactly.  ``inputs`` injects
-        pre-built substrates (e.g. ``{"library": lib}``); injected or
-        override-built resources bypass the caches.  The mapping itself
-        is copied per run — a workload can never mutate the caller's
-        dict, and batched runs cannot leak entries into each other —
-        while the injected *values* are intentionally shared by
+        ``inputs`` injects pre-built substrates (e.g. ``{"library":
+        lib}``); injected resources bypass the caches.  The mapping
+        itself is copied per run — a workload can never mutate the
+        caller's dict, and batched runs cannot leak entries into each
+        other — while the injected *values* are intentionally shared by
         reference.
         """
         spec = self._coerce_spec(spec, params)
@@ -122,26 +116,10 @@ class Runner:
         validate_backend(spec.kind, resolved_backend)
         workload = workload_for(spec.kind)
         paths = workload.streams(spec)
-        overrides = rng_overrides or {}
-        unknown = set(overrides) - set(paths)
-        if unknown:
-            raise KeyError(
-                f"unknown stream override(s) {sorted(unknown)} for kind "
-                f"{spec.kind!r}; streams: {sorted(paths)}"
-            )
-        rngs = {
-            name: ensure_rng(overrides[name])
-            if name in overrides
-            else self.seed_tree.generator(*path)
-            for name, path in paths.items()
-        }
-        self._overridden = frozenset(overrides)
+        rngs = {name: self.seed_tree.generator(*path) for name, path in paths.items()}
         self._current_seeds = {
             "root": self.seed,
-            "streams": {
-                name: "override" if name in overrides else [str(part) for part in path]
-                for name, path in paths.items()
-            },
+            "streams": {name: [str(part) for part in path] for name, path in paths.items()},
         }
         # Save-and-restore so a workload that re-enters run() (composite
         # experiments) gets its outer backend back afterwards.
@@ -151,7 +129,6 @@ class Runner:
             # Shallow copy: per-run input isolation (values shared).
             result = workload.execute(self, spec, rngs, dict(inputs or {}))
         finally:
-            self._overridden = frozenset()
             self._current_seeds = {}
             self._active_backend = previous_backend
         self.stats.runs += 1
@@ -254,18 +231,16 @@ class Runner:
         cache_name: str,
         key: str,
         factory: Callable[[], Any],
-        cacheable: bool = True,
         counter: str = "chips",
     ) -> Any:
         """Fetch-or-build a shared substrate, keeping reuse statistics."""
         cache = self._caches.setdefault(cache_name, {})
-        if cacheable and key in cache:
+        if key in cache:
             setattr(self.stats, f"{counter}_reused", getattr(self.stats, f"{counter}_reused") + 1)
             return cache[key]
         built = factory()
         setattr(self.stats, f"{counter}_built", getattr(self.stats, f"{counter}_built") + 1)
-        if cacheable:
-            cache[key] = built
+        cache[key] = built
         return built
 
     def _result(

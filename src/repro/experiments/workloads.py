@@ -290,13 +290,11 @@ def _execute_dna(runner: "Runner", spec: DnaAssaySpec, rngs: dict, inputs: dict)
             "dna_chip_vectorized" if vectorized else "dna_chip",
             spec.chip_key(),
             lambda: build(spec, rngs["chip"], rngs["calibration"]),
-            cacheable="chip" not in runner._overridden and "calibration" not in runner._overridden,
         )
     cached_layout = runner._provision(
         "dna_layout",
         spec.layout_key(),
         lambda: _build_dna_layout(spec, rngs["layout"]),
-        cacheable="layout" not in runner._overridden,
         counter="layouts",
     )
     layout, region = cached_layout
@@ -591,7 +589,6 @@ def _execute_neural(
             "neuro_chip_vectorized" if vectorized else "neuro_chip",
             spec.chip_key(),
             lambda: build(spec, rngs["chip"]),
-            cacheable="chip" not in runner._overridden,
         )
     culture = inputs.get("culture")
     if culture is None:
@@ -644,7 +641,6 @@ def _execute_screening(
             lambda: CompoundLibrary.generate(
                 size=spec.library_size, viable_rate=spec.viable_rate, rng=rngs["library"]
             ),
-            cacheable="library" not in runner._overridden,
             counter="libraries",
         )
     funnel = ScreeningFunnel(default_funnel_stages(cmos=spec.cmos))
@@ -819,7 +815,6 @@ def _execute_array_scale(
             f"array_scale_chip_{backend}",
             spec.chip_key(),
             lambda: _build_array_scale_chips(spec, backend, rngs["chip"], rngs["calibration"]),
-            cacheable="chip" not in runner._overridden and "calibration" not in runner._overridden,
         )
     currents = spec.site_currents()
     if backend == "vectorized":

@@ -16,7 +16,6 @@ cycles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -182,7 +182,6 @@ class SawtoothAdc:
         elapsed = -start_phase * (base_ramp + dead)
         count = 0
         net = self.net_current(i_sensor)
-        slope = net / self.cint.capacitance_f
         max_cycles = int(frame_s / (base_ramp + dead)) + 16
         for _ in range(max_cycles):
             swing = self.swing_v + float(generator.normal(0.0, noise_sigma))

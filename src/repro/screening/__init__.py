@@ -1,12 +1,7 @@
 """Drug-screening funnel (Fig. 1): compound libraries, stages, economics."""
 
 from .compounds import CompoundLibrary
-from .funnel import (
-    FunnelResult,
-    ScreeningFunnel,
-    StageOutcome,
-    compare_cmos_vs_conventional,
-)
+from .funnel import FunnelResult, ScreeningFunnel, StageOutcome
 from .stages import (
     ScreeningStage,
     animal_stage,
@@ -25,7 +20,6 @@ __all__ = [
     "animal_stage",
     "cell_based_stage",
     "clinical_stage",
-    "compare_cmos_vs_conventional",
     "default_funnel_stages",
     "molecular_stage",
 ]

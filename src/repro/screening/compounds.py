@@ -10,7 +10,7 @@ drug?) plus continuous scores that the noisy per-stage assays observe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,9 +8,7 @@ attrition from ~10^5 compounds to ~1 drug candidate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..core.rng import RngLike, ensure_rng
 from .compounds import CompoundLibrary
@@ -126,39 +124,3 @@ class ScreeningFunnel:
             if current.size == 0:
                 break
         return FunnelResult(outcomes=outcomes, final_library=current)
-
-
-def compare_cmos_vs_conventional(
-    library: CompoundLibrary, rng: RngLike = None
-) -> dict[str, FunnelResult]:
-    """Run the same library through the CMOS-array funnel and the
-    conventional one — the paper's economic argument in one call.
-
-    .. deprecated::
-        Delegates to :class:`repro.experiments.Runner` with a pair of
-        ``ScreeningSpec`` (same numbers as before); call the Runner
-        directly in new code.
-    """
-    import warnings
-
-    from ..experiments import Runner, ScreeningSpec
-
-    warnings.warn(
-        "compare_cmos_vs_conventional is deprecated; run a pair of "
-        "ScreeningSpec(cmos=True/False) through repro.experiments.Runner",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    generator = ensure_rng(rng)
-    seed = int(generator.integers(0, 2**32 - 1))
-    runner = Runner()
-    results = {}
-    for label, cmos in (("cmos", True), ("conventional", False)):
-        spec = ScreeningSpec(library_size=library.size, cmos=cmos)
-        result_set = runner.run(
-            spec,
-            rng_overrides={"funnel": seed},
-            inputs={"library": library},
-        )
-        results[label] = result_set.artifacts["funnel"]
-    return results

@@ -14,8 +14,7 @@ cashes that invariant in — literally:
 * :mod:`~repro.service.jobs` — :class:`JobManager`, a worker pool
   running submitted campaigns in the background with per-point
   progress, cancellation (leaving resumable partial directories) and
-  :func:`resume_campaign` to finish them bit-identically;
-  :class:`AsyncExecutor` backs ``executor="async"``.
+  :func:`resume_campaign` to finish them bit-identically.
 * :mod:`~repro.service.server` / :mod:`~repro.service.client` — the
   ``repro serve`` HTTP/JSON API (stdlib ``http.server``) and its thin
   ``urllib`` client.
@@ -45,7 +44,6 @@ from .cache import (
 from .client import ServiceClient, ServiceError
 from .jobs import (
     JOB_STATES,
-    AsyncExecutor,
     Job,
     JobCancelled,
     JobManager,
@@ -73,7 +71,6 @@ __all__ = [
     "DEFAULT_PORT",
     "JOB_STATES",
     "KEY_SCHEMA",
-    "AsyncExecutor",
     "CacheStats",
     "CachedDispatch",
     "Job",

@@ -16,11 +16,6 @@ flushes what completed to its JSONL directory and leaves it
 partial ``results.jsonl`` already holds, and finishes the rest
 bit-identically: a point's seed depends only on ``(campaign seed,
 replicate)``, never on when or where it runs.
-
-:class:`AsyncExecutor` (``executor="async"``) is the in-process face of
-the same idea: submission returns immediately while a background thread
-streams :class:`~repro.campaigns.executors.PointOutcome`s through a
-bounded queue — same bit-identical numbers, non-blocking producer.
 """
 
 from __future__ import annotations
@@ -46,7 +41,6 @@ from ..campaigns import (
     read_campaign_sidecar,
     write_campaign_sidecar,
 )
-from ..campaigns.executors import RunnerFactory, SerialExecutor, ThreadExecutor, _check_workers
 from ..experiments.workloads import validate_backend
 from .cache import CachedDispatch, ResultCache, make_cache, reject_inputs_with_cache
 
@@ -56,103 +50,6 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 class JobCancelled(Exception):
     """Raised inside a worker when a job's cancel flag is set."""
-
-
-# ---------------------------------------------------------------------------
-# The async executor
-# ---------------------------------------------------------------------------
-class _Raise:
-    """Queue envelope that re-raises a producer-side exception."""
-
-    def __init__(self, exc: BaseException) -> None:
-        self.exc = exc
-
-
-_DONE = object()
-
-
-class AsyncExecutor(Executor):
-    """Run the plan on a background thread, streaming outcomes back.
-
-    ``workers=1`` wraps the serial executor, ``workers>1`` the thread
-    executor — either way the numbers are bit-identical to a foreground
-    run (the SeedTree contract).  The consumer side is an ordinary
-    outcome iterator; closing it early stops the producer at the next
-    point boundary, so ``itertools.islice`` over a campaign does not
-    leak a runaway thread.
-    """
-
-    name = "async"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self.workers = 1 if workers is None else _check_workers(workers)
-        self._inner: Executor = (
-            SerialExecutor() if self.workers == 1 else ThreadExecutor(self.workers)
-        )
-
-    def run(
-        self,
-        plan: Plan,
-        *,
-        backend: Optional[str] = None,
-        inputs: Optional[dict[str, Any]] = None,
-        runner_factory: Optional[RunnerFactory] = None,
-        capture_errors: bool = False,
-    ) -> Iterator[PointOutcome]:
-        # Validate eagerly, NOT inside the generator: run_campaign must
-        # see bad arguments before any store touches the filesystem.
-        if runner_factory is not None:
-            raise ValueError(
-                "the async executor owns its background Runners; a shared "
-                "runner_factory is only meaningful with the serial executor"
-            )
-        inner = self._inner.run(
-            plan, backend=backend, inputs=inputs, capture_errors=capture_errors
-        )
-        return self._iter(inner)
-
-    def _iter(self, inner: Iterator[PointOutcome]) -> Iterator[PointOutcome]:
-        # Bounded queue: workers never race more than a window ahead of
-        # the consumer, so memory stays flat on large campaigns.
-        channel: "queue.Queue[Any]" = queue.Queue(maxsize=max(4, self.workers * 4))
-        stop = threading.Event()
-
-        def _put(item: Any) -> None:
-            while not stop.is_set():
-                try:
-                    channel.put(item, timeout=0.1)
-                    return
-                except queue.Full:
-                    continue
-
-        def _produce() -> None:
-            try:
-                for outcome in inner:
-                    if stop.is_set():
-                        break
-                    _put(outcome)
-            except BaseException as exc:  # noqa: BLE001 — crosses threads
-                _put(_Raise(exc))
-                return
-            finally:
-                close = getattr(inner, "close", None)
-                if close is not None:
-                    close()
-            _put(_DONE)
-
-        producer = threading.Thread(target=_produce, name="repro-async", daemon=True)
-        producer.start()
-        try:
-            while True:
-                item = channel.get()
-                if item is _DONE:
-                    break
-                if isinstance(item, _Raise):
-                    raise item.exc
-                yield item
-        finally:
-            stop.set()
-            producer.join(timeout=5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +204,6 @@ class JobManager:
         resolved_backend = backend if backend is not None else campaign.backend
         plan = campaign.compile(seed)
         chosen = make_executor(executor, workers=workers)
-        # The resolved name catches AsyncExecutor instances too, not just
-        # the literal executor="async" string.
-        if chosen.name == "async":
-            raise ValueError(
-                "the job manager already runs campaigns in the background; "
-                "submit with a synchronous executor (serial/thread/process/batched)"
-            )
         if self.cache is not None:
             reject_inputs_with_cache(inputs)
         for kind in plan.kinds():

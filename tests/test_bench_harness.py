@@ -53,19 +53,12 @@ class TestBenchSuite:
         suite = BenchSuite("engine")
         suite.time("measure", lambda: None, backend="object", rows=16, cols=8)
         path = suite.write(tmp_path / "BENCH_engine.json")
-        data = BenchSuite.load(path)
+        # File really is plain JSON for CI artifact tooling.
+        data = json.loads(path.read_text())
         assert data["schema"] == SCHEMA
         assert data["label"] == "engine"
         assert data["records"][0]["rows"] == 16
         assert "speedups" in data
-        # File really is plain JSON for CI artifact tooling.
-        assert json.loads(path.read_text())["schema"] == SCHEMA
-
-    def test_load_rejects_foreign_json(self, tmp_path):
-        alien = tmp_path / "other.json"
-        alien.write_text(json.dumps({"schema": "not-bench"}))
-        with pytest.raises(ValueError):
-            BenchSuite.load(alien)
 
 
 class TestNullBenchmark:

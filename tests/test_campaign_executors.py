@@ -1,11 +1,10 @@
-"""Executor parity: serial / thread / process are bit-identical per point.
+"""Executor parity: serial / process are bit-identical per point.
 
 The acceptance bar for the campaign subsystem: a ≥64-point campaign
 (grid × replicates) produces bit-identical per-point ResultSets under
 every executor, at any worker count, on both compute backends.
 """
 
-import numpy as np
 import pytest
 
 from repro.campaigns import (
@@ -13,7 +12,6 @@ from repro.campaigns import (
     MemoryResultStore,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
     run_campaign,
 )
@@ -47,28 +45,17 @@ def test_campaign_has_at_least_64_points(serial_object):
     assert len(serial_object) == CAMPAIGN.n_points == 64
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_thread_matches_serial_object_backend(serial_object, workers):
-    threaded = run_campaign(CAMPAIGN, seed=11, executor="thread", workers=workers)
-    assert _jsons(threaded) == _jsons(serial_object)
-
-
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_process_matches_serial_object_backend(serial_object, workers):
     processed = run_campaign(CAMPAIGN, seed=11, executor="process", workers=workers)
     assert _jsons(processed) == _jsons(serial_object)
 
 
-def test_thread_and_process_match_serial_vectorized_backend(serial_vectorized):
-    threaded = run_campaign(
-        CAMPAIGN, seed=11, executor="thread", workers=4, backend="vectorized"
-    )
+def test_process_matches_serial_vectorized_backend(serial_vectorized):
     processed = run_campaign(
         CAMPAIGN, seed=11, executor="process", workers=2, backend="vectorized"
     )
-    reference = _jsons(serial_vectorized)
-    assert _jsons(threaded) == reference
-    assert _jsons(processed) == reference
+    assert _jsons(processed) == _jsons(serial_vectorized)
 
 
 def test_backends_differ_but_only_within_tolerance_semantics(serial_object, serial_vectorized):
@@ -110,10 +97,10 @@ def test_serial_executor_rejects_multiple_workers():
     with pytest.raises(ValueError, match="one worker"):
         SerialExecutor(workers=2)
     assert make_executor("serial").name == "serial"
-    assert make_executor("thread", workers=2).workers == 2
     assert make_executor("process", workers=2).workers == 2
-    with pytest.raises(ValueError, match="unknown executor"):
-        make_executor("gpu")
+    for removed in ("gpu", "thread", "async"):
+        with pytest.raises(ValueError, match="unknown executor"):
+            make_executor(removed)
 
 
 def test_runner_cache_is_bounded():
@@ -130,17 +117,16 @@ def test_runner_cache_is_bounded():
     assert _cached_runner(runners, Runner, 0).seed == 0
 
 
-@pytest.mark.parametrize("cls", [ThreadExecutor, ProcessExecutor])
-def test_parallel_executors_reject_nonpositive_workers(cls):
+def test_process_executor_rejects_nonpositive_workers():
     with pytest.raises(ValueError, match="workers must be >= 1"):
-        cls(workers=0)
+        ProcessExecutor(workers=0)
     with pytest.raises(ValueError, match="workers must be >= 1"):
-        cls(workers=-3)
-    assert cls().workers >= 1  # None -> all cores
+        ProcessExecutor(workers=-3)
+    assert ProcessExecutor().workers >= 1  # None -> all cores
 
 
 def test_make_executor_passes_instances_through():
-    executor = ThreadExecutor(workers=2)
+    executor = ProcessExecutor(workers=2)
     assert make_executor(executor) is executor
     assert make_executor(executor, workers=2) is executor  # agreeing count: fine
     with pytest.raises(ValueError, match="conflicts with the provided"):
@@ -156,13 +142,6 @@ def test_process_executor_rejects_inputs_and_runner_factory():
         executor.run(plan, inputs={"library": object()})
     with pytest.raises(ValueError, match="clones fresh Runners"):
         executor.run(plan, runner_factory=Runner)
-
-
-def test_thread_executor_rejects_shared_runner_factory():
-    """A shared Runner would race on its per-run state across threads."""
-    plan = CampaignSpec(base=ScreeningSpec(library_size=500)).compile(seed=0)
-    with pytest.raises(ValueError, match="per-thread Runners"):
-        ThreadExecutor(workers=2).run(plan, runner_factory=lambda seed: Runner(seed))
 
 
 def test_bad_executor_arguments_never_touch_an_existing_store(tmp_path):
@@ -192,7 +171,7 @@ def test_bad_executor_arguments_never_touch_an_existing_store(tmp_path):
     assert (out / "manifest.json").exists()
 
 
-def test_thread_executor_accepts_injected_inputs():
+def test_serial_executor_accepts_injected_inputs():
     from repro.screening.compounds import CompoundLibrary
 
     library = CompoundLibrary.generate(size=500, viable_rate=1e-3, rng=7)
@@ -200,7 +179,7 @@ def test_thread_executor_accepts_injected_inputs():
         base=ScreeningSpec(library_size=500, viable_rate=1e-3),
         grid={"cmos": (False, True)},
     ).compile(seed=0)
-    outcomes = list(ThreadExecutor(workers=2).run(plan, inputs={"library": library}))
+    outcomes = list(SerialExecutor().run(plan, inputs={"library": library}))
     assert all(o.result.artifacts["library"] is library for o in outcomes)
 
 

@@ -138,7 +138,7 @@ def test_sweep_from_flags_with_jsonl_store_then_report(small_spec_file, tmp_path
             "--grid", "concentration=1e-7,1e-6",
             "--replicates", "2",
             "--seed", "5",
-            "--executor", "thread",
+            "--executor", "process",
             "--workers", "2",
             "--store", "jsonl",
             "--out", str(out_dir),

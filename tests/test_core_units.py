@@ -1,6 +1,5 @@
 """Unit helpers: formatting, parsing, physical constants."""
 
-import math
 
 import pytest
 

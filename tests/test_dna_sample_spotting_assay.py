@@ -173,7 +173,6 @@ class TestAssayIntegration:
                 assert site.occupancy_after_hybridization <= 1.0 + 1e-9
 
     def test_wrong_grid_protocol(self, probes):
-        layout = ProbeLayout.tiled(probes, rows=4, cols=4)
         with pytest.raises(ValueError):
             AssayProtocol(hybridization_s=-1.0)
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.core.units import fF, ns
-from repro.devices.capacitor import Capacitor
 from repro.devices.comparator import Comparator
 from repro.engine import kernels
 from repro.pixel.pixel import DnaSensorPixel, PixelVariation

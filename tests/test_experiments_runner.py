@@ -151,8 +151,6 @@ def test_run_by_kind_name_and_bad_inputs():
     assert result.kind == "screening"
     with pytest.raises(TypeError):
         runner.run(SMALL_SCREEN, library_size=2000)
-    with pytest.raises(KeyError, match="unknown stream override"):
-        runner.run(SMALL_SCREEN, rng_overrides={"nonsense": 1})
     with pytest.raises(KeyError, match="unknown experiment kind"):
         runner.run("not_a_kind")
 

@@ -1,8 +1,8 @@
 """Fault injection: determinism, executor parity, resilient readout.
 
 The acceptance bar for the faults subsystem: a 64-point
-``faults.rate`` campaign is **byte-identical** under serial, thread,
-process and batched executors and through a service-cache round trip;
+``faults.rate`` campaign is **byte-identical** under serial, process
+and batched executors and through a service-cache round trip;
 zero-fault specs hash and run exactly as before the subsystem existed;
 and every occurrence pattern is a pure function of ``(spec, seed)``.
 """
@@ -32,7 +32,7 @@ from repro.faults import (
     fault_kinds,
     normalize_faults,
 )
-from repro.inference import FaultToleranceAnalysis, default_analysis_for
+from repro.inference import FaultToleranceAnalysis
 from repro.service import JobManager
 from repro.trace import TraceRecorder, replay_readout
 
@@ -227,9 +227,7 @@ class TestFaultCampaigns:
     def test_64_points(self, serial_faulted):
         assert len(serial_faulted) == CAMPAIGN.n_points == 64
 
-    @pytest.mark.parametrize("executor,workers", [
-        ("thread", 3), ("process", 2), ("batched", None)
-    ])
+    @pytest.mark.parametrize("executor,workers", [("process", 2), ("batched", None)])
     def test_executor_parity(self, serial_faulted, executor, workers):
         other = run_campaign(CAMPAIGN, seed=11, executor=executor, workers=workers)
         assert _jsons(other) == _jsons(serial_faulted)

@@ -20,12 +20,7 @@ from repro import (
 )
 from repro.analysis import characterize_adc
 from repro.chip.sequencer import NEURO_SCAN
-from repro.neuro import (
-    ArrayGeometry,
-    CellChipJunction,
-    Culture,
-    HodgkinHuxleyNeuron,
-)
+from repro.neuro import ArrayGeometry, CellChipJunction, Culture
 from repro.neuro.array import NeuralArrayModel
 
 

@@ -5,12 +5,7 @@ import pytest
 
 from repro.core.signals import Trace
 from repro.neuro.culture import ArrayGeometry, Culture, coverage_vs_pitch
-from repro.neuro.readout_chain import (
-    ChannelFrontEnd,
-    ReadoutChannel,
-    TOTAL_GAIN,
-    build_readout_chain,
-)
+from repro.neuro.readout_chain import ChannelFrontEnd, ReadoutChannel, TOTAL_GAIN
 from repro.neuro.spike_detection import (
     detect_spikes,
     mad_noise_estimate,

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.experiments import Runner, ScreeningSpec
 from repro.screening import (
     CompoundLibrary,
     ScreeningFunnel,
     animal_stage,
     cell_based_stage,
     clinical_stage,
-    compare_cmos_vs_conventional,
     default_funnel_stages,
     molecular_stage,
 )
@@ -127,9 +127,16 @@ class TestFunnel:
             ScreeningFunnel(stages=[])
 
     def test_comparison_cmos_cheaper_early(self, library):
-        results = compare_cmos_vs_conventional(library, rng=8)
-        early_cmos = sum(o.cost for o in results["cmos"].outcomes[:2])
-        early_conv = sum(o.cost for o in results["conventional"].outcomes[:2])
+        runner = Runner()
+        results = {
+            cmos: runner.run(
+                ScreeningSpec(library_size=library.size, cmos=cmos),
+                inputs={"library": library},
+            ).artifacts["funnel"]
+            for cmos in (True, False)
+        }
+        early_cmos = sum(o.cost for o in results[True].outcomes[:2])
+        early_conv = sum(o.cost for o in results[False].outcomes[:2])
         assert early_cmos < early_conv
 
     def test_stage_outcome_rates(self, library):

@@ -1,4 +1,4 @@
-"""Job manager: submit/status/cancel, async executor, resume parity."""
+"""Job manager: submit/status/cancel, resume parity."""
 
 import json
 import time
@@ -9,7 +9,6 @@ from repro.campaigns import CampaignSpec, run_campaign
 from repro.experiments import DnaAssaySpec
 from repro.service import (
     JOB_STATES,
-    AsyncExecutor,
     JobManager,
     ResultCache,
     resume_campaign,
@@ -71,21 +70,13 @@ def test_submit_accepts_a_campaign_dict(manager):
 
 
 def test_submit_validates_eagerly(manager):
-    with pytest.raises(ValueError, match="synchronous"):
-        manager.submit(CAMPAIGN, executor="async")
-    with pytest.raises(ValueError, match="unknown executor"):
-        manager.submit(CAMPAIGN, executor="bogus")
+    for name in ("bogus", "async", "thread"):
+        with pytest.raises(ValueError, match="unknown executor"):
+            manager.submit(CAMPAIGN, executor=name)
     with pytest.raises(ValueError, match="flush_every"):
         manager.submit(CAMPAIGN, flush_every=0)
     with pytest.raises(KeyError, match="unknown job"):
         manager.job("job-9999")
-
-
-def test_submit_rejects_an_async_executor_instance_too(manager):
-    # The guard must hold for the resolved executor, not just the
-    # literal executor="async" string.
-    with pytest.raises(ValueError, match="synchronous"):
-        manager.submit(CAMPAIGN, executor=AsyncExecutor())
 
 
 def test_submit_rejects_inputs_against_the_shared_cache(manager):
@@ -229,40 +220,3 @@ def test_resume_rejects_inputs_with_a_cache(tmp_path):
             cache=tmp_path / "cache",
             inputs={"substrate": object()},
         )
-
-
-# ---------------------------------------------------------------------------
-# AsyncExecutor
-# ---------------------------------------------------------------------------
-def test_async_executor_is_bit_identical_to_serial():
-    serial = run_campaign(CAMPAIGN, seed=1)
-    asynchronous = run_campaign(CAMPAIGN, seed=1, executor="async")
-    assert asynchronous.manifest["executor"] == "async"
-    assert _payloads(asynchronous) == _payloads(serial)
-
-
-def test_async_executor_with_workers_matches_too():
-    threaded = run_campaign(CAMPAIGN, seed=1, executor="async", workers=2)
-    serial = run_campaign(CAMPAIGN, seed=1)
-    assert _payloads(threaded) == _payloads(serial)
-
-
-def test_async_executor_rejects_runner_factory():
-    from repro.experiments import Runner
-
-    with pytest.raises(ValueError, match="runner_factory"):
-        AsyncExecutor().run(CAMPAIGN.compile(1), runner_factory=Runner)
-
-
-def test_async_executor_close_stops_the_producer():
-    import threading
-
-    before = threading.active_count()
-    outcomes = AsyncExecutor().run(CAMPAIGN.compile(1))
-    first = next(outcomes)
-    assert first.result.n_records > 0
-    outcomes.close()
-    deadline = time.monotonic() + 10
-    while threading.active_count() > before and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert threading.active_count() <= before

@@ -95,6 +95,14 @@ def test_error_paths_return_structured_json(service):
     with pytest.raises(ServiceError) as bad_option:
         service._request("POST", "/jobs", {"campaign": CAMPAIGN.to_dict(), "evil": 1})
     assert bad_option.value.status == 400
+    for removed in ("thread", "async"):
+        with pytest.raises(ServiceError) as bad_executor:
+            service._request(
+                "POST", "/jobs", {"campaign": CAMPAIGN.to_dict(), "executor": removed}
+            )
+        assert bad_executor.value.status == 400
+        assert "unknown executor" in str(bad_executor.value)
+        assert "'serial', 'process', 'batched'" in str(bad_executor.value)
     with pytest.raises(ServiceError) as bad_route:
         service._request("GET", "/nope")
     assert bad_route.value.status == 404
