@@ -19,7 +19,11 @@ layer over :mod:`repro.experiments`:
 * stores (``store.py``) — in-memory, or JSONL-on-disk with a
   ``manifest.json`` (provenance, point index, wall time per run) so
   million-point sweeps never hold every ResultSet in RAM;
-* reports (``report.py``) — per-point metrics tables for the CLI.
+* reports (``report.py``) — per-point metrics tables for the CLI;
+* one driver (this module): :func:`prepare_campaign` is the setup step
+  — every argument error fires before a store touches the filesystem —
+  and :meth:`PreparedCampaign.execute` the execution loop shared by
+  :func:`run_campaign`, the job service and resume.
 
 Use::
 
@@ -34,16 +38,16 @@ Use::
     result = run_campaign(campaign, seed=1, executor="process")
     print(result.table())
 
-or, from a Runner / the shell::
+or, from the shell::
 
-    Runner(seed=1).run_campaign(campaign, executor="process", workers=8)
-    # python -m repro sweep --campaign campaign.json --executor process
+    python -m repro sweep --campaign campaign.json --executor process
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Mapping, Optional, Union
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Union
 
 from .batched import BatchedExecutor, batchable_kinds, register_batch_compiler
 from .executors import (
@@ -65,10 +69,14 @@ from .store import (
     JsonlResultStore,
     MemoryResultStore,
     ResultStore,
+    check_store,
     make_store,
     read_campaign_sidecar,
     write_campaign_sidecar,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..service.cache import CachedDispatch, ResultCache
 
 __all__ = [
     "EXECUTORS",
@@ -86,6 +94,7 @@ __all__ = [
     "Plan",
     "PlanPoint",
     "PointOutcome",
+    "PreparedCampaign",
     "ProcessExecutor",
     "ResultStore",
     "SerialExecutor",
@@ -94,6 +103,7 @@ __all__ = [
     "make_store",
     "manifest_summary",
     "metrics_table",
+    "prepare_campaign",
     "read_campaign_sidecar",
     "replicate_seed",
     "report_rows",
@@ -102,48 +112,147 @@ __all__ = [
 ]
 
 
-def build_manifest(
-    campaign: CampaignSpec,
-    plan: Plan,
-    sink: ResultStore,
-    *,
-    seed: int,
-    backend: Optional[str],
-    executor_name: str,
-    workers: int,
-    total_wall_s: float,
-    cache: Optional[dict[str, Any]] = None,
-    extra: Optional[dict[str, Any]] = None,
-) -> dict[str, Any]:
-    """The finalize-time manifest shared by ``run_campaign``, the job
-    manager and the resume path.  ``cache`` is the cache-accounting
-    block of a cache-aware run; ``extra`` merges additional provenance
-    (e.g. resume bookkeeping)."""
-    from .. import __version__
+@dataclass
+class PreparedCampaign:
+    """A campaign that passed setup: compiled plan, resolved executor,
+    backend and cache.  :meth:`execute` is the one driver loop behind
+    :func:`run_campaign`, the job service and resume."""
 
-    point_meta = {meta["point"]: meta for meta in sink.point_metas()}
-    manifest = {
-        "schema": MANIFEST_SCHEMA,
-        "name": campaign.name,
-        "campaign": campaign.to_dict(),
-        "seed": int(seed),
-        "version": __version__,
-        "backend": backend,
-        "executor": executor_name,
-        "workers": workers,
-        "store": sink.name,
-        "n_points": len(plan),
-        "total_wall_s": total_wall_s,
-        "points": [
-            point_meta[point.index] if point.index in point_meta else point.describe()
-            for point in plan
-        ],
-    }
-    if cache is not None:
-        manifest["cache"] = dict(cache)
-    if extra:
-        manifest.update(extra)
-    return manifest
+    campaign: CampaignSpec
+    plan: Plan
+    seed: int
+    executor: Executor
+    backend: Optional[str]
+    inputs: Optional[dict[str, Any]] = None
+    cache: Optional["ResultCache"] = None
+    #: The cache-aware dispatch of the current execution (``None``
+    #: without a cache); its ``summary()`` is the manifest's cache block.
+    dispatch: Optional["CachedDispatch"] = field(default=None, init=False)
+
+    def execute(
+        self,
+        sink: ResultStore,
+        *,
+        points: Optional[Plan] = None,
+        resumed: Optional[dict[str, Any]] = None,
+        on_outcome: Optional[Callable[[PointOutcome], None]] = None,
+    ) -> CampaignResult:
+        """Stream ``points`` (default: the whole plan) into ``sink`` and
+        finalize it with the manifest.
+
+        A fresh writable JSONL store first gets the ``campaign.json``
+        sidecar; a resumed one (``resumed`` is the manifest's resume
+        block) keeps the sidecar it was started with.  ``on_outcome``
+        sees every outcome before the store does and may raise to stop
+        the run; with it, a failing point streams out as a failed
+        outcome (executor ``capture_errors``) that reaches the hook and
+        never the store.  On any exception the store is closed
+        unfinalized, so every completed point — buffered ones too —
+        stays on disk for resume."""
+        from .. import __version__
+
+        todo = self.plan if points is None else points
+        capture_errors = on_outcome is not None
+        if self.cache is not None:
+            from ..service.cache import CachedDispatch
+
+            self.dispatch = CachedDispatch(
+                todo,
+                self.executor,
+                self.cache,
+                backend=self.backend,
+                inputs=self.inputs,
+                capture_errors=capture_errors,
+            )
+            outcomes = self.dispatch.outcomes()
+        else:
+            outcomes = self.executor.run(
+                todo, backend=self.backend, inputs=self.inputs, capture_errors=capture_errors
+            )
+        provenance = {
+            "name": self.campaign.name,
+            "campaign": self.campaign.to_dict(),
+            "seed": self.seed,
+            "backend": self.backend,
+            "version": __version__,
+        }
+        if resumed is None and isinstance(sink, JsonlResultStore) and sink.writable:
+            write_campaign_sidecar(sink.root, provenance)
+        start = time.perf_counter()  # repro: allow-wallclock
+        try:
+            for outcome in outcomes:
+                if on_outcome is not None:
+                    on_outcome(outcome)
+                if outcome.ok:
+                    sink.add(outcome)
+        except BaseException:
+            for stream in (outcomes, sink):
+                close = getattr(stream, "close", None)
+                if close is not None:
+                    close()
+            raise
+        total_wall_s = time.perf_counter() - start  # repro: allow-wallclock
+        point_meta = {meta["point"]: meta for meta in sink.point_metas()}
+        manifest = {
+            "schema": MANIFEST_SCHEMA,
+            **provenance,
+            "executor": self.executor.name,
+            "workers": getattr(self.executor, "workers", 1),
+            "store": sink.name,
+            "n_points": len(self.plan),
+            "total_wall_s": total_wall_s,
+            "points": [point_meta.get(point.index) or point.describe() for point in self.plan],
+        }
+        if self.dispatch is not None:
+            manifest["cache"] = self.dispatch.summary()
+        if resumed is not None:
+            manifest["resumed"] = resumed
+        sink.finalize(manifest)
+        return CampaignResult(plan=self.plan, store=sink, manifest=manifest)
+
+
+def prepare_campaign(
+    campaign: Union[CampaignSpec, Mapping[str, Any]],
+    *,
+    seed: int = 0,
+    executor: Union[str, Executor] = "serial",
+    workers: Optional[int] = None,
+    backend: Optional[str] = None,
+    inputs: Optional[dict[str, Any]] = None,
+    cache: Any = None,
+    store: Union[None, str, ResultStore] = None,
+    out: Any = None,
+    flush_every: int = 1,
+) -> PreparedCampaign:
+    """The one setup step: coerce and compile the campaign, resolve the
+    executor, backend and cache, and check the store arguments.  Every
+    argument error fires here, before any store touches the filesystem
+    — an ``overwrite=True`` run must not destroy an old campaign and
+    then die on a bad argument."""
+    from ..experiments.workloads import validate_backend
+    from ..service.cache import make_cache, reject_inputs_with_cache
+
+    if not isinstance(campaign, CampaignSpec):
+        campaign = CampaignSpec.from_dict(campaign)
+    resolved_backend = backend if backend is not None else campaign.backend
+    plan = campaign.compile(seed)
+    chosen = make_executor(executor, workers=workers)
+    chosen.check_inputs(inputs)
+    for kind in plan.kinds():
+        validate_backend(kind, resolved_backend)
+    result_cache = make_cache(cache)
+    if result_cache is not None:
+        reject_inputs_with_cache(inputs)
+    check_store(store, out, flush_every)
+    return PreparedCampaign(
+        campaign=campaign,
+        plan=plan,
+        seed=int(seed),
+        executor=chosen,
+        backend=resolved_backend,
+        inputs=inputs,
+        cache=result_cache,
+    )
 
 
 def run_campaign(
@@ -189,62 +298,17 @@ def run_campaign(
     (they alter results without altering the content key), combining
     ``cache`` with non-empty ``inputs`` raises ``ValueError``.
     """
-    if not isinstance(campaign, CampaignSpec):
-        campaign = CampaignSpec.from_dict(campaign)
-    resolved_backend = backend if backend is not None else campaign.backend
-    plan = campaign.compile(seed)
-    chosen = make_executor(executor, workers=workers)
-    # Every setup error — executor arguments (validated eagerly in
-    # run()), the backend, and the cache — must fire before make_store
-    # touches the filesystem: an overwrite=True run must not destroy an
-    # old campaign and then die on a bad argument.
-    from ..experiments.workloads import validate_backend
-
-    for kind in plan.kinds():
-        validate_backend(kind, resolved_backend)
-    outcomes = chosen.run(plan, backend=resolved_backend, inputs=inputs)
-    dispatch = None
-    if cache is not None:
-        from ..service.cache import CachedDispatch, make_cache
-
-        result_cache = make_cache(cache)
-        # The executor's eager argument validation already ran above;
-        # the un-started generator is safe to drop.
-        close = getattr(outcomes, "close", None)
-        if close is not None:
-            close()
-        dispatch = CachedDispatch(
-            plan, chosen, result_cache, backend=resolved_backend, inputs=inputs
-        )
-        outcomes = dispatch.outcomes()
-    sink = make_store(store, out=out, overwrite=overwrite, flush_every=flush_every)
-    if isinstance(sink, JsonlResultStore) and sink.writable:
-        from .. import __version__
-
-        write_campaign_sidecar(
-            sink.root,
-            {
-                "name": campaign.name,
-                "campaign": campaign.to_dict(),
-                "seed": int(seed),
-                "backend": resolved_backend,
-                "version": __version__,
-            },
-        )
-    start = time.perf_counter()  # repro: allow-wallclock
-    for outcome in outcomes:
-        sink.add(outcome)
-    total_wall_s = time.perf_counter() - start  # repro: allow-wallclock
-    manifest = build_manifest(
+    prepared = prepare_campaign(
         campaign,
-        plan,
-        sink,
         seed=seed,
-        backend=resolved_backend,
-        executor_name=chosen.name,
-        workers=getattr(chosen, "workers", 1),
-        total_wall_s=total_wall_s,
-        cache=dispatch.summary() if dispatch is not None else None,
+        executor=executor,
+        workers=workers,
+        backend=backend,
+        inputs=inputs,
+        cache=cache,
+        store=store,
+        out=out,
+        flush_every=flush_every,
     )
-    sink.finalize(manifest)
-    return CampaignResult(plan=plan, store=sink, manifest=manifest)
+    sink = make_store(store, out=out, overwrite=overwrite, flush_every=flush_every)
+    return prepared.execute(sink)

@@ -341,34 +341,22 @@ class BatchedExecutor(Executor):
     engine calls; everything else runs serially in the same stream."""
 
     name = "batched"
+    inputs_refusal = (
+        "pre-built `inputs` substrates cannot ride a batched compile; "
+        "use the serial executor to inject them"
+    )
 
     def __init__(self, workers: Optional[int] = None) -> None:
         if workers not in (None, 1):
             raise ValueError("the batched executor runs in the calling thread")
         self.workers = 1
 
-    def run(
+    def _iter(
         self,
         plan: Plan,
-        *,
-        backend: Optional[str] = None,
-        inputs: Optional[dict[str, Any]] = None,
-        runner_factory=None,
-        capture_errors: bool = False,
-    ) -> Iterator[PointOutcome]:
-        # Validate eagerly, NOT inside the generator: run_campaign must
-        # see bad arguments before any store touches the filesystem.
-        if inputs:
-            raise ValueError(
-                "pre-built `inputs` substrates cannot ride a batched compile; "
-                "use the serial executor to inject them"
-            )
-        if runner_factory is not None:
-            raise ValueError("the batched executor derives Runners from point seeds")
-        return self._iter(plan, backend, capture_errors)
-
-    def _iter(
-        self, plan: Plan, backend: Optional[str], capture_errors: bool = False
+        backend: Optional[str],
+        inputs: Optional[dict[str, Any]],
+        capture_errors: bool,
     ) -> Iterator[PointOutcome]:
         fallback: list[PlanPoint] = []
         for (kind, _), group in plan.groups_by_spec().items():
@@ -397,4 +385,4 @@ class BatchedExecutor(Executor):
                 start = time.perf_counter()  # repro: allow-wallclock
         runners: "OrderedDict[int, Runner]" = OrderedDict()
         for point in fallback:
-            yield _run_point(runners, Runner, point, backend, None, capture_errors)
+            yield _run_point(runners, point, backend, None, capture_errors)

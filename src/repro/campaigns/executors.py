@@ -10,14 +10,17 @@ the executors are bit-identical per point (the parity tests in
 ``tests/test_campaign_executors.py`` enforce this).
 
 * :class:`SerialExecutor` — runs in the calling thread, one Runner per
-  distinct point seed; the only executor that accepts a shared
-  ``runner_factory`` (how ``Runner.run_batch`` executes a plan on an
-  existing Runner, preserving its caches/stats/artifacts).
+  distinct point seed; the only executor that accepts injected
+  ``inputs`` substrates.
 * :class:`ProcessExecutor` — a process pool; each worker process owns
-  cloned Runners keyed by point seed.  Specs travel as their
+  its own Runners keyed by point seed.  Specs travel as their
   ``to_dict()`` payloads and results come back artifact-free (rich
   model objects stay in the worker).  The throughput choice for CPU-
   bound campaigns on multi-core hosts.
+
+Every per-point run, in any executor, goes through one timed body
+(:func:`_run_point`).  Executors build their Runners from point seeds
+alone; ``Runner.run_batch`` is a plain loop over ``Runner.run``.
 """
 
 from __future__ import annotations
@@ -41,8 +44,6 @@ from .plan import Plan, PlanPoint
 #: vectorized-kind point groups into chip-batched engine calls and runs
 #: everything else serially.
 EXECUTORS = ("serial", "process", "batched")
-
-RunnerFactory = Callable[[int], Runner]
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,21 @@ def _check_workers(workers: Optional[int]) -> int:
 
 
 class Executor:
-    """Interface: stream PointOutcomes for a Plan."""
+    """Interface: stream PointOutcomes for a Plan.
+
+    Subclasses implement :meth:`_iter`; :meth:`run` checks ``inputs``
+    eagerly (at call time, not first iteration) so callers see bad
+    arguments before any store touches the filesystem.
+    """
 
     name: str = "base"
+    #: Why this executor refuses injected ``inputs`` (``None``: accepts them).
+    inputs_refusal: Optional[str] = None
+
+    def check_inputs(self, inputs: Optional[dict[str, Any]]) -> None:
+        """Raise ``ValueError`` when ``inputs`` cannot ride this executor."""
+        if inputs and self.inputs_refusal is not None:
+            raise ValueError(self.inputs_refusal)
 
     def run(
         self,
@@ -97,8 +110,17 @@ class Executor:
         *,
         backend: Optional[str] = None,
         inputs: Optional[dict[str, Any]] = None,
-        runner_factory: Optional[RunnerFactory] = None,
         capture_errors: bool = False,
+    ) -> Iterator[PointOutcome]:
+        self.check_inputs(inputs)
+        return self._iter(plan, backend, inputs, capture_errors)
+
+    def _iter(
+        self,
+        plan: Plan,
+        backend: Optional[str],
+        inputs: Optional[dict[str, Any]],
+        capture_errors: bool,
     ) -> Iterator[PointOutcome]:
         raise NotImplementedError
 
@@ -111,13 +133,11 @@ class Executor:
 MAX_CACHED_RUNNERS = 16
 
 
-def _cached_runner(
-    runners: "OrderedDict[int, Runner]", factory: RunnerFactory, seed: int
-) -> Runner:
-    """LRU fetch-or-clone bounded at :data:`MAX_CACHED_RUNNERS`."""
+def _cached_runner(runners: "OrderedDict[int, Runner]", seed: int) -> Runner:
+    """LRU fetch-or-build bounded at :data:`MAX_CACHED_RUNNERS`."""
     runner = runners.get(seed)
     if runner is None:
-        runner = runners[seed] = factory(seed)
+        runner = runners[seed] = Runner(seed)
     else:
         runners.move_to_end(seed)
     while len(runners) > MAX_CACHED_RUNNERS:
@@ -155,25 +175,26 @@ def _stream_pool(
 
 def _run_point(
     runners: "OrderedDict[int, Runner]",
-    factory: RunnerFactory,
     point: PlanPoint,
     backend: Optional[str],
     inputs: Optional[dict[str, Any]],
     capture_errors: bool = False,
 ) -> PointOutcome:
-    """Shared inner loop: fetch-or-clone the Runner for the point's
-    seed, execute, time.  ``capture_errors`` turns a per-point exception
-    into a failed outcome instead of killing the whole stream."""
-    runner = _cached_runner(runners, factory, point.seed)
+    """The one timed-run body of every executor: fetch-or-build the
+    Runner for the point's seed, execute, time.  ``capture_errors``
+    turns a per-point exception into a failed outcome instead of
+    killing the whole stream."""
+    runner = _cached_runner(runners, point.seed)
+    result, error = None, None
     start = time.perf_counter()  # repro: allow-wallclock
     try:
         result = runner.run(point.spec, backend=backend, inputs=inputs)
     except Exception as exc:  # noqa: BLE001 — opted into by capture_errors
         if not capture_errors:
             raise
-        wall_s = time.perf_counter() - start  # repro: allow-wallclock
-        return PointOutcome(point=point, result=None, wall_s=wall_s, error=_error_text(exc))
-    return PointOutcome(point=point, result=result, wall_s=time.perf_counter() - start)  # repro: allow-wallclock
+        error = _error_text(exc)
+    wall_s = time.perf_counter() - start  # repro: allow-wallclock
+    return PointOutcome(point=point, result=result, wall_s=wall_s, error=error)
 
 
 class SerialExecutor(Executor):
@@ -186,22 +207,19 @@ class SerialExecutor(Executor):
             raise ValueError("the serial executor has exactly one worker")
         self.workers = 1
 
-    def run(
+    def _iter(
         self,
         plan: Plan,
-        *,
-        backend: Optional[str] = None,
-        inputs: Optional[dict[str, Any]] = None,
-        runner_factory: Optional[RunnerFactory] = None,
-        capture_errors: bool = False,
+        backend: Optional[str],
+        inputs: Optional[dict[str, Any]],
+        capture_errors: bool,
     ) -> Iterator[PointOutcome]:
-        factory = runner_factory or Runner
         runners: "OrderedDict[int, Runner]" = OrderedDict()
         for point in plan:
-            yield _run_point(runners, factory, point, backend, inputs, capture_errors)
+            yield _run_point(runners, point, backend, inputs, capture_errors)
 
 
-# Per-process Runner clones, keyed by point seed.  Module-level so the
+# Per-process Runners, keyed by point seed.  Module-level so the
 # cache survives across tasks dispatched to the same worker process;
 # bounded like the in-process caches.
 _WORKER_RUNNERS: "OrderedDict[int, Runner]" = OrderedDict()
@@ -210,26 +228,23 @@ _WORKER_RUNNERS: "OrderedDict[int, Runner]" = OrderedDict()
 def _process_worker(payload: tuple) -> tuple[int, float, Optional[ResultSet], Optional[str]]:
     """Top-level (picklable) task body for :class:`ProcessExecutor`."""
     index, seed, spec_dict, backend, capture_errors = payload
-    runner = _cached_runner(_WORKER_RUNNERS, Runner, seed)
-    spec = spec_from_dict(spec_dict)
-    start = time.perf_counter()  # repro: allow-wallclock
-    try:
-        result = runner.run(spec, backend=backend)
-    except Exception as exc:  # noqa: BLE001 — opted into by capture_errors
-        if not capture_errors:
-            raise
-        wall_s = time.perf_counter() - start  # repro: allow-wallclock
-        return index, wall_s, None, _error_text(exc)
-    wall_s = time.perf_counter() - start  # repro: allow-wallclock
+    # A worker-side stand-in: the parent maps the index back to its point.
+    point = PlanPoint(index=index, spec=spec_from_dict(spec_dict), replicate=0, seed=seed)
+    outcome = _run_point(_WORKER_RUNNERS, point, backend, None, capture_errors)
     # Artifacts (chips, cultures, ...) stay in the worker: only the
     # columnar result crosses the process boundary.
-    return index, wall_s, result.without_artifacts(), None
+    result = None if outcome.result is None else outcome.result.without_artifacts()
+    return index, outcome.wall_s, result, outcome.error
 
 
 class ProcessExecutor(Executor):
-    """Run points on a process pool of cloned Runners."""
+    """Run points on a process pool of per-worker Runners."""
 
     name = "process"
+    inputs_refusal = (
+        "in-memory `inputs` substrates cannot cross process boundaries; "
+        "use the serial executor to inject pre-built objects"
+    )
 
     def __init__(
         self, workers: Optional[int] = None, start_method: Optional[str] = None
@@ -237,28 +252,12 @@ class ProcessExecutor(Executor):
         self.workers = _check_workers(workers)
         self.start_method = start_method
 
-    def run(
+    def _iter(
         self,
         plan: Plan,
-        *,
-        backend: Optional[str] = None,
-        inputs: Optional[dict[str, Any]] = None,
-        runner_factory: Optional[RunnerFactory] = None,
-        capture_errors: bool = False,
-    ) -> Iterator[PointOutcome]:
-        # Validate eagerly, NOT inside the generator: run_campaign must
-        # see bad arguments before any store touches the filesystem.
-        if inputs:
-            raise ValueError(
-                "in-memory `inputs` substrates cannot cross process boundaries; "
-                "use the serial executor to inject pre-built objects"
-            )
-        if runner_factory is not None:
-            raise ValueError("the process executor always clones fresh Runners per worker")
-        return self._iter(plan, backend, capture_errors)
-
-    def _iter(
-        self, plan: Plan, backend: Optional[str], capture_errors: bool = False
+        backend: Optional[str],
+        inputs: Optional[dict[str, Any]],
+        capture_errors: bool,
     ) -> Iterator[PointOutcome]:
         by_index = {point.index: point for point in plan}
         context = multiprocessing.get_context(self.start_method)

@@ -11,7 +11,7 @@ bit-identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from ..experiments.specs import ExperimentSpec
 
@@ -66,18 +66,6 @@ class Plan:
 
     def __getitem__(self, index: int) -> PlanPoint:
         return self.points[index]
-
-    @classmethod
-    def for_specs(
-        cls, specs: Sequence[ExperimentSpec] | Iterable[ExperimentSpec], seed: int = 0
-    ) -> "Plan":
-        """An ad-hoc plan from an explicit spec list — every point at
-        replicate 0 under ``seed`` (the ``run_batch`` shim's shape)."""
-        points = tuple(
-            PlanPoint(index=i, spec=spec, replicate=0, seed=int(seed))
-            for i, spec in enumerate(specs)
-        )
-        return cls(points=points, seed=int(seed))
 
     def kinds(self) -> list[str]:
         """Distinct experiment kinds in the plan, in first-seen order."""

@@ -422,6 +422,50 @@ class JsonlResultStore(ResultStore):
         return store
 
 
+def check_store(
+    store: Union[None, str, Path, ResultStore],
+    out: Union[None, str, Path] = None,
+    flush_every: int = 1,
+) -> None:
+    """Raise every argument error :func:`make_store` would, without
+    touching the filesystem — so a bad rerun can never truncate an old
+    campaign directory before it dies."""
+    if flush_every < 1:
+        raise ValueError(f"flush_every must be >= 1, got {flush_every}")
+    if isinstance(store, ResultStore):
+        on_disk = isinstance(store, JsonlResultStore)
+        if out is not None and not (on_disk and Path(out) == store.root):
+            raise ValueError(
+                "out= conflicts with the provided store instance; root the "
+                "JsonlResultStore at the directory instead"
+            )
+        if on_disk and flush_every != 1 and store.flush_every != flush_every:
+            raise ValueError(
+                f"flush_every={flush_every} conflicts with the provided store "
+                f"instance (flush_every={store.flush_every}); configure the "
+                f"instance instead"
+            )
+    elif store == "memory":
+        if out is not None:
+            raise ValueError(
+                "the memory store writes nothing to disk; drop --out or use the jsonl store"
+            )
+        on_disk = False
+    elif store == "jsonl":
+        if out is None:
+            raise ValueError("the jsonl store needs an output directory (--out)")
+        on_disk = True
+    elif store is None or isinstance(store, Path):
+        on_disk = store is not None or out is not None
+    else:
+        raise ValueError(
+            f"unknown store {store!r}; choose from {STORES}, pass a pathlib.Path "
+            f"(or out=...) for a jsonl directory, or pass a ResultStore instance"
+        )
+    if flush_every != 1 and not on_disk:
+        raise ValueError("flush_every only applies to the jsonl store")
+
+
 def make_store(
     store: Union[None, str, Path, ResultStore],
     out: Union[None, str, Path] = None,
@@ -440,49 +484,13 @@ def make_store(
     points instead of every point); it is an error with any store that
     does not append to disk.
     """
-    if store is None:
-        if out is not None:
-            return JsonlResultStore(out, overwrite=overwrite, flush_every=flush_every)
-        if flush_every != 1:
-            raise ValueError("flush_every only applies to the jsonl store")
-        return MemoryResultStore()
+    check_store(store, out, flush_every)
     if isinstance(store, ResultStore):
-        already_there = (
-            isinstance(store, JsonlResultStore) and out is not None and Path(out) == store.root
-        )
-        if out is not None and not already_there:
-            raise ValueError(
-                "out= conflicts with the provided store instance; root the "
-                "JsonlResultStore at the directory instead"
-            )
-        if flush_every != 1:
-            if not isinstance(store, JsonlResultStore):
-                raise ValueError("flush_every only applies to the jsonl store")
-            if store.flush_every != flush_every:
-                raise ValueError(
-                    f"flush_every={flush_every} conflicts with the provided store "
-                    f"instance (flush_every={store.flush_every}); configure the "
-                    f"instance instead"
-                )
         return store
-    if store == "memory":
-        if out is not None:
-            raise ValueError(
-                "the memory store writes nothing to disk; drop --out or use the jsonl store"
-            )
-        if flush_every != 1:
-            raise ValueError("flush_every only applies to the jsonl store")
+    if store == "memory" or (store is None and out is None):
         return MemoryResultStore()
-    if store == "jsonl":
-        if out is None:
-            raise ValueError("the jsonl store needs an output directory (--out)")
-        return JsonlResultStore(out, overwrite=overwrite, flush_every=flush_every)
-    if isinstance(store, Path):
-        return JsonlResultStore(store, overwrite=overwrite, flush_every=flush_every)
-    raise ValueError(
-        f"unknown store {store!r}; choose from {STORES}, pass a pathlib.Path "
-        f"(or out=...) for a jsonl directory, or pass a ResultStore instance"
-    )
+    root = store if isinstance(store, Path) else out
+    return JsonlResultStore(root, overwrite=overwrite, flush_every=flush_every)
 
 
 @dataclass

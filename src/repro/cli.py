@@ -64,11 +64,10 @@ from .campaigns import (
     STORES,
     CampaignSpec,
     JsonlResultStore,
-    make_executor,
     make_store,
     manifest_summary,
     metrics_table,
-    run_campaign,
+    prepare_campaign,
 )
 from .core.tables import render_kv
 from .experiments import (
@@ -226,34 +225,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 replicates=args.replicates,
                 name=args.name,
             )
-        # Per-point spec validation (axis values hitting each spec's
-        # __post_init__) and backend-workload support fire first — with
-        # clean messages, and before make_store can touch (with
-        # --force, truncate) the out directory.
-        campaign.compile(args.seed)
-        validate_backend(
-            campaign.base.kind,
-            args.backend if args.backend is not None else campaign.backend,
+        # The shared setup step validates every point's spec, backend,
+        # executor, cache and store argument — with clean messages, and
+        # before make_store can touch (with --force, truncate) the out
+        # directory.
+        prepared = prepare_campaign(
+            campaign,
+            seed=args.seed,
+            executor=args.executor,
+            workers=args.workers,
+            backend=args.backend,
+            cache=args.cache_dir or None,
+            store=args.store,
+            out=args.out,
+            flush_every=args.flush_every,
         )
-        executor = make_executor(args.executor, workers=args.workers)
-        cache = None
-        if args.cache_dir:
-            from .service import ResultCache
-
-            cache = ResultCache(root=args.cache_dir)
         store = make_store(
             args.store, out=args.out, overwrite=args.force, flush_every=args.flush_every
         )
     except (FileExistsError, KeyError, TypeError, ValueError) as error:
         raise SystemExit(f"repro: {error}")
-    result = run_campaign(
-        campaign,
-        seed=args.seed,
-        executor=executor,
-        store=store,
-        backend=args.backend,
-        cache=cache,
-    )
+    result = prepared.execute(store)
     return _print_sweep_result(args, result)
 
 

@@ -27,7 +27,7 @@ Use::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional
 
 from ..core.rng import SeedTree
 from .results import ResultSet
@@ -136,7 +136,7 @@ class Runner:
 
     def run_batch(
         self,
-        specs: Sequence[ExperimentSpec] | Iterable[ExperimentSpec],
+        specs: Iterable[ExperimentSpec],
         *,
         backend: Optional[str] = None,
         inputs: Optional[dict[str, Any]] = None,
@@ -144,72 +144,9 @@ class Runner:
         """Execute many specs, sharing chips/layouts/libraries via the
         caches.  Results come back in input order and are identical to
         running each spec alone (streams are position-independent).
-
-        Since the campaign redesign this is a thin shim over
-        :mod:`repro.campaigns`: the spec list compiles to a
-        :class:`~repro.campaigns.plan.Plan` executed in-place on *this*
-        Runner by the serial executor, so caches, stats and artifacts
-        behave exactly as before.  Each spec sees its own shallow copy
-        of ``inputs`` (see :meth:`run`).
-        """
-        from ..campaigns.executors import SerialExecutor
-        from ..campaigns.plan import Plan
-
-        plan = Plan.for_specs(specs, seed=self.seed)
-        results: list[Optional[ResultSet]] = [None] * len(plan)
-        executor = SerialExecutor()
-        for outcome in executor.run(
-            plan, backend=backend, inputs=inputs, runner_factory=lambda seed: self
-        ):
-            results[outcome.point.index] = outcome.result
-        return results  # type: ignore[return-value]
-
-    def run_campaign(
-        self,
-        campaign: "Any",
-        *,
-        executor: "Any" = "serial",
-        workers: Optional[int] = None,
-        store: "Any" = None,
-        out: Optional[Any] = None,
-        overwrite: bool = False,
-        flush_every: int = 1,
-        backend: Optional[str] = None,
-        inputs: Optional[dict[str, Any]] = None,
-    ) -> "Any":
-        """Execute a :class:`~repro.campaigns.spec.CampaignSpec` rooted
-        at this Runner's seed and return the
-        :class:`~repro.campaigns.store.CampaignResult`.
-
-        Convenience front door for :func:`repro.campaigns.run_campaign`
-        — see there for executor/store/backend semantics.  Replicate 0
-        of every point runs under this Runner's root seed, so a
-        1-replicate campaign point is bit-identical to ``self.run(spec)``
-        (executors own their workers' Runner clones; this Runner's
-        caches are not consulted).
-        """
-        from ..campaigns import run_campaign
-
-        return run_campaign(
-            campaign,
-            seed=self.seed,
-            executor=executor,
-            workers=workers,
-            store=store,
-            out=out,
-            overwrite=overwrite,
-            flush_every=flush_every,
-            backend=backend,
-            inputs=inputs,
-        )
-
-    def clone(self, seed: Optional[int] = None) -> "Runner":
-        """A fresh Runner with the same root seed (or ``seed``) and empty
-        caches/stats.  Convenience for callers fanning work out by hand;
-        equivalent to what the campaign executors build per worker
-        (``Runner(point.seed)``), and bit-identical to this Runner on
-        the same specs because streams depend only on (root, path)."""
-        return Runner(seed=self.seed if seed is None else seed)
+        Each spec sees its own shallow copy of ``inputs`` (see
+        :meth:`run`)."""
+        return [self.run(spec, backend=backend, inputs=inputs) for spec in specs]
 
     def clear_caches(self) -> None:
         self._caches.clear()

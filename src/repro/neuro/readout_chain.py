@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..core.rng import RngLike, ensure_rng
 from ..core.signals import Trace
 from ..core.units import MHz

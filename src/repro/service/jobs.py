@@ -26,7 +26,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 from ..campaigns import (
     CampaignResult,
@@ -35,14 +35,12 @@ from ..campaigns import (
     JsonlResultStore,
     Plan,
     PointOutcome,
-    build_manifest,
-    make_executor,
+    PreparedCampaign,
     make_store,
+    prepare_campaign,
     read_campaign_sidecar,
-    write_campaign_sidecar,
 )
-from ..experiments.workloads import validate_backend
-from .cache import CachedDispatch, ResultCache, make_cache, reject_inputs_with_cache
+from .cache import ResultCache, make_cache
 
 #: Every state a job can report.  Terminal states: done/failed/cancelled.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -66,12 +64,7 @@ class Job:
     """
 
     id: str
-    campaign: CampaignSpec
-    plan: Plan
-    executor: Executor
-    seed: int = 0
-    backend: Optional[str] = None
-    inputs: Optional[dict[str, Any]] = None
+    prepared: PreparedCampaign
     out: Optional[Path] = None
     overwrite: bool = False
     flush_every: int = 1
@@ -92,7 +85,7 @@ class Job:
 
     @property
     def n_points(self) -> int:
-        return len(self.plan)
+        return len(self.prepared.plan)
 
     @property
     def done(self) -> bool:
@@ -113,13 +106,13 @@ class Job:
             wall = end - self.started_s
         return {
             "id": self.id,
-            "name": self.campaign.name,
+            "name": self.prepared.campaign.name,
             "status": self.status,
             "n_points": self.n_points,
             "n_done": self.n_done,
-            "seed": self.seed,
-            "executor": self.executor.name,
-            "backend": self.backend,
+            "seed": self.prepared.seed,
+            "executor": self.prepared.executor.name,
+            "backend": self.prepared.backend,
             "out": None if self.out is None else str(self.out),
             "error": self.error,
             "n_failed": len(self.failed_points),
@@ -199,27 +192,23 @@ class JobManager:
         caller's thread — a queued job only fails for execution-time
         reasons, never for a bad argument.
         """
-        if not isinstance(campaign, CampaignSpec):
-            campaign = CampaignSpec.from_dict(campaign)
-        resolved_backend = backend if backend is not None else campaign.backend
-        plan = campaign.compile(seed)
-        chosen = make_executor(executor, workers=workers)
-        if self.cache is not None:
-            reject_inputs_with_cache(inputs)
-        for kind in plan.kinds():
-            validate_backend(kind, resolved_backend)
-        if flush_every < 1:
-            raise ValueError(f"flush_every must be >= 1, got {flush_every}")
+        prepared = prepare_campaign(
+            campaign,
+            seed=seed,
+            executor=executor,
+            workers=workers,
+            backend=backend,
+            inputs=inputs,
+            cache=self.cache,
+            # A job without ``out`` writes under ``<root>/<job id>``.
+            out=out if out is not None else self.root,
+            flush_every=flush_every,
+        )
         with self._lock:
             job_id = f"job-{next(self._counter):04d}"
             job = Job(
                 id=job_id,
-                campaign=campaign,
-                plan=plan,
-                executor=chosen,
-                seed=int(seed),
-                backend=resolved_backend,
-                inputs=inputs,
+                prepared=prepared,
                 out=(
                     Path(out)
                     if out is not None
@@ -314,90 +303,35 @@ class JobManager:
                 job._finished.set()
 
     def _execute(self, job: Job) -> CampaignResult:
-        """``run_campaign`` with the job hooks: shared cache, per-point
-        progress, and a cancel check between outcomes."""
-        outcomes: Iterator[PointOutcome] = job.executor.run(
-            job.plan, backend=job.backend, inputs=job.inputs, capture_errors=True
-        )
-        dispatch = None
-        if self.cache is not None:
-            close = getattr(outcomes, "close", None)
-            if close is not None:
-                close()
-            dispatch = CachedDispatch(
-                job.plan,
-                job.executor,
-                self.cache,
-                backend=job.backend,
-                inputs=job.inputs,
-                capture_errors=True,
-            )
-            outcomes = dispatch.outcomes()
+        """The shared campaign driver with the job hooks: per-point
+        progress, captured per-point failures, and a cancel check
+        between outcomes (a cancelled job leaves a manifest-less
+        partial directory that :func:`resume_campaign` understands)."""
+
+        def on_outcome(outcome: PointOutcome) -> None:
+            if job._cancel.is_set():
+                raise JobCancelled(job.id)
+            if not outcome.ok:
+                # Recorded on the job (with the trace-violation summary
+                # the executor rendered), never written to the store —
+                # resume sees the point as missing and retries it.
+                job.failed_points.append(
+                    {
+                        "point": outcome.point.index,
+                        "seed": outcome.point.seed,
+                        "error": outcome.error,
+                    }
+                )
+            job.n_done += 1
+
         sink = make_store(
             None, out=job.out, overwrite=job.overwrite, flush_every=job.flush_every
         )
-        if isinstance(sink, JsonlResultStore) and sink.writable:
-            from .. import __version__
-
-            write_campaign_sidecar(
-                sink.root,
-                {
-                    "name": job.campaign.name,
-                    "campaign": job.campaign.to_dict(),
-                    "seed": job.seed,
-                    "backend": job.backend,
-                    "version": __version__,
-                },
-            )
-        start = time.perf_counter()  # repro: allow-wallclock
         try:
-            for outcome in outcomes:
-                if job._cancel.is_set():
-                    raise JobCancelled(job.id)
-                if outcome.result is None:
-                    # A captured per-point failure: recorded on the job
-                    # (with the trace-violation summary the executor
-                    # rendered), never written to the store — resume
-                    # sees the point as missing and retries it.
-                    job.failed_points.append(
-                        {
-                            "point": outcome.point.index,
-                            "seed": outcome.point.seed,
-                            "error": outcome.error,
-                        }
-                    )
-                    job.n_done += 1
-                    continue
-                sink.add(outcome)
-                job.n_done += 1
-        except JobCancelled:
-            close = getattr(outcomes, "close", None)
-            if close is not None:
-                close()
-            # Flush-and-close without finalize: the directory stays a
-            # manifest-less partial that resume_campaign understands.
-            closer = getattr(sink, "close", None)
-            if closer is not None:
-                closer()
-            if dispatch is not None:
-                job.cache_summary = dispatch.summary()
-            raise
-        total_wall_s = time.perf_counter() - start  # repro: allow-wallclock
-        if dispatch is not None:
-            job.cache_summary = dispatch.summary()
-        manifest = build_manifest(
-            job.campaign,
-            job.plan,
-            sink,
-            seed=job.seed,
-            backend=job.backend,
-            executor_name=job.executor.name,
-            workers=getattr(job.executor, "workers", 1),
-            total_wall_s=total_wall_s,
-            cache=job.cache_summary,
-        )
-        sink.finalize(manifest)
-        return CampaignResult(plan=job.plan, store=sink, manifest=manifest)
+            return job.prepared.execute(sink, on_outcome=on_outcome)
+        finally:
+            if job.prepared.dispatch is not None:
+                job.cache_summary = job.prepared.dispatch.summary()
 
 
 # ---------------------------------------------------------------------------
@@ -449,57 +383,25 @@ def resume_campaign(
             f"results.jsonl — re-run the campaign, or pass ignore_version=True "
             f"(CLI: --ignore-version) to accept that"
         )
-    result_cache = make_cache(cache)
-    if result_cache is not None:
-        reject_inputs_with_cache(inputs)
-    sink = JsonlResultStore.open_partial(root, flush_every=flush_every)
-    campaign = CampaignSpec.from_dict(sidecar["campaign"])
-    seed = int(sidecar["seed"])
-    backend = sidecar.get("backend")
-    plan = campaign.compile(seed)
-    done = {meta["point"] for meta in sink.point_metas()}
-    missing = tuple(point for point in plan if point.index not in done)
-    chosen = make_executor(executor, workers=workers)
-    dispatch = None
-    total_wall_s = 0.0
-    if missing:
-        sub_plan = Plan(points=missing, campaign=campaign, seed=seed)
-        outcomes: Iterator[PointOutcome] = chosen.run(
-            sub_plan, backend=backend, inputs=inputs
-        )
-        if result_cache is not None:
-            close = getattr(outcomes, "close", None)
-            if close is not None:
-                close()
-            dispatch = CachedDispatch(
-                sub_plan, chosen, result_cache, backend=backend, inputs=inputs
-            )
-            outcomes = dispatch.outcomes()
-        start = time.perf_counter()  # repro: allow-wallclock
-        for outcome in outcomes:
-            sink.add(outcome)
-        total_wall_s = time.perf_counter() - start  # repro: allow-wallclock
-    manifest = build_manifest(
-        campaign,
-        plan,
-        sink,
-        seed=seed,
-        backend=backend,
-        executor_name=chosen.name,
-        workers=getattr(chosen, "workers", 1),
-        total_wall_s=total_wall_s,
-        cache=dispatch.summary() if dispatch is not None else None,
-        extra={
-            "resumed": {
-                "previously_completed": len(done),
-                "executed": len(missing),
-                **(
-                    {"sidecar_version": sidecar_version}
-                    if sidecar_version != __version__
-                    else {}
-                ),
-            }
-        },
+    prepared = prepare_campaign(
+        sidecar["campaign"],
+        seed=int(sidecar["seed"]),
+        executor=executor,
+        workers=workers,
+        backend=sidecar.get("backend"),
+        inputs=inputs,
+        cache=cache,
+        out=root,
+        flush_every=flush_every,
     )
-    sink.finalize(manifest)
-    return CampaignResult(plan=plan, store=sink, manifest=manifest)
+    sink = JsonlResultStore.open_partial(root, flush_every=flush_every)
+    done = {meta["point"] for meta in sink.point_metas()}
+    missing = tuple(point for point in prepared.plan if point.index not in done)
+    resumed: dict[str, Any] = {"previously_completed": len(done), "executed": len(missing)}
+    if sidecar_version != __version__:
+        resumed["sidecar_version"] = sidecar_version
+    return prepared.execute(
+        sink,
+        points=Plan(points=missing, campaign=prepared.campaign, seed=prepared.seed),
+        resumed=resumed,
+    )

@@ -18,7 +18,6 @@ from repro.campaigns import (
     make_executor,
     run_campaign,
 )
-from repro.campaigns.plan import Plan
 from repro.experiments import (
     ArrayScaleSpec,
     NeuralRecordingSpec,
@@ -173,13 +172,11 @@ class TestExecutorMechanics:
         with pytest.raises(ValueError, match="calling thread"):
             BatchedExecutor(workers=4)
 
-    def test_rejects_inputs_and_runner_factory_eagerly(self):
+    def test_rejects_inputs_eagerly(self):
         executor = BatchedExecutor()
-        plan = Plan.for_specs([ArrayScaleSpec(rows=8, cols=8)], seed=1)
+        plan = CampaignSpec(base=ArrayScaleSpec(rows=8, cols=8)).compile(seed=1)
         with pytest.raises(ValueError, match="inputs"):
             executor.run(plan, inputs={"chip": object()})
-        with pytest.raises(ValueError, match="point seeds"):
-            executor.run(plan, runner_factory=lambda seed: Runner(seed))
 
     def test_non_batchable_kind_falls_back_serially(self):
         campaign = CampaignSpec(base=ScreeningSpec(library_size=500), replicates=3)

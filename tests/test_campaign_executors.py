@@ -110,11 +110,11 @@ def test_runner_cache_is_bounded():
 
     runners = OrderedDict()
     for seed in range(MAX_CACHED_RUNNERS * 3):
-        _cached_runner(runners, Runner, seed)
+        _cached_runner(runners, seed)
         assert len(runners) <= MAX_CACHED_RUNNERS
     # Most-recent seeds survive; refetching an evicted one just rebuilds.
     assert max(runners) == MAX_CACHED_RUNNERS * 3 - 1
-    assert _cached_runner(runners, Runner, 0).seed == 0
+    assert _cached_runner(runners, 0).seed == 0
 
 
 def test_process_executor_rejects_nonpositive_workers():
@@ -133,15 +133,12 @@ def test_make_executor_passes_instances_through():
         make_executor(executor, workers=4)
 
 
-def test_process_executor_rejects_inputs_and_runner_factory():
+def test_process_executor_rejects_inputs_eagerly():
     plan = CampaignSpec(base=ScreeningSpec(library_size=500)).compile(seed=0)
     executor = ProcessExecutor(workers=1)
-    # Eagerly — at run() call time, not first iteration — so
-    # run_campaign rejects bad arguments before the store touches disk.
+    # At run() call time, not first iteration.
     with pytest.raises(ValueError, match="process boundaries"):
         executor.run(plan, inputs={"library": object()})
-    with pytest.raises(ValueError, match="clones fresh Runners"):
-        executor.run(plan, runner_factory=Runner)
 
 
 def test_bad_executor_arguments_never_touch_an_existing_store(tmp_path):

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.campaigns import CampaignSpec, Plan, campaign_from_dict, replicate_seed
-from repro.experiments import AdcTransferSpec, DnaAssaySpec, ScreeningSpec
+from repro.campaigns import CampaignSpec, campaign_from_dict, replicate_seed
+from repro.experiments import DnaAssaySpec, ScreeningSpec
 
 BASE = DnaAssaySpec(probe_count=4, replicates=4, target_subset=(0, 1))
 
@@ -102,14 +102,6 @@ def test_axis_values_hit_spec_validation():
     campaign = CampaignSpec(base=BASE, grid={"concentration": (1e-6, -1.0)})
     with pytest.raises(ValueError, match="non-negative"):
         campaign.compile(seed=0)
-
-
-def test_plan_for_specs_is_the_run_batch_shape():
-    specs = [BASE, BASE.replace(concentration=1e-6), AdcTransferSpec()]
-    plan = Plan.for_specs(specs, seed=4)
-    assert len(plan) == 3
-    assert all(p.seed == 4 and p.replicate == 0 for p in plan)
-    assert plan.kinds() == ["dna_assay", "adc_transfer"]
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ def test_runner_run_campaign_forwards_out_for_jsonl(tmp_path):
     from repro.experiments import Runner
 
     out = tmp_path / "via-runner"
-    result = Runner(seed=3).run_campaign(CAMPAIGN, store="jsonl", out=out)
+    result = run_campaign(CAMPAIGN, seed=3, store="jsonl", out=out)
     assert (out / "manifest.json").exists()
     assert result.manifest["seed"] == 3
     # And replicate-0 points match the plain-Runner result exactly.

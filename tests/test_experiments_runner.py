@@ -220,19 +220,6 @@ def test_clear_caches_forces_rebuilds_but_not_different_results():
     np.testing.assert_array_equal(first.column("count"), second.column("count"))
 
 
-def test_clone_shares_seed_but_nothing_else():
-    runner = Runner(seed=8)
-    original = runner.run(SMALL_DNA)
-    clone = runner.clone()
-    assert clone is not runner
-    assert clone.seed == 8
-    assert clone.stats.runs == 0 and not clone._caches
-    np.testing.assert_array_equal(
-        clone.run(SMALL_DNA).column("count"), original.column("count")
-    )
-    assert runner.clone(seed=9).seed == 9
-
-
 # ---------------------------------------------------------------------------
 # Per-spec input isolation
 # ---------------------------------------------------------------------------

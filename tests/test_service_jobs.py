@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.campaigns import CampaignSpec, run_campaign
-from repro.experiments import DnaAssaySpec
+from repro.experiments import DnaAssaySpec, Runner
 from repro.service import (
     JOB_STATES,
     JobManager,
@@ -77,6 +77,15 @@ def test_submit_validates_eagerly(manager):
         manager.submit(CAMPAIGN, flush_every=0)
     with pytest.raises(KeyError, match="unknown job"):
         manager.job("job-9999")
+    # Without ``root`` a job keeps its results in memory, so a buffered
+    # jsonl flush setting is a bad argument, refused before queueing.
+    in_memory = JobManager(workers=1)
+    try:
+        with pytest.raises(ValueError, match="flush_every only applies to the jsonl store"):
+            in_memory.submit(CAMPAIGN, flush_every=2)
+        assert in_memory.jobs() == []
+    finally:
+        in_memory.shutdown()
 
 
 def test_submit_rejects_inputs_against_the_shared_cache(manager):
@@ -220,3 +229,84 @@ def test_resume_rejects_inputs_with_a_cache(tmp_path):
             cache=tmp_path / "cache",
             inputs={"substrate": object()},
         )
+
+
+def test_a_failing_point_keeps_the_buffered_results_on_disk(tmp_path, monkeypatch):
+    campaign = CampaignSpec(
+        base=BASE, grid={"concentration": (1e-9, 1e-8, 1e-7, 1e-6, 1e-5)}, name="fails-4th"
+    )
+    original = Runner.run
+    calls = []
+
+    def fourth_run_raises(self, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:
+            raise RuntimeError("point 4 exploded")
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Runner, "run", fourth_run_raises)
+    out = tmp_path / "partial"
+    with pytest.raises(RuntimeError, match="point 4 exploded"):
+        run_campaign(campaign, seed=1, store="jsonl", out=out, flush_every=4)
+    monkeypatch.undo()
+    assert len((out / "results.jsonl").read_text().splitlines()) == 3
+    assert not (out / "manifest.json").exists()
+    resumed = resume_campaign(out)
+    assert resumed.manifest["resumed"] == {"previously_completed": 3, "executed": 2}
+    assert _payloads(resumed) == _payloads(run_campaign(campaign, seed=1))
+
+
+AGREEMENT = CampaignSpec(
+    base=BASE, grid={"concentration": (1e-8, 1e-7, 1e-6)}, replicates=2, name="agreement"
+)
+
+
+def _finished_by(driver, tmp_path):
+    """Run AGREEMENT at seed 4 to a JSONL directory through one driver."""
+    if driver == "run_campaign":
+        out = tmp_path / "direct"
+        run_campaign(AGREEMENT, seed=4, store="jsonl", out=out)
+        return out
+    if driver == "job":
+        manager = JobManager(workers=1, root=tmp_path / "jobs")
+        try:
+            job = manager.submit(AGREEMENT, seed=4)
+            manager.wait(job.id, timeout=60)
+            assert job.status == "done", job.error
+            return job.out
+        finally:
+            manager.shutdown()
+    # resume: a directory holding the first half of the points.
+    out = tmp_path / "resumed"
+    run_campaign(AGREEMENT, seed=4, store="jsonl", out=out)
+    (out / "manifest.json").unlink()
+    lines = (out / "results.jsonl").read_text().splitlines(True)
+    first_half = [line for line in lines if json.loads(line)["point"] < len(lines) // 2]
+    (out / "results.jsonl").write_text("".join(first_half))
+    resumed = resume_campaign(out)
+    assert resumed.manifest["resumed"] == {"previously_completed": 3, "executed": 3}
+    return out
+
+
+def _without_wall_times(out):
+    lines = {}
+    for raw in (out / "results.jsonl").read_text().splitlines():
+        line = json.loads(raw)
+        del line["wall_s"]
+        lines[line["point"]] = line
+    manifest = json.loads((out / "manifest.json").read_text())
+    for key in ("total_wall_s", "resumed"):
+        manifest.pop(key, None)
+    for meta in manifest["points"]:
+        del meta["wall_s"]
+    return json.dumps(lines, sort_keys=True), manifest
+
+
+@pytest.mark.parametrize("driver", ["run_campaign", "job", "resume"])
+def test_the_three_drivers_agree(driver, tmp_path):
+    reference_out = tmp_path / "reference"
+    run_campaign(AGREEMENT, seed=4, store="jsonl", out=reference_out)
+    lines, manifest = _without_wall_times(_finished_by(driver, tmp_path))
+    reference_lines, reference_manifest = _without_wall_times(reference_out)
+    assert lines == reference_lines
+    assert manifest == reference_manifest

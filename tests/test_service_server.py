@@ -106,6 +106,22 @@ def test_error_paths_return_structured_json(service):
     with pytest.raises(ServiceError) as bad_route:
         service._request("GET", "/nope")
     assert bad_route.value.status == 404
+    # A server without a jobs root keeps results in memory, where a
+    # buffered jsonl flush setting is a client error, not a failed job.
+    server, thread = start_server(port=0)
+    try:
+        with pytest.raises(ServiceError) as bad_store:
+            ServiceClient(server.url)._request(
+                "POST", "/jobs", {"campaign": CAMPAIGN.to_dict(), "flush_every": 2}
+            )
+        assert bad_store.value.status == 400
+        assert "flush_every only applies to the jsonl store" in str(bad_store.value)
+        assert server.manager.jobs() == []
+    finally:
+        server.shutdown()
+        server.server_close()
+        server.manager.shutdown()
+        thread.join(timeout=10)
 
 
 def test_unknown_analysis_kind_is_a_client_error(service):
