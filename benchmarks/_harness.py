@@ -28,12 +28,39 @@ from __future__ import annotations
 
 import inspect
 import json
+import os
+import platform
+import subprocess
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
+import numpy
+
 SCHEMA = "repro-bench/1"
+
+
+def environment() -> dict[str, Any]:
+    """Where a BENCH file was measured: core count, interpreter and
+    NumPy versions, and the checked-out commit (suffixed ``-dirty`` when
+    the tree has uncommitted changes; ``None`` outside a git checkout)."""
+    try:
+        rev: Optional[str] = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        rev = None
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "git_rev": rev,
+    }
 
 
 @dataclass

@@ -15,6 +15,9 @@ Two comparisons, one machine-readable JSON:
   (points compiled into chip-batched engine calls).  Per-point results
   are verified bit-identical before any timing is reported.
 
+A top-level ``env`` block records where the numbers were taken
+(``cpu_count``, Python/NumPy versions, git rev).
+
 Standalone::
 
     PYTHONPATH=src python benchmarks/bench_neuro_array.py [--quick] \
@@ -30,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from _harness import BenchSuite
+from _harness import BenchSuite, environment
 
 from repro.campaigns import CampaignSpec, run_campaign
 from repro.core import render_table, units
@@ -259,6 +262,7 @@ def main(argv=None) -> int:
 
     data = suite.to_dict()
     data["campaigns"] = campaign_block
+    data["env"] = environment()
     target = Path(args.out)
     target.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(f"wrote {target}")

@@ -9,7 +9,10 @@ evaluate the same physics as whole-array NumPy operations:
 * :func:`hh_batch` — one RK4 integration over *all* neurons at once
   (state vectors of shape ``(n_neurons,)`` instead of one Python object
   per neuron); per-step cost is flat in the neuron count up to
-  thousands of cells.
+  thousands of cells.  Below that the cost is NumPy call overhead, so
+  each RK4 step is fused into as few calls as the operation order
+  allows: packed gating blocks, preallocated stage buffers, and the
+  post-step ionic current taken from the next step's first stage.
 * :func:`template_tables` — the analytic-AP fast path: the template
   waveform and its derivative are computed once and shared across every
   neuron and spike (the object model rebuilds them per spike).
@@ -30,8 +33,11 @@ Parity contract with the object model (enforced by
   and slope arithmetic, so frames built from *identical* waveform
   tables are bit-identical to the object recording (the template-AP
   path is therefore bit-identical end to end).
-* :func:`hh_batch` evaluates the same RK4 expressions in the same
-  operation order, but with ``np.exp`` where the scalar model calls
+* :func:`hh_batch` is bit-identical to the unfused batched loop it
+  replaced (kept as a frozen oracle in the tests): fusion changes how
+  many NumPy calls run, never the per-element operation order.
+  Against the scalar object model it evaluates the same RK4
+  expressions, but with ``np.exp`` where the scalar model calls
   ``math.exp``; trajectories agree to floating-point accumulation
   error (sub-micro-volt over the paper's recording lengths) and spike
   times agree exactly in practice.
@@ -103,42 +109,65 @@ def stimulus_matrix(stimuli, steps: int, dt_s: float) -> np.ndarray:
     return out
 
 
-def _derivatives(state: np.ndarray, i_stim, p: HHParameters, out: np.ndarray) -> np.ndarray:
+# Gating-rate layout of the packed exponential block: rows are the
+# arguments of alpha_n, alpha_m, beta_n, beta_m, alpha_h, beta_h in the
+# scalar model's ``-(v + offset) / scale`` form.
+_GATE_OFFSETS = np.array([55.0, 40.0, 65.0, 65.0, 65.0, 35.0])[:, None]
+_GATE_SCALES = np.array([-10.0, -10.0, -80.0, -18.0, -20.0, -10.0])[:, None]
+_ALPHA_SINGULAR = np.array([0.1, 1.0])[:, None]  # alpha_n, alpha_m at x == 0
+_ALPHA_GAINS = np.array([0.01, 0.1])[:, None]
+_BETA_GAINS = np.array([0.125, 4.0])[:, None]
+
+
+def _derivatives(
+    state: np.ndarray,
+    i_stim,
+    p: HHParameters,
+    out: np.ndarray,
+    scratch: tuple,
+    i_ion: np.ndarray | None = None,
+) -> np.ndarray:
     """The batched twin of ``HodgkinHuxleyNeuron._derivatives``.
 
-    Same expressions in the same operation order, arrays over neurons
-    (``state``/``out`` are ``(4, n_neurons)``).  The six gating
-    exponentials are evaluated in one fused ``np.exp`` over a packed
-    block — ``x / -c`` equals ``-(x / c)`` bitwise in IEEE arithmetic,
-    so the arguments match the scalar model's ``-(v+a)/c`` exactly.
-    Callers hold the ``np.errstate`` guard for the (measure-zero)
-    gating singularities patched by the ``np.where`` terms.
+    Same expressions in the same per-element operation order, arrays
+    over neurons (``state``/``out`` are ``(4, n_neurons)``), fused into
+    as few NumPy calls as that order allows:
+
+    * one broadcast add of ``v`` to the six gating offsets, one divide
+      and one ``np.exp`` over the packed ``(6, n)`` block — ``x / -c``
+      equals ``-(x / c)`` bitwise in IEEE arithmetic, so the arguments
+      match the scalar model's ``-(v+a)/c`` exactly;
+    * ``alpha_n``/``alpha_m`` as one stacked ``np.where``, ``beta_n``/
+      ``beta_m`` as one scaled multiply;
+    * one ``alpha * (1 - g) - beta * g`` pass over the three gates.
+
+    ``scratch`` is the caller's ``(x, e, alpha, beta)`` buffers (shapes
+    ``(6, n)``, ``(6, n)``, ``(3, n)``, ``(3, n)``).  When ``i_ion`` is
+    given, the ionic current ``i_Na + i_K + i_leak`` at ``state`` is
+    written into it.  Callers hold the ``np.errstate`` guard for the
+    (measure-zero) gating singularities patched by the ``np.where``.
     """
-    v, n, m, h = state
-    x_n = v + 55.0
-    x_m = v + 40.0
-    x_65 = v + 65.0
-    e = np.empty((6, v.shape[0]))
-    np.divide(x_n, -10.0, out=e[0])
-    np.divide(x_m, -10.0, out=e[1])
-    np.divide(x_65, -80.0, out=e[2])
-    np.divide(x_65, -18.0, out=e[3])
-    np.divide(x_65, -20.0, out=e[4])
-    np.divide(v + 35.0, -10.0, out=e[5])
+    x, e, alpha, beta = scratch
+    v = state[0]
+    gates = state[1:]
+    np.add(v, _GATE_OFFSETS, out=x)
+    np.divide(x, _GATE_SCALES, out=e)
     np.exp(e, out=e)
-    alpha_n = np.where(np.abs(x_n) < 1e-7, 0.1, 0.01 * x_n / (1.0 - e[0]))
-    alpha_m = np.where(np.abs(x_m) < 1e-7, 1.0, 0.1 * x_m / (1.0 - e[1]))
-    beta_n = 0.125 * e[2]
-    beta_m = 4.0 * e[3]
-    alpha_h = 0.07 * e[4]
-    beta_h = 1.0 / (1.0 + e[5])
+    alpha[:2] = np.where(
+        np.abs(x[:2]) < 1e-7, _ALPHA_SINGULAR, _ALPHA_GAINS * x[:2] / (1.0 - e[:2])
+    )
+    np.multiply(e[4], 0.07, out=alpha[2])
+    np.multiply(e[2:4], _BETA_GAINS, out=beta[:2])
+    np.add(e[5], 1.0, out=beta[2])
+    np.divide(1.0, beta[2], out=beta[2])
+    n, m, h = gates
     i_na = p.g_na * m**3 * h * (v - p.e_na)
     i_k = p.g_k * n**4 * (v - p.e_k)
     i_leak = p.g_leak * (v - p.e_leak)
+    if i_ion is not None:
+        np.add(i_na + i_k, i_leak, out=i_ion)
     out[0] = (i_stim - i_na - i_k - i_leak) / p.c_m
-    out[1] = alpha_n * (1.0 - n) - beta_n * n
-    out[2] = alpha_m * (1.0 - m) - beta_m * m
-    out[3] = alpha_h * (1.0 - h) - beta_h * h
+    np.subtract(alpha * (1.0 - gates), beta * gates, out=out[1:])
     return out
 
 
@@ -167,7 +196,15 @@ def hh_batch(
     (including the post-step current decomposition, the unit
     conversions and the spike-time detection); the only difference is
     ``np.exp`` in place of ``math.exp``, so trajectories agree to
-    floating-point accumulation error rather than bitwise.
+    floating-point accumulation error rather than bitwise.  Against
+    the frozen unfused batched loop (the test oracle) every output —
+    ``membrane_v``, ``ionic_a_m2``, ``capacitive_a_m2`` and the spike
+    times — is bit-identical.
+
+    Raises :class:`FloatingPointError` naming the first neuron whose
+    membrane voltage or ionic current went non-finite (a stimulus too
+    strong for ``dt_s``); the ``np.errstate`` guard only covers the
+    removable gating singularities.
     """
     if duration_s <= 0 or dt_s <= 0:
         raise ValueError("duration and dt must be positive")
@@ -195,24 +232,47 @@ def hh_batch(
     i_ion = np.empty((steps, count))
     half = 0.5 * dt_ms
     sixth = dt_ms / 6.0
-    k1 = np.empty((4, count))
-    k2 = np.empty((4, count))
-    k3 = np.empty((4, count))
-    k4 = np.empty((4, count))
+    k1, k2, k3, k4, stage, acc = np.empty((6, 4, count))
+    scratch = (
+        np.empty((6, count)),
+        np.empty((6, count)),
+        np.empty((3, count)),
+        np.empty((3, count)),
+    )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(steps):
             i_stim = stim[step]
-            _derivatives(state, i_stim, p, k1)
-            _derivatives(state + half * k1, i_stim, p, k2)
-            _derivatives(state + half * k2, i_stim, p, k3)
-            _derivatives(state + dt_ms * k3, i_stim, p, k4)
-            state = state + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-            v, n, m, h = state
-            i_na = p.g_na * m**3 * h * (v - p.e_na)
-            i_k = p.g_k * n**4 * (v - p.e_k)
-            i_leak = p.g_leak * (v - p.e_leak)
-            v_out[step] = v
-            i_ion[step] = i_na + i_k + i_leak
+            # k1 is evaluated at the previous step's end state, so it
+            # also yields that step's post-step ionic current.
+            _derivatives(state, i_stim, p, k1, scratch, i_ion[step - 1] if step else None)
+            np.multiply(k1, half, out=stage)
+            np.add(state, stage, out=stage)
+            _derivatives(stage, i_stim, p, k2, scratch)
+            np.multiply(k2, half, out=stage)
+            np.add(state, stage, out=stage)
+            _derivatives(stage, i_stim, p, k3, scratch)
+            np.multiply(k3, dt_ms, out=stage)
+            np.add(state, stage, out=stage)
+            _derivatives(stage, i_stim, p, k4, scratch)
+            np.multiply(k2, 2, out=stage)
+            np.add(k1, stage, out=acc)
+            np.multiply(k3, 2, out=stage)
+            np.add(acc, stage, out=acc)
+            np.add(acc, k4, out=acc)
+            np.multiply(acc, sixth, out=acc)
+            np.add(state, acc, out=state)
+            v_out[step] = state[0]
+        if steps:
+            _derivatives(state, stim[-1], p, k1, scratch, i_ion[-1])
+
+    finite = np.isfinite(v_out).all(axis=0) & np.isfinite(i_ion).all(axis=0)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise FloatingPointError(
+            f"Hodgkin-Huxley integration diverged: neuron {bad} has non-finite "
+            f"membrane voltage or ionic current (dt_s={dt_s:g}; reduce dt_s "
+            "or the stimulus amplitude)"
+        )
 
     v_volts = v_out.T * 1e-3
     ionic = i_ion.T * 0.01

@@ -2,9 +2,14 @@
 
 Parity contract (see repro.engine.neuro_kernels): construction draws
 and the template-AP recording path are bit-identical; the batched HH
-integration matches to floating-point accumulation error with exact
-spike times; detection kernels are bit-identical on equal traces.
+integration is bit-identical to the frozen pre-fusion loop kept below
+as an oracle, and matches the scalar object model to floating-point
+accumulation error with exact spike times; detection kernels are
+bit-identical on equal traces.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from repro.core.rng import spawn_children
 from repro.core.signals import Trace
 from repro.engine import NeuroArrayParams, VectorizedNeuroChip, neuro_kernels
 from repro.neuro.action_potential import (
+    HHParameters,
     HodgkinHuxleyNeuron,
     StimulusProtocol,
 )
@@ -148,6 +154,198 @@ class TestHHBatch:
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             neuro_kernels.hh_batch([], duration_s=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Frozen oracle: the unfused batched RK4 loop, verbatim, before the
+# gating blocks, stage states and post-step currents were fused.  The
+# production kernel must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+def _reference_derivatives(state, i_stim, p, out):
+    v, n, m, h = state
+    x_n = v + 55.0
+    x_m = v + 40.0
+    x_65 = v + 65.0
+    e = np.empty((6, v.shape[0]))
+    np.divide(x_n, -10.0, out=e[0])
+    np.divide(x_m, -10.0, out=e[1])
+    np.divide(x_65, -80.0, out=e[2])
+    np.divide(x_65, -18.0, out=e[3])
+    np.divide(x_65, -20.0, out=e[4])
+    np.divide(v + 35.0, -10.0, out=e[5])
+    np.exp(e, out=e)
+    alpha_n = np.where(np.abs(x_n) < 1e-7, 0.1, 0.01 * x_n / (1.0 - e[0]))
+    alpha_m = np.where(np.abs(x_m) < 1e-7, 1.0, 0.1 * x_m / (1.0 - e[1]))
+    beta_n = 0.125 * e[2]
+    beta_m = 4.0 * e[3]
+    alpha_h = 0.07 * e[4]
+    beta_h = 1.0 / (1.0 + e[5])
+    i_na = p.g_na * m**3 * h * (v - p.e_na)
+    i_k = p.g_k * n**4 * (v - p.e_k)
+    i_leak = p.g_leak * (v - p.e_leak)
+    out[0] = (i_stim - i_na - i_k - i_leak) / p.c_m
+    out[1] = alpha_n * (1.0 - n) - beta_n * n
+    out[2] = alpha_m * (1.0 - m) - beta_m * m
+    out[3] = alpha_h * (1.0 - h) - beta_h * h
+    return out
+
+
+def _reference_hh_batch(stimuli, duration_s, dt_s=10e-6, params=None):
+    p = params or HHParameters()
+    count = len(stimuli)
+    steps = int(round(duration_s / dt_s))
+    dt_ms = dt_s * 1e3
+    n0, m0, h0 = HodgkinHuxleyNeuron(p).steady_state(p.v_rest)
+    state = np.empty((4, count))
+    state[0] = float(p.v_rest)
+    state[1] = float(n0)
+    state[2] = float(m0)
+    state[3] = float(h0)
+
+    stim = neuro_kernels.stimulus_matrix(stimuli, steps, dt_s)
+    v_out = np.empty((steps, count))
+    i_ion = np.empty((steps, count))
+    half = 0.5 * dt_ms
+    sixth = dt_ms / 6.0
+    k1 = np.empty((4, count))
+    k2 = np.empty((4, count))
+    k3 = np.empty((4, count))
+    k4 = np.empty((4, count))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for step in range(steps):
+            i_stim = stim[step]
+            _reference_derivatives(state, i_stim, p, k1)
+            _reference_derivatives(state + half * k1, i_stim, p, k2)
+            _reference_derivatives(state + half * k2, i_stim, p, k3)
+            _reference_derivatives(state + dt_ms * k3, i_stim, p, k4)
+            state = state + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            v, n, m, h = state
+            i_na = p.g_na * m**3 * h * (v - p.e_na)
+            i_k = p.g_k * n**4 * (v - p.e_k)
+            i_leak = p.g_leak * (v - p.e_leak)
+            v_out[step] = v
+            i_ion[step] = i_na + i_k + i_leak
+
+    v_volts = v_out.T * 1e-3
+    ionic = i_ion.T * 0.01
+    capacitive = np.gradient(v_volts, dt_s, axis=1) * (p.c_m * 0.01)
+
+    spike_times = []
+    for row in v_volts:
+        above = row > 0.0
+        crossings = np.nonzero(above[1:] & ~above[:-1])[0] + 1
+        spike_times.append(
+            neuro_kernels.refractory_prune(crossings * dt_s, neuro_kernels.HH_REFRACTORY_S)
+        )
+    return neuro_kernels.BatchedHH(v_volts, ionic, capacitive, dt_s, spike_times)
+
+
+# Every conductance, reversal potential, capacitance and the resting
+# potential moved off the defaults: a kernel that reads any of them
+# from module-level constants instead of ``p`` diverges from the oracle.
+ALT_PARAMS = HHParameters(
+    c_m=1.1, g_na=110.0, g_k=40.0, g_leak=0.25, e_na=52.0, e_k=-75.0, e_leak=-54.0, v_rest=-64.0
+)
+
+
+def _spike_trains(count, seed, duration_s=0.03):
+    return [
+        StimulusProtocol.spike_train(40.0, duration_s, rng=np.random.default_rng([seed, index]))
+        for index in range(count)
+    ]
+
+
+def _assert_batches_identical(actual, expected):
+    np.testing.assert_array_equal(actual.membrane_v, expected.membrane_v)
+    np.testing.assert_array_equal(actual.ionic_a_m2, expected.ionic_a_m2)
+    np.testing.assert_array_equal(actual.capacitive_a_m2, expected.capacitive_a_m2)
+    assert len(actual.spike_times) == len(expected.spike_times)
+    for got, want in zip(actual.spike_times, expected.spike_times):
+        np.testing.assert_array_equal(got, want)
+
+
+class TestHHBatchOracle:
+    @pytest.mark.parametrize("dt_s", [10e-6, 20e-6])
+    @pytest.mark.parametrize("count", [1, 7, 40])
+    def test_bit_identical_to_unfused_loop(self, count, dt_s):
+        stimuli = _spike_trains(count, seed=count)
+        expected = _reference_hh_batch(stimuli, 0.03, dt_s)
+        actual = neuro_kernels.hh_batch(stimuli, 0.03, dt_s)
+        _assert_batches_identical(actual, expected)
+        # The last ionic column comes from the post-loop evaluation.
+        np.testing.assert_array_equal(actual.ionic_a_m2[:, -1], expected.ionic_a_m2[:, -1])
+        if count > 1:
+            assert sum(len(times) for times in expected.spike_times) > 0
+
+    @pytest.mark.parametrize("dt_s", [10e-6, 20e-6])
+    def test_bit_identical_with_non_default_parameters(self, dt_s):
+        stimuli = _spike_trains(7, seed=11)
+        expected = _reference_hh_batch(stimuli, 0.03, dt_s, ALT_PARAMS)
+        actual = neuro_kernels.hh_batch(stimuli, 0.03, dt_s, ALT_PARAMS)
+        _assert_batches_identical(actual, expected)
+        default = neuro_kernels.hh_batch(stimuli, 0.03, dt_s)
+        assert not np.array_equal(actual.membrane_v, default.membrane_v)
+
+
+class TestHHBatchDivergence:
+    def test_non_finite_trajectory_raises_naming_the_neuron(self):
+        stimuli = [
+            StimulusProtocol.single_pulse(),
+            StimulusProtocol.single_pulse(1e-3, 0.5e-3, 1e5),
+            StimulusProtocol.single_pulse(),
+        ]
+        with pytest.raises(FloatingPointError, match="neuron 1 "):
+            neuro_kernels.hh_batch(stimuli, 0.01, dt_s=20e-6)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_scalar_model_also_fails_on_the_same_input(self):
+        with pytest.raises(OverflowError):
+            HodgkinHuxleyNeuron().simulate(
+                0.01, dt_s=20e-6, stimulus=StimulusProtocol.single_pulse(1e-3, 0.5e-3, 1e5)
+            )
+
+    def test_strong_but_stable_pulse_still_integrates(self):
+        batch = neuro_kernels.hh_batch(
+            [StimulusProtocol.single_pulse(1e-3, 0.5e-3, 1e5)], 0.01, dt_s=10e-6
+        )
+        assert np.isfinite(batch.membrane_v).all()
+        assert np.isfinite(batch.ionic_a_m2).all()
+
+
+class TestHHBatchThreads:
+    def test_concurrent_calls_match_sequential_bitwise(self):
+        """Scratch buffers are per call: four threads interleaving at a
+        shortened switch interval reproduce the sequential results."""
+        # Equal batch sizes, so any buffer shared across calls would
+        # be written by more than one thread.
+        jobs = [(_spike_trains(16, seed=seed), (10e-6, 20e-6)[seed % 2]) for seed in range(4)]
+        sequential = [neuro_kernels.hh_batch(stimuli, 0.02, dt_s) for stimuli, dt_s in jobs]
+        results: list = [None] * len(jobs)
+        errors: list = []
+
+        def work(slot, stimuli, dt_s):
+            try:
+                results[slot] = neuro_kernels.hh_batch(stimuli, 0.02, dt_s)
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(slot, stimuli, dt_s), daemon=True)
+                for slot, (stimuli, dt_s) in enumerate(jobs)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads), "hh_batch thread hung"
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        for actual, expected in zip(results, sequential):
+            _assert_batches_identical(actual, expected)
 
 
 class TestWaveformSampling:
