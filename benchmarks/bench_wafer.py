@@ -4,7 +4,7 @@ Times full-wafer runs (73 dies of ``rows x cols`` pixels on a 120 mm
 wafer) through the tiled evaluator, white-only and with the
 correlated field on, and records the process peak RSS.  The point of
 the tiled path is that a million-pixel wafer runs in bounded memory —
-resident planes are capped by ``WAFER_TILE_SITES``, not the wafer size
+resident planes are capped by ``repro.engine.STACK_SITES``, not the wafer size
 — so CI's wafer-smoke job runs ``--quick`` with ``--assert-max-rss-mb``
 and ``--assert-min-sites 1000000`` and fails if either the memory bound
 or the scale claim regresses.
@@ -25,7 +25,8 @@ import sys
 from _harness import BenchSuite
 
 from repro.core import render_table, units
-from repro.wafer import WAFER_TILE_SITES, WaferSpec, wafer_records_and_metrics
+from repro.engine import STACK_SITES
+from repro.wafer import WaferSpec, wafer_records_and_metrics
 
 FULL_SIZES = [(32, 32), (64, 64), (128, 128)]
 QUICK_SIZES = [(128, 128)]  # the million-pixel wafer is the claim
@@ -62,7 +63,7 @@ def run_wafer_sweep(sizes=FULL_SIZES, frame_s: float = 0.05, seed: int = 7) -> B
                 n_chips=layout.n_dies,
                 frame_s=frame_s,
                 sites_total=layout.n_dies * rows * cols,
-                tile_sites=WAFER_TILE_SITES,
+                tile_sites=STACK_SITES,
                 peak_rss_mb=round(peak_rss_mb(), 1),
             )
             assert metrics["sites_total"] == layout.n_dies * rows * cols

@@ -49,7 +49,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Union
 
-from .batched import BatchedExecutor, batchable_kinds, register_batch_compiler
+from .batched import BatchedExecutor
 from .executors import (
     EXECUTORS,
     Executor,
@@ -87,8 +87,6 @@ __all__ = [
     "CampaignResult",
     "CampaignSpec",
     "Executor",
-    "batchable_kinds",
-    "register_batch_compiler",
     "JsonlResultStore",
     "MemoryResultStore",
     "Plan",

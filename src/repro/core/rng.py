@@ -99,3 +99,28 @@ class SeedTree:
     def generator(self, *path: object) -> np.random.Generator:
         """Fresh Generator for the stream addressed by ``path``."""
         return np.random.default_rng(self.sequence(*path))
+
+
+class StreamPlan:
+    """A workload's named stream paths, hashed once, for any root seed.
+
+    ``plan.generators(root)[name]`` is exactly
+    ``SeedTree(root).generator(*paths[name])``; the paths are hashed at
+    construction, so a caller evaluating many roots of one spec (a
+    campaign group, a wafer's dies) pays only for the generators.
+    """
+
+    def __init__(self, paths: dict[str, tuple[object, ...]]) -> None:
+        self.spawn_keys = {name: stable_entropy(*path) for name, path in paths.items()}
+        self.streams = {name: [str(part) for part in path] for name, path in paths.items()}
+
+    def generators(self, root: int) -> dict[str, np.random.Generator]:
+        """One fresh generator per named stream under ``root``."""
+        return {
+            name: np.random.default_rng(np.random.SeedSequence(entropy=root, spawn_key=key))
+            for name, key in self.spawn_keys.items()
+        }
+
+    def provenance(self, root: int) -> dict[str, object]:
+        """The ``seeds`` block a result built from ``root`` records."""
+        return {"root": root, "streams": self.streams}

@@ -39,15 +39,25 @@ truth (see :mod:`repro.engine.neuro_kernels`).
 from . import kernels, neuro_kernels
 from .neuro_params import NeuroArrayParams
 from .params import DRAW_MODES, PixelArrayParams
-from .vchip import VectorizedDnaChip
+from .vchip import (
+    STACK_SITES,
+    VectorizedDnaChip,
+    count_array_scale,
+    draw_array_scale,
+    stack_chunks,
+)
 from .vneuro import VectorizedNeuroChip
 
 __all__ = [
     "DRAW_MODES",
+    "STACK_SITES",
     "NeuroArrayParams",
     "PixelArrayParams",
     "VectorizedDnaChip",
     "VectorizedNeuroChip",
+    "count_array_scale",
+    "draw_array_scale",
     "kernels",
     "neuro_kernels",
+    "stack_chunks",
 ]

@@ -183,8 +183,9 @@ def count_in_frame(
     docstring): when ``start_phase`` is ``None`` one uniform array is
     drawn for all pixels, then — if ``noise_rms_v > 0`` — one standard
     normal array for the accumulated cycle jitter.  ``jitter_z``
-    supplies that standard-normal array explicitly (the batched
-    campaign fast path replays each point's own stream draws); with
+    supplies that standard-normal array explicitly
+    (``vchip.count_chips`` replays each stacked unit's own stream
+    draws); with
     both ``start_phase`` and ``jitter_z`` given the conversion is fully
     deterministic and ``rng`` is never consulted.
     """

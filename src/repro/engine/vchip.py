@@ -21,9 +21,22 @@ Parity with the object chip (see ``tests/test_engine_vchip.py``):
 * Stochastic counting matches in distribution; per site the difference
   is bounded by start-phase quantisation (1 count) plus accumulated
   cycle jitter (``kernels.count_noise_sigma``).
+
+The module also owns the *stacked* evaluation every array-scale caller
+shares: :func:`draw_chips` draws chips from their own chip streams
+(pixel planes, then the periphery, in constructor order),
+:func:`calibrate_chips` and :func:`count_chips` replay each unit's own
+(phase, jitter) draws into one kernel call, and
+:func:`draw_array_scale` / :func:`count_array_scale` apply them to an
+``ArrayScaleSpec``.  :class:`VectorizedDnaChip`, the batched campaign
+executor and the wafer tiler all run these functions, so a unit's
+results never depend on which of them evaluated it or how many other
+units shared its kernel call.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,6 +60,180 @@ from ..dna.assay import AssayResult
 from ..electrochem.redox_cycling import RedoxCyclingSensor
 from . import kernels
 from .params import DRAW_MODES, PixelArrayParams
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..experiments.specs import ArrayScaleSpec
+
+
+#: Sites per stacked kernel call.  One call holds ~10 full-precision
+#: planes per site (params + draws + counts), so 2^18 sites is ~20 MB
+#: resident; larger unit groups are evaluated in chunks.
+STACK_SITES = 1 << 18
+
+
+def stack_chunks(units: list, sites_per_unit: int) -> Iterator[list]:
+    """Consecutive runs of ``units`` holding at most :data:`STACK_SITES`
+    sites together (at least one unit per run)."""
+    size = max(1, STACK_SITES // max(1, sites_per_unit))
+    for start in range(0, len(units), size):
+        yield units[start : start + size]
+
+
+class ChipPeriphery(NamedTuple):
+    """The Fig. 4 periphery of one chip, in the order it is drawn."""
+
+    bandgap: BandgapReference
+    generator_dac: ResistorStringDac
+    collector_dac: ResistorStringDac
+    reference_tree: ReferenceCurrentFanout
+
+
+def draw_chips(
+    specs: ChipSpecs,
+    chip_streams: Sequence[RngLike],
+    n_chips: int,
+    mismatch: str,
+    periphery: bool,
+) -> tuple[PixelArrayParams, list[ChipPeriphery]]:
+    """Draw ``n_chips`` chips per unit from each unit's chip stream and
+    stack them along the chip axis, units in order.
+
+    A single chip consumes the stream itself; a batch one spawned child
+    per chip.  Each chip draws its pixel planes, then (``periphery``)
+    its periphery from the same generator in the object constructor's
+    order.  Nothing is drawn from the stream after the periphery, so
+    skipping it (an uncalibrated array-scale run never reads it) leaves
+    the pixel draws unchanged.
+    """
+    params: list[PixelArrayParams] = []
+    peripheries: list[ChipPeriphery] = []
+    for stream in chip_streams:
+        generator = ensure_rng(stream)
+        for chip_rng in [generator] if n_chips == 1 else spawn_children(generator, n_chips):
+            params.append(
+                PixelArrayParams.draw(
+                    specs.rows,
+                    specs.cols,
+                    rng=chip_rng,
+                    mode=mismatch,
+                    counter_bits=specs.counter_bits,
+                )
+            )
+            if periphery:
+                bandgap = BandgapReference.sample(chip_rng)
+                peripheries.append(
+                    ChipPeriphery(
+                        bandgap,
+                        ResistorStringDac.sample(chip_rng, bits=8, v_low=0.0, v_high=2.0),
+                        ResistorStringDac.sample(chip_rng, bits=8, v_low=-1.0, v_high=1.0),
+                        ReferenceCurrentFanout.build(
+                            master_current=bandgap.reference_current(1.2e6),
+                            count=8,
+                            rng=chip_rng,
+                        ),
+                    )
+                )
+    return PixelArrayParams.stack(params), peripheries
+
+
+def count_chips(
+    params: PixelArrayParams,
+    currents: np.ndarray,
+    frame_s: float,
+    streams: Sequence[RngLike],
+) -> np.ndarray:
+    """Digitise ``currents`` on every stacked chip in one kernel call.
+
+    The chips split evenly into ``len(streams)`` units; each unit draws
+    its start phases, then (when the comparators are noisy) its cycle
+    jitter, from its own stream — exactly the draws
+    ``kernels.count_in_frame(..., rng=stream)`` makes for that unit
+    alone.
+    """
+    shape = params.shape
+    per_unit = shape[0] // len(streams)
+    block = (per_unit,) + shape[1:]
+    noisy = bool(np.any(np.asarray(params.noise_rms_v) > 0))
+    phase = np.empty(shape)
+    z = np.empty(shape) if noisy else None
+    for index, stream in enumerate(streams):
+        generator = ensure_rng(stream)
+        lo = index * per_unit
+        phase[lo : lo + per_unit] = generator.uniform(0.0, 1.0, size=block)
+        if z is not None:
+            z[lo : lo + per_unit] = generator.normal(0.0, 1.0, size=block)
+    return kernels.count_in_frame(
+        np.broadcast_to(currents, shape),
+        frame_s,
+        start_phase=phase,
+        jitter_z=z,
+        counter_bits=params.counter_bits,
+        **params.kernel_kwargs(),
+    )
+
+
+def calibrate_chips(
+    params: PixelArrayParams,
+    reference_trees: Sequence[ReferenceCurrentFanout],
+    frame_s: float,
+    streams: Sequence[RngLike],
+) -> np.ndarray:
+    """On-chip calibration of every stacked chip: each chip's reference
+    tree branches, divided 100:1, are laid across its sites in turn,
+    digitised (see :func:`count_chips`) and turned into per-pixel gain
+    corrections shaped like ``params``."""
+    site_index = np.arange(params.sites)
+    i_ref = np.empty((params.n_chips, params.sites))
+    for chip, tree in enumerate(reference_trees):
+        branches = tree.branch_currents() / 100.0
+        i_ref[chip] = branches[site_index % len(branches)]
+    i_ref = i_ref.reshape(params.shape)
+    counts = count_chips(params, i_ref, frame_s, streams)
+    return kernels.calibration_corrections(counts, i_ref, frame_s, params.dead_time_s)
+
+
+def draw_array_scale(
+    spec: "ArrayScaleSpec", unit_streams: Sequence[dict]
+) -> tuple[PixelArrayParams, list[ChipPeriphery]]:
+    """Draw every unit's chips for an ``ArrayScaleSpec``: ``spec.n_chips``
+    chips per unit from its ``"chip"`` stream, with the periphery only
+    when the spec calibrates."""
+    return draw_chips(
+        ChipSpecs(rows=spec.rows, cols=spec.cols),
+        [streams["chip"] for streams in unit_streams],
+        spec.n_chips,
+        spec.mismatch,
+        periphery=spec.calibrate,
+    )
+
+
+def count_array_scale(
+    spec: "ArrayScaleSpec",
+    params: PixelArrayParams,
+    peripheries: Sequence[ChipPeriphery],
+    unit_streams: Sequence[dict],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Calibrate (when the spec asks) and measure drawn array-scale chips:
+    ``(counts, dead)`` with counts shaped like ``params`` and the dead
+    pixels summed per chip.
+
+    Calibration runs on the ``"calibration"`` streams and raises exactly
+    where a single unit's ``auto_calibrate`` would; the workload records
+    raw counts, so its corrections are not applied.  Counting runs on
+    the ``"measure"`` streams.
+    """
+    if spec.calibrate:
+        calibrate_chips(
+            params,
+            [periphery.reference_tree for periphery in peripheries],
+            spec.calibration_frame_s,
+            [streams["calibration"] for streams in unit_streams],
+        )
+    counts = count_chips(
+        params, spec.site_currents(), spec.frame_s, [streams["measure"] for streams in unit_streams]
+    )
+    dead = kernels.dead_pixel_mask(params.leakage_a).reshape(params.n_chips, -1).sum(axis=1)
+    return counts, dead
 
 
 class VectorizedDnaChip:
@@ -85,45 +272,13 @@ class VectorizedDnaChip:
         self.specs = specs or ChipSpecs()
         self.n_chips = n_chips
         self.mismatch = mismatch
-        generator = ensure_rng(rng)
-        chip_rngs = [generator] if n_chips == 1 else spawn_children(generator, n_chips)
-
-        per_chip_params: list[PixelArrayParams] = []
-        self.bandgaps: list[BandgapReference] = []
-        self.generator_dacs: list[ResistorStringDac] = []
-        self.collector_dacs: list[ResistorStringDac] = []
-        self.reference_trees: list[ReferenceCurrentFanout] = []
-        # Mirror the object constructor's draw order per chip: pixels
-        # first (one child stream per site in paired mode), then the
-        # periphery from the same generator.
-        for chip_rng in chip_rngs:
-            per_chip_params.append(
-                PixelArrayParams.draw(
-                    self.specs.rows,
-                    self.specs.cols,
-                    rng=chip_rng,
-                    mode=mismatch,
-                    counter_bits=self.specs.counter_bits,
-                )
-            )
-            bandgap = BandgapReference.sample(chip_rng)
-            self.bandgaps.append(bandgap)
-            self.generator_dacs.append(
-                ResistorStringDac.sample(chip_rng, bits=8, v_low=0.0, v_high=2.0)
-            )
-            self.collector_dacs.append(
-                ResistorStringDac.sample(chip_rng, bits=8, v_low=-1.0, v_high=1.0)
-            )
-            self.reference_trees.append(
-                ReferenceCurrentFanout.build(
-                    master_current=bandgap.reference_current(1.2e6),
-                    count=8,
-                    rng=chip_rng,
-                )
-            )
-        self.params = (
-            per_chip_params[0] if n_chips == 1 else PixelArrayParams.stack(per_chip_params)
+        self.params, peripheries = draw_chips(
+            self.specs, [rng], n_chips, mismatch, periphery=True
         )
+        self.bandgaps = [p.bandgap for p in peripheries]
+        self.generator_dacs = [p.generator_dac for p in peripheries]
+        self.collector_dacs = [p.collector_dac for p in peripheries]
+        self.reference_trees = [p.reference_tree for p in peripheries]
 
         # One shared sensor template: sites are electrochemically
         # identical by design (same IDA geometry and species), exactly
@@ -207,26 +362,7 @@ class VectorizedDnaChip:
         reference-tree branches (divided 100:1) across the array and
         stores per-pixel gain corrections.  Returns the corrections,
         flattened per chip like the object model's ``(sites,)`` array."""
-        generator = ensure_rng(rng)
-        site_index = np.arange(self.specs.sites)
-        i_ref = np.empty((self.n_chips, self.specs.sites))
-        for chip, tree in enumerate(self.reference_trees):
-            branches = tree.branch_currents() / 100.0
-            i_ref[chip] = branches[site_index % len(branches)]
-        i_ref = i_ref.reshape(self.batch_shape)
-        counts = kernels.count_in_frame(
-            i_ref,
-            frame_s,
-            rng=generator,
-            counter_bits=self.specs.counter_bits,
-            **self.params.kernel_kwargs(),
-        )
-        corrections = kernels.calibration_corrections(
-            counts,
-            i_ref,
-            frame_s,
-            self.params.dead_time_s,
-        )
+        corrections = calibrate_chips(self.params, self.reference_trees, frame_s, [rng])
         self.gain_correction = corrections
         self._write_register("calibration_enable", 1)
         return self._squeeze(corrections.reshape(self.n_chips, self.specs.sites))
@@ -273,14 +409,7 @@ class VectorizedDnaChip:
         return self._count(self._to_batch(currents, "currents"), frame_s, rng)
 
     def _count(self, currents: np.ndarray, frame_s: float, rng: RngLike) -> np.ndarray:
-        generator = ensure_rng(rng)
-        counts = kernels.count_in_frame(
-            currents,
-            frame_s,
-            rng=generator,
-            counter_bits=self.specs.counter_bits,
-            **self.params.kernel_kwargs(),
-        )
+        counts = count_chips(self.params, currents, frame_s, [rng])
         self._last_counts = counts.reshape(self.n_chips, self.specs.sites)
         return self._squeeze(counts)
 

@@ -127,14 +127,16 @@ class VectorizedNeuroChip:
         """Junction-voltage waveform tables + ground truth for a set of
         stimulated neurons: ``(tables, table_dt_s, ground_truth)``."""
         dt_s = 20e-6
-        junctions = [neuron.junction for neuron in culture.neurons]
-        areas = [j.junction_area for j in junctions]
-        seals = [j.seal_resistance for j in junctions]
         if use_hh:
             hh = neuro_kernels.hh_batch(stimuli, duration_s, dt_s=dt_s)
             return self._hh_tables(culture, hh)
+        junctions = [neuron.junction for neuron in culture.neurons]
         tables, truths = neuro_kernels.template_tables(
-            stimuli, areas, seals, duration_s, dt_s=dt_s
+            stimuli,
+            [j.junction_area for j in junctions],
+            [j.seal_resistance for j in junctions],
+            duration_s,
+            dt_s=dt_s,
         )
         ground_truth = {
             neuron.index: truths[i] for i, neuron in enumerate(culture.neurons)
@@ -201,6 +203,31 @@ class VectorizedNeuroChip:
             frame_rate_hz=self.scan.frame_rate_hz,
         )
 
+    def recording_from_tables(
+        self,
+        culture: Culture,
+        activity: tuple[np.ndarray, float, dict],
+        duration_s: float,
+        generator,
+    ):
+        """Record precomputed activity — ``(tables, table_dt_s,
+        ground_truth)`` from :meth:`activity_tables` — as electrode
+        frames plus noise and the off-chip output movie: the tail every
+        recording path shares."""
+        from ..chip.neuro_chip import RecordingResult
+
+        tables, table_dt_s, ground_truth = activity
+        n_frames = int(duration_s * self.scan.frame_rate_hz)
+        electrode_movie = self.movie_from_tables(
+            culture, tables, table_dt_s, n_frames, generator
+        )
+        return RecordingResult(
+            electrode_movie=electrode_movie,
+            output_movie=self.output_movie(electrode_movie),
+            ground_truth=ground_truth,
+            culture=culture,
+        )
+
     def record_culture(
         self,
         culture: Culture,
@@ -211,32 +238,14 @@ class VectorizedNeuroChip:
     ):
         """Simulate spontaneous activity and record it — the batched
         twin of :meth:`NeuralRecordingChip.record_culture`."""
-        from ..chip.neuro_chip import RecordingResult
-
         if duration_s <= 0:
             raise ValueError("duration must be positive")
         if not self.calibrated:
             raise RuntimeError("calibrate() the chip before recording")
         generator = ensure_rng(rng)
         stimuli = self.draw_spike_trains(culture, duration_s, firing_rate_hz, generator)
-        if use_hh:
-            hh = neuro_kernels.hh_batch(stimuli, duration_s, dt_s=20e-6)
-            tables, table_dt_s, ground_truth = self._hh_tables(culture, hh)
-        else:
-            tables, table_dt_s, ground_truth = self.activity_tables(
-                culture, stimuli, duration_s, use_hh=False
-            )
-        n_frames = int(duration_s * self.scan.frame_rate_hz)
-        electrode_movie = self.movie_from_tables(
-            culture, tables, table_dt_s, n_frames, generator
-        )
-        output_movie = self.output_movie(electrode_movie)
-        return RecordingResult(
-            electrode_movie=electrode_movie,
-            output_movie=output_movie,
-            ground_truth=ground_truth,
-            culture=culture,
-        )
+        activity = self.activity_tables(culture, stimuli, duration_s, use_hh)
+        return self.recording_from_tables(culture, activity, duration_s, generator)
 
     # ------------------------------------------------------------------
     # Reports

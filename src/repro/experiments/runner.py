@@ -115,12 +115,9 @@ class Runner:
         resolved_backend = backend if backend is not None else getattr(spec, "backend", "object")
         validate_backend(spec.kind, resolved_backend)
         workload = workload_for(spec.kind)
-        paths = workload.streams(spec)
-        rngs = {name: self.seed_tree.generator(*path) for name, path in paths.items()}
-        self._current_seeds = {
-            "root": self.seed,
-            "streams": {name: [str(part) for part in path] for name, path in paths.items()},
-        }
+        plan = workload.stream_plan(spec)
+        rngs = plan.generators(self.seed)
+        self._current_seeds = plan.provenance(self.seed)
         # Save-and-restore so a workload that re-enters run() (composite
         # experiments) gets its outer backend back afterwards.
         previous_backend = self._active_backend

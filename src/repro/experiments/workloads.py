@@ -30,8 +30,15 @@ from ..dna.assay import AssayProtocol, MicroarrayAssay
 from ..dna.sample import Sample
 from ..dna.sequences import DnaSequence, Probe, Target
 from ..dna.spotting import ProbeLayout
+from ..core.rng import StreamPlan
 from ..core.signals import Trace
-from ..engine import VectorizedDnaChip, VectorizedNeuroChip, kernels, neuro_kernels
+from ..engine import (
+    VectorizedDnaChip,
+    VectorizedNeuroChip,
+    count_array_scale,
+    kernels,
+    neuro_kernels,
+)
 from ..neuro.culture import ArrayGeometry, Culture
 from ..neuro.spike_detection import detect_spikes, score_detection, spike_snr
 from ..pixel.sawtooth_adc import SawtoothAdc
@@ -63,6 +70,12 @@ class Workload:
     #: rejects requests for any other so "vectorized" can never silently
     #: run object-model code.
     backends: tuple[str, ...] = ("object",)
+
+    def stream_plan(self, spec: ExperimentSpec) -> StreamPlan:
+        """The spec's named streams, hashed once for any root seed —
+        what the Runner, the batched executor and the wafer tiler all
+        draw per-point streams from."""
+        return StreamPlan(self.streams(spec))
 
 
 WORKLOADS: dict[str, Workload] = {}
@@ -802,6 +815,32 @@ def array_scale_records_and_metrics(
         "top_site_compression": float(flat[:, top_site].mean() / ideal.reshape(-1)[top_site]),
     }
     return records, metrics
+
+
+def array_scale_unit_results(
+    spec: ArrayScaleSpec, params, peripheries: list, unit_streams: list[dict]
+) -> list[tuple[dict, dict]]:
+    """Calibrate and count chips drawn by ``engine.draw_array_scale``,
+    then fold each unit's ``spec.n_chips`` chips into its records and
+    metrics, units in stack order — the batched executor's and the
+    wafer tiler's shared tail, bit-identical per unit to a Runner run
+    on the unit's streams."""
+    counts, dead = count_array_scale(spec, params, peripheries, unit_streams)
+    currents = spec.site_currents()
+    n = spec.n_chips
+    return [
+        array_scale_records_and_metrics(
+            spec,
+            "vectorized",
+            counts[lo : lo + n],
+            dead[lo : lo + n],
+            params.counter_bits,
+            params.cint_nominal_f,
+            params.swing_nominal_v,
+            currents,
+        )
+        for lo in range(0, params.n_chips, n)
+    ]
 
 
 def _execute_array_scale(

@@ -30,7 +30,6 @@ Use::
 from __future__ import annotations
 
 from .evaluate import (
-    WAFER_TILE_SITES,
     iter_die_outputs,
     wafer_die_seed,
     wafer_field_for,
@@ -43,7 +42,6 @@ from .spec import OVERRIDABLE_DIE_FIELDS, WaferSpec
 from . import workload as _workload  # noqa: F401  (registers the workload)
 
 __all__ = [
-    "WAFER_TILE_SITES",
     "Die",
     "OVERRIDABLE_DIE_FIELDS",
     "WaferField",

@@ -2,31 +2,25 @@
 
 A full wafer of 128x128 dies is millions of pixels; materialising every
 die's parameter planes at once would cost gigabytes.  This module
-streams dies through the engine in tiles of at most
-:data:`WAFER_TILE_SITES` sites (~10 full-precision planes per site live
-at a time), the same bounded-chunk discipline as the batched campaign
-executor — and with the same determinism contract:
+streams same-spec dies through the engine's stacked array-scale
+evaluation in tiles of at most :data:`repro.engine.STACK_SITES` sites
+(:func:`repro.engine.stack_chunks`).  It owns only what is wafer-level:
 
-* **Per-die streams.**  Every die draws from its own
-  ``SeedTree(wafer_die_seed(root, grid_x, grid_y))`` using the
-  *array-scale workload's* exact stream paths for that die's spec.  Die
-  identity is the grid coordinate, so results never depend on tile
-  size, evaluation order, or which other dies the edge exclusion admits.
+* **Per-die streams.**  Every die draws the array-scale workload's
+  streams (its :class:`~repro.core.rng.StreamPlan`) under its own root,
+  :func:`wafer_die_seed` of its grid coordinate, so results never
+  depend on tile size, evaluation order, or which other dies the edge
+  exclusion admits.
 * **White-only parity.**  With no correlated component configured, the
-  per-die draws are left completely untouched (the field transform is
-  skipped, not multiplied by 1.0), so each die's records and metrics
+  drawn parameters are left completely untouched (the field transform
+  is skipped, not multiplied by 1.0), so each die's records and metrics
   are bit-identical to ``Runner(wafer_die_seed(...)).run(die_spec)`` —
   the invariant ``tests/test_wafer_parity.py`` enforces.
-* **Correlated mode.**  Each die's white draws are scaled by
-  ``sqrt(white_fraction)`` and the wafer field's radial + reticle
-  planes are added before any counting, mirroring how the physical
+* **Correlated mode.**  Between the draw and the count, each die's
+  white draws are scaled by ``sqrt(white_fraction)`` and the wafer
+  field's radial + reticle planes are added, mirroring how the physical
   parameters would actually be shifted; tiling remains bit-invariant
   because the field is a pure function of (wafer stream, die position).
-
-Draw replay follows ``campaigns.batched._compile_array_scale``: the
-counting kernel's per-die ``uniform`` (start phase) then ``normal``
-(cycle jitter) draws are taken from each die's own stream and passed to
-one stacked kernel call per tile.
 """
 
 from __future__ import annotations
@@ -36,33 +30,20 @@ from typing import Any, Iterator, Optional
 
 import numpy as np
 
-from ..chip.dna_chip import ChipSpecs
 from ..core.rng import SeedTree, stable_entropy
-from ..devices.bandgap import BandgapReference
-from ..devices.current_mirror import ReferenceCurrentFanout
-from ..devices.dac import ResistorStringDac
-from ..engine import PixelArrayParams, kernels
+from ..engine import PixelArrayParams, draw_array_scale, stack_chunks
 from ..experiments.specs import ArrayScaleSpec
-from ..experiments.workloads import (
-    array_scale_records_and_metrics,
-    _array_scale_streams,
-)
+from ..experiments.workloads import array_scale_unit_results, workload_for
 from .field import WaferField, sample_field
 from .geometry import Die
 from .spec import WaferSpec
 
 __all__ = [
-    "WAFER_TILE_SITES",
     "wafer_die_seed",
     "wafer_field_for",
     "iter_die_outputs",
     "wafer_records_and_metrics",
 ]
-
-#: Sites per evaluation tile.  One tile holds ~10 full-precision planes
-#: per site (params + draws + counts), so 2^18 sites ≈ 20 MB resident —
-#: the wafer-level analogue of ``ARRAY_SCALE_CHUNK_SITES``.
-WAFER_TILE_SITES = 1 << 18
 
 
 def wafer_die_seed(root: int, grid_x: int, grid_y: int) -> int:
@@ -105,127 +86,25 @@ def _apply_field(
     )
 
 
-def _tiles(dies: list[Die], dies_per_tile: int) -> Iterator[list[Die]]:
-    for start in range(0, len(dies), dies_per_tile):
-        yield dies[start : start + dies_per_tile]
-
-
 def _evaluate_group(
     seed: int,
     die_spec: ArrayScaleSpec,
     dies: list[Die],
     field: WaferField,
-    tile_sites: int,
     outputs: dict[int, tuple],
 ) -> None:
     """Evaluate one same-spec die group tile by tile, filling
     ``outputs[die.index]`` with ``(die, die_spec, records, metrics)``."""
-    chip_specs = ChipSpecs(rows=die_spec.rows, cols=die_spec.cols)
-    spawn_keys = {
-        name: stable_entropy(*path)
-        for name, path in _array_scale_streams(die_spec).items()
-    }
-    currents = die_spec.site_currents()
-    dies_per_tile = max(1, tile_sites // max(1, chip_specs.sites))
-    for tile in _tiles(dies, dies_per_tile):
-        params_list: list[PixelArrayParams] = []
-        trees_list: list = []
-        rng_sets: list[dict] = []
-        for die in tile:
-            die_seed = wafer_die_seed(seed, die.grid_x, die.grid_y)
-            rngs = {
-                name: np.random.default_rng(
-                    np.random.SeedSequence(entropy=die_seed, spawn_key=key)
-                )
-                for name, key in spawn_keys.items()
-            }
-            rng_sets.append(rngs)
-            chip_rng = rngs["chip"]
-            params_list.append(
-                PixelArrayParams.draw(
-                    die_spec.rows,
-                    die_spec.cols,
-                    rng=chip_rng,
-                    mode="fast",
-                    counter_bits=chip_specs.counter_bits,
-                )
-            )
-            if die_spec.calibrate:
-                # The periphery consumes the chip stream after the pixel
-                # draws (constructor order); only the reference trees
-                # feed calibration, but the DACs keep the position exact.
-                bandgap = BandgapReference.sample(chip_rng)
-                ResistorStringDac.sample(chip_rng, bits=8, v_low=0.0, v_high=2.0)
-                ResistorStringDac.sample(chip_rng, bits=8, v_low=-1.0, v_high=1.0)
-                trees_list.append(
-                    ReferenceCurrentFanout.build(
-                        master_current=bandgap.reference_current(1.2e6),
-                        count=8,
-                        rng=chip_rng,
-                    )
-                )
-        params = PixelArrayParams.stack(params_list)
+    plan = workload_for(die_spec.kind).stream_plan(die_spec)
+    for tile in stack_chunks(dies, die_spec.rows * die_spec.cols):
+        unit_streams = [
+            plan.generators(wafer_die_seed(seed, die.grid_x, die.grid_y)) for die in tile
+        ]
+        params, peripheries = draw_array_scale(die_spec, unit_streams)
         if not field.white_only:
             params = _apply_field(params, field, tile)
-        shape = params.shape
-
-        def _stacked_draws(stream: str) -> tuple[np.ndarray, np.ndarray]:
-            """Each die's (uniform phase, standard-normal jitter) draws
-            in the kernel's own order, stacked along the die axis."""
-            phase = np.empty(shape)
-            z = np.empty(shape)
-            block = (1, die_spec.rows, die_spec.cols)
-            for index, rngs in enumerate(rng_sets):
-                generator = rngs[stream]
-                phase[index : index + 1] = generator.uniform(0.0, 1.0, size=block)
-                z[index : index + 1] = generator.normal(0.0, 1.0, size=block)
-            return phase, z
-
-        if die_spec.calibrate:
-            site_index = np.arange(chip_specs.sites)
-            i_ref = np.empty((len(tile), chip_specs.sites))
-            for position, tree in enumerate(trees_list):
-                branches = tree.branch_currents() / 100.0
-                i_ref[position] = branches[site_index % len(branches)]
-            i_ref = i_ref.reshape(shape)
-            phase, z = _stacked_draws("calibration")
-            counts_cal = kernels.count_in_frame(
-                i_ref,
-                die_spec.calibration_frame_s,
-                start_phase=phase,
-                jitter_z=z,
-                counter_bits=chip_specs.counter_bits,
-                **params.kernel_kwargs(),
-            )
-            # Raises exactly where per-die auto_calibrate would.
-            kernels.calibration_corrections(
-                counts_cal, i_ref, die_spec.calibration_frame_s, params.dead_time_s
-            )
-        phase, z = _stacked_draws("measure")
-        counts = kernels.count_in_frame(
-            np.broadcast_to(currents, shape),
-            die_spec.frame_s,
-            start_phase=phase,
-            jitter_z=z,
-            counter_bits=chip_specs.counter_bits,
-            **params.kernel_kwargs(),
-        )
-        dead = (
-            kernels.dead_pixel_mask(params.leakage_a)
-            .reshape(len(tile), -1)
-            .sum(axis=1)
-        )
-        for index, die in enumerate(tile):
-            records, metrics = array_scale_records_and_metrics(
-                die_spec,
-                "vectorized",
-                counts[index : index + 1],
-                dead[index : index + 1],
-                chip_specs.counter_bits,
-                params.cint_nominal_f,
-                params.swing_nominal_v,
-                currents,
-            )
+        results = array_scale_unit_results(die_spec, params, peripheries, unit_streams)
+        for die, (records, metrics) in zip(tile, results):
             outputs[die.index] = (die, die_spec, records, metrics)
 
 
@@ -234,7 +113,6 @@ def iter_die_outputs(
     seed: int,
     *,
     field: Optional[WaferField] = None,
-    tile_sites: int = WAFER_TILE_SITES,
 ) -> Iterator[tuple[Die, ArrayScaleSpec, dict, dict]]:
     """Evaluate every placed die, yielding ``(die, die_spec, records,
     metrics)`` in die order — records/metrics are exactly what the
@@ -242,10 +120,9 @@ def iter_die_outputs(
     parity tests compare field by field.
 
     Dies sharing a spec (the common case; overrides split them) are
-    tiled together; resident memory is bounded by ``tile_sites``.
+    tiled together; resident memory is bounded by
+    :data:`repro.engine.STACK_SITES`.
     """
-    if tile_sites < 1:
-        raise ValueError("tile_sites must be positive")
     if field is None:
         field = wafer_field_for(spec, seed)
     layout = spec.layout()
@@ -256,7 +133,7 @@ def iter_die_outputs(
         groups.setdefault(key, (die_spec, []))[1].append(die)
     outputs: dict[int, tuple] = {}
     for die_spec, dies in groups.values():
-        _evaluate_group(seed, die_spec, dies, field, tile_sites, outputs)
+        _evaluate_group(seed, die_spec, dies, field, outputs)
     for die in layout.dies:
         yield outputs[die.index]
 
@@ -266,14 +143,13 @@ def wafer_records_and_metrics(
     seed: int,
     *,
     field: Optional[WaferField] = None,
-    tile_sites: int = WAFER_TILE_SITES,
 ) -> tuple[dict, dict]:
     """Fold a full tiled wafer evaluation into per-die records plus
     wafer-level metrics — the workload's result payload.
 
     Only per-die scalars survive each tile, so peak memory is set by
-    ``tile_sites``, not the wafer size.  ``tile_sites`` never appears in
-    the output: results are bit-identical for any tiling.
+    the tile bound, not the wafer size.  The tiling never appears in
+    the output: results are bit-identical for any tile size.
     """
     layout = spec.layout()
     columns: dict[str, list] = {
@@ -298,9 +174,7 @@ def wafer_records_and_metrics(
         )
     }
     total_counts = 0
-    for die, die_spec, records, _metrics in iter_die_outputs(
-        spec, seed, field=field, tile_sites=tile_sites
-    ):
+    for die, die_spec, records, _metrics in iter_die_outputs(spec, seed, field=field):
         sites = die_spec.rows * die_spec.cols
         columns["die"].append(die.index)
         columns["grid_x"].append(die.grid_x)

@@ -14,10 +14,10 @@ from repro.campaigns import (
     BatchedExecutor,
     CampaignSpec,
     JsonlResultStore,
-    batchable_kinds,
     make_executor,
     run_campaign,
 )
+from repro.campaigns.batched import BATCH_COMPILERS
 from repro.experiments import (
     ArrayScaleSpec,
     NeuralRecordingSpec,
@@ -66,13 +66,17 @@ class TestArrayScaleBatch:
         assert batched.manifest["executor"] == "batched"
 
     def test_bit_identical_with_calibration_and_chip_batch(self):
-        campaign = CampaignSpec(
-            base=ArrayScaleSpec(rows=8, cols=8, n_chips=2, frame_s=0.05, calibrate=True),
-            replicates=4,
-        )
-        serial = run_campaign(campaign, seed=9)
-        batched = run_campaign(campaign, seed=9, executor="batched")
-        assert_results_identical(serial, batched)
+        # "paired" draws one child stream per site, "fast" whole planes.
+        for mismatch in ("fast", "paired"):
+            campaign = CampaignSpec(
+                base=ArrayScaleSpec(
+                    rows=8, cols=8, n_chips=2, frame_s=0.05, calibrate=True, mismatch=mismatch
+                ),
+                replicates=4,
+            )
+            serial = run_campaign(campaign, seed=9)
+            batched = run_campaign(campaign, seed=9, executor="batched")
+            assert_results_identical(serial, batched)
 
     def test_grid_axis_forms_independent_groups(self):
         campaign = CampaignSpec(
@@ -85,9 +89,9 @@ class TestArrayScaleBatch:
         assert_results_identical(serial, batched)
 
     def test_chunked_groups_stay_bit_identical(self, monkeypatch):
-        from repro.campaigns import batched as batched_module
+        from repro.engine import vchip
 
-        monkeypatch.setattr(batched_module, "ARRAY_SCALE_CHUNK_SITES", 16 * 8 * 3)
+        monkeypatch.setattr(vchip, "STACK_SITES", 16 * 8 * 3)
         serial = run_campaign(ARRAY_CAMPAIGN, seed=5)
         chunked = run_campaign(ARRAY_CAMPAIGN, seed=5, executor="batched")
         assert_results_identical(serial, chunked)
@@ -165,7 +169,7 @@ class TestExecutorMechanics:
     def test_registered_in_executor_registry(self):
         assert "batched" in EXECUTORS
         assert isinstance(make_executor("batched"), BatchedExecutor)
-        assert batchable_kinds() == ["array_scale", "neural_recording"]
+        assert sorted(BATCH_COMPILERS) == ["array_scale", "neural_recording"]
 
     def test_single_worker_only(self):
         assert make_executor("batched", workers=1).workers == 1

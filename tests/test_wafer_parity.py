@@ -8,7 +8,6 @@ size the out-of-core evaluator happens to use.
 """
 
 import numpy as np
-import pytest
 
 from repro.experiments import Runner
 from repro.wafer import (
@@ -101,12 +100,13 @@ def test_correlated_field_actually_shifts_results():
     assert not np.array_equal(white_records["mean_count"], corr_records["mean_count"])
 
 
-def test_results_are_invariant_to_tile_size():
+def test_results_are_invariant_to_tile_size(monkeypatch):
+    from repro.engine import vchip
+
     baseline, base_metrics = wafer_records_and_metrics(CORRELATED, SEED)
     for tile_sites in (64, 257, 1 << 18):
-        records, metrics = wafer_records_and_metrics(
-            CORRELATED, SEED, tile_sites=tile_sites
-        )
+        monkeypatch.setattr(vchip, "STACK_SITES", tile_sites)
+        records, metrics = wafer_records_and_metrics(CORRELATED, SEED)
         for name in baseline:
             assert np.array_equal(records[name], baseline[name]), (name, tile_sites)
         assert metrics == base_metrics
@@ -119,7 +119,3 @@ def test_injected_field_replays_the_sampled_one():
     for name in direct:
         assert np.array_equal(direct[name], injected[name])
 
-
-def test_tile_sites_must_be_positive():
-    with pytest.raises(ValueError, match="tile_sites"):
-        list(iter_die_outputs(WHITE, SEED, tile_sites=0))
