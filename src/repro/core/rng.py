@@ -52,7 +52,9 @@ def spawn_children(rng: RngLike, count: int) -> list[np.random.Generator]:
         raise ValueError(f"count must be non-negative, got {count}")
     parent = ensure_rng(rng)
     seeds = parent.integers(0, 2**63 - 1, size=count)
-    return [np.random.default_rng(int(seed)) for seed in seeds]
+    # Generator(PCG64(seed)) is what default_rng(seed) builds, without
+    # its per-call dispatch.
+    return [np.random.Generator(np.random.PCG64(int(seed))) for seed in seeds]
 
 
 def stable_entropy(*parts: object) -> tuple[int, ...]:

@@ -69,16 +69,19 @@ class CurrentMirror:
         """
         if i_in <= 0:
             raise ValueError("mirror input current must be positive")
-        v_gate = self.reference.vgs_for_current(i_in, vds=None)
+        vdd = self.reference.process.vdd
+        # An unreachable input raises here, checked at the saturated
+        # reference's vds = vdd/2.
+        lo, hi = self.reference.gate_bracket(i_in, vdd / 2.0)
         # Diode connection: vds = vgs on the reference side.
-        v_gate = self._solve_diode(i_in)
+        v_gate = self._solve_diode(i_in, lo, hi)
         if v_out is None:
-            v_out = self.reference.process.vdd / 2.0
+            v_out = vdd / 2.0
         return self.output.ids(v_gate, v_out)
 
-    def _solve_diode(self, i_in: float) -> float:
-        """Gate voltage of the diode-connected reference carrying i_in."""
-        lo, hi = -1.0, self.reference.process.vdd + 2.0
+    def _solve_diode(self, i_in: float, lo: float, hi: float) -> float:
+        """Gate voltage in ``[lo, hi]`` of the diode-connected reference
+        carrying i_in."""
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             if self.reference.ids(mid, mid) < i_in:

@@ -19,13 +19,18 @@ from ..core.process import ProcessSpec, default_process
 from ..core.units import thermal_voltage
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mosfet:
     """An NMOS or PMOS transistor instance.
 
     All voltages are *device-referred*: for PMOS pass source-gate /
     source-drain magnitudes, the model is symmetric.  ``mismatch`` shifts
     the threshold and the current factor of this instance.
+
+    Instances are immutable: the derived EKV parameters (``vth``,
+    ``n_factor``, ``specific_current``, the thermal voltage and the
+    channel-length factor) are computed once at construction, so the
+    inverse solves' ~100 ``ids`` evaluations per call only read them.
 
     Parameters
     ----------
@@ -47,23 +52,38 @@ class Mosfet:
     process: ProcessSpec = field(default_factory=default_process)
     mismatch: MismatchSample | None = None
     temperature_k: float = 300.0
+    #: Effective threshold of this instance (nominal + mismatch).
+    vth: float = field(init=False, repr=False, compare=False)
+    n_factor: float = field(init=False, repr=False, compare=False)
+    #: EKV specific current 2*n*beta*Vt^2 separating weak/strong inversion.
+    specific_current: float = field(init=False, repr=False, compare=False)
+    _vt: float = field(init=False, repr=False, compare=False)
+    _lambda: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.length <= 0:
             raise ValueError("device dimensions must be positive")
         if self.polarity not in ("n", "p"):
             raise ValueError(f"polarity must be 'n' or 'p', got {self.polarity!r}")
+        process = self.process
+        nominal = process.vth_n if self.polarity == "n" else process.vth_p
+        delta = self.mismatch.delta_vth if self.mismatch else 0.0
+        n_factor = process.subthreshold_slope_n
+        vt = thermal_voltage(self.temperature_k)
+        derived = {
+            "vth": nominal + delta,
+            "n_factor": n_factor,
+            "specific_current": 2.0 * n_factor * self.beta * vt * vt,
+            "_vt": vt,
+            # Channel-length modulation, scaled to drawn length.
+            "_lambda": process.lambda_chl * (process.l_min / self.length),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
     # Derived parameters
     # ------------------------------------------------------------------
-    @property
-    def vth(self) -> float:
-        """Effective threshold of this instance (nominal + mismatch)."""
-        nominal = self.process.vth_n if self.polarity == "n" else self.process.vth_p
-        delta = self.mismatch.delta_vth if self.mismatch else 0.0
-        return nominal + delta
-
     @property
     def beta(self) -> float:
         """Current factor mu*Cox*W/L of this instance, A/V^2."""
@@ -72,19 +92,9 @@ class Mosfet:
         return mu_cox * (self.width / self.length) * rel
 
     @property
-    def n_factor(self) -> float:
-        return self.process.subthreshold_slope_n
-
-    @property
     def gate_capacitance(self) -> float:
         """Gate-oxide capacitance, the storage cap of the neural pixel."""
         return self.process.gate_capacitance(self.width, self.length)
-
-    @property
-    def specific_current(self) -> float:
-        """EKV specific current 2*n*beta*Vt^2 separating weak/strong inversion."""
-        vt = thermal_voltage(self.temperature_k)
-        return 2.0 * self.n_factor * self.beta * vt * vt
 
     def junction_leakage(self) -> float:
         """Drain-junction leakage (A); the integration-node floor current.
@@ -99,8 +109,7 @@ class Mosfet:
     # ------------------------------------------------------------------
     def _inversion_charge(self, v_pinch_minus_vchannel: float) -> float:
         """EKV interpolation ln^2(1 + exp(x/2)) in normalised units."""
-        vt = thermal_voltage(self.temperature_k)
-        x = v_pinch_minus_vchannel / vt
+        x = v_pinch_minus_vchannel / self._vt
         # Numerically safe log1p(exp(x/2)).
         half = 0.5 * x
         if half > 40.0:
@@ -120,12 +129,10 @@ class Mosfet:
         if vds < 0:
             return -self.ids(vgs - vds, -vds, vsb)
         vp = (vgs - self.vth - 0.2 * vsb) / self.n_factor
-        i_f = self._inversion_charge(vp - 0.0)
+        i_f = self._inversion_charge(vp)
         i_r = self._inversion_charge(vp - vds)
         current = self.specific_current * (i_f - i_r)
-        # Channel-length modulation, scaled to drawn length.
-        lam = self.process.lambda_chl * (self.process.l_min / self.length)
-        current *= 1.0 + lam * vds
+        current *= 1.0 + self._lambda * vds
         return current
 
     def ids_saturation(self, vgs: float) -> float:
@@ -152,6 +159,20 @@ class Mosfet:
     # ------------------------------------------------------------------
     # Inverse solve — the calibration primitive
     # ------------------------------------------------------------------
+    def gate_bracket(self, target_ids: float, vds: float) -> tuple[float, float]:
+        """The gate-voltage search interval ``(-1, vdd + 2)`` V of the
+        inverse solves.
+
+        Raises ``ValueError`` when ``target_ids`` lies outside the
+        currents its two endpoints carry at ``vds``.
+        """
+        lo, hi = -1.0, self.process.vdd + 2.0
+        i_lo = self.ids(lo, vds)
+        i_hi = self.ids(hi, vds)
+        if i_lo > target_ids or i_hi < target_ids:
+            raise ValueError(f"target {target_ids} A out of range [{i_lo}, {i_hi}]")
+        return lo, hi
+
     def vgs_for_current(self, target_ids: float, vds: float | None = None) -> float:
         """Gate-source voltage that makes the device carry ``target_ids``.
 
@@ -163,13 +184,7 @@ class Mosfet:
             raise ValueError(f"target current must be positive, got {target_ids}")
         if vds is None:
             vds = self.process.vdd / 2.0
-        lo, hi = -1.0, self.process.vdd + 2.0
-        f_lo = self.ids(lo, vds) - target_ids
-        f_hi = self.ids(hi, vds) - target_ids
-        if f_lo > 0 or f_hi < 0:
-            raise ValueError(
-                f"target {target_ids} A out of range [{self.ids(lo, vds)}, {self.ids(hi, vds)}]"
-            )
+        lo, hi = self.gate_bracket(target_ids, vds)
         for _ in range(100):
             mid = 0.5 * (lo + hi)
             if self.ids(mid, vds) < target_ids:

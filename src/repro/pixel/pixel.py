@@ -1,10 +1,13 @@
-"""A complete DNA sensor pixel: electrode + regulation loop + ADC + counter.
+"""A complete DNA sensor pixel: redox-cycling sensor + ADC + counter.
 
-This is the full Fig. 3 block: the potentiostat pins the electrode, the
-sensor current charges Cint, the comparator/delay stage generate reset
-pulses, the counter accumulates them over the frame.  Pixel-to-pixel
-variation (comparator offset, Cint tolerance, leakage) is drawn per
-instance; the chip-level auto-calibration measures and corrects it.
+This is the Fig. 3 block as the chip counts it: the sensor current
+charges Cint, the comparator/delay stage generate reset pulses, the
+counter accumulates them over the frame.  The electrode regulation loop
+is modelled on its own (:class:`repro.electrochem.Potentiostat`); the
+pixel only needs the sensor's bias check, which the chip's DACs drive.
+Pixel-to-pixel variation (comparator offset, Cint tolerance, leakage) is
+drawn per instance; the chip-level auto-calibration measures and
+corrects it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from ..core.rng import RngLike, ensure_rng
 from ..core.units import fF, ns
 from ..devices.capacitor import Capacitor
 from ..devices.comparator import Comparator
-from ..electrochem.potentiostat import Potentiostat
 from ..electrochem.redox_cycling import RedoxCyclingSensor
 from .counter import PixelCounter
 from .sawtooth_adc import SawtoothAdc
@@ -74,7 +76,6 @@ class DnaSensorPixel:
         comparator_delay_s: float = 50 * ns,
         counter_bits: int = 24,
         sensor: RedoxCyclingSensor | None = None,
-        potentiostat: Potentiostat | None = None,
     ) -> None:
         self.variation = variation or PixelVariation()
         cint = Capacitor(cint_nominal * (1.0 + self.variation.cint_relative_error))
@@ -93,7 +94,6 @@ class DnaSensorPixel:
         )
         self.counter = PixelCounter(bits=counter_bits)
         self.sensor = sensor or RedoxCyclingSensor()
-        self.potentiostat = potentiostat or Potentiostat()
         self.gain_correction = 1.0  # set by chip auto-calibration
 
     # ------------------------------------------------------------------

@@ -163,31 +163,36 @@ class SawtoothAdc:
             start_phase = float(generator.uniform(0.0, 1.0))
         elif not 0.0 <= start_phase <= 1.0:
             raise ValueError("start_phase must lie in [0, 1]")
+        period = base_ramp + dead
         # Fast path: noiseless comparator -> closed-form count.
         if noise_sigma == 0:
-            period = base_ramp + dead
             return int((frame_s / period) + start_phase) if period > 0 else 0
-        period = base_ramp + dead
         expected = frame_s / period
+        swing_v = self.swing_v
         if expected > 2000.0:
             # Gaussian limit of the per-cycle jitter: each cycle's ramp
             # varies by sigma_T = ramp * (sigma_V / swing); the frame
             # accumulates sqrt(N) of them.  Exact enough above ~2k
             # counts (jitter << quantisation there anyway).
-            sigma_cycle = base_ramp * (noise_sigma / self.swing_v)
+            sigma_cycle = base_ramp * (noise_sigma / swing_v)
             sigma_count = math.sqrt(expected) * (sigma_cycle / period)
             jitter = float(generator.normal(0.0, sigma_count))
             return max(0, int(expected + start_phase + jitter))
-        # Event-driven: each cycle's swing is perturbed by threshold noise.
-        elapsed = -start_phase * (base_ramp + dead)
+        # Event-driven: each cycle's swing is perturbed by threshold noise,
+        # one scalar draw per cycle from the shared stream.
+        elapsed = -start_phase * period
         count = 0
         net = self.net_current(i_sensor)
-        max_cycles = int(frame_s / (base_ramp + dead)) + 16
+        max_cycles = int(frame_s / period) + 16
+        swing_floor = 0.05 * swing_v
+        normal = generator.normal
+        charge_time = self.cint.charge_time
+        v_reset = self.v_reset
         for _ in range(max_cycles):
-            swing = self.swing_v + float(generator.normal(0.0, noise_sigma))
-            swing = max(swing, 0.05 * self.swing_v)
+            swing = swing_v + float(normal(0.0, noise_sigma))
+            swing = max(swing, swing_floor)
             try:
-                ramp = self.cint.charge_time(net, swing, start_v=self.v_reset)
+                ramp = charge_time(net, swing, start_v=v_reset)
             except ValueError:
                 break
             elapsed += ramp + dead

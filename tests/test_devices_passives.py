@@ -108,6 +108,15 @@ class TestCurrentMirror:
         with pytest.raises(ValueError):
             mirror.transfer(0.0)
 
+    @pytest.mark.parametrize("i_in", [1.0, 1e-30])
+    def test_rejects_unreachable_input(self, i_in):
+        # No gate voltage in [-1, vdd + 2] V carries this current at
+        # vds = vdd/2: one amp is above the strong-inversion ceiling,
+        # 1e-30 A below the subthreshold floor.
+        mirror = CurrentMirror.matched_pair(4e-6, 2e-6, rng=3)
+        with pytest.raises(ValueError, match="out of range"):
+            mirror.transfer(i_in)
+
     def test_fanout_spread(self):
         fanout = ReferenceCurrentFanout.build(1e-6, count=16, rng=4)
         currents = fanout.branch_currents()
