@@ -61,7 +61,7 @@ def main() -> None:
     # 2. Inject corruption: flip bits 42 and 43 of the first READ_COUNTERS
     #    response chunk.  The checksum catches it; the trace localizes it.
     # ------------------------------------------------------------------
-    corrupt = replay_readout(SPEC, seed=3, flip_bits=[42, 43])
+    corrupt = replay_readout(SPEC, seed=3, flip_frames={0: [42, 43]})
     assert not corrupt.ok
     print(f"\ncorrupted replay failed as it should: {corrupt.readout_error}")
 

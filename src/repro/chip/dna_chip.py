@@ -28,15 +28,7 @@ from ..dna.assay import AssayResult
 from ..pixel.pixel import DnaSensorPixel, PixelVariation
 from .registers import RegisterFile, dna_chip_registers
 from .sequencer import SiteSequence
-from .serial_interface import (
-    CHIP_TO_HOST,
-    Command,
-    Frame,
-    FrameError,
-    SerialLink,
-    pack_counters,
-    unpack_counters,
-)
+from .serial_interface import Command, Frame, SerialLink
 
 
 #: Register address map of the DNA chip's serial protocol — the single
@@ -278,59 +270,25 @@ class DnaMicroarrayChip:
     # ------------------------------------------------------------------
     # Serial readout (the 6-pin data path)
     # ------------------------------------------------------------------
-    def read_counters_serial(
-        self,
-        flip_bits: list[int] | None = None,
-        flip_frame: int = 0,
-        flip_frames: "dict[int, list[int]] | None" = None,
-    ) -> list[int]:
+    def read_counters_serial(self, flip_frames: "dict[int, list[int]] | None" = None) -> list[int]:
         """Full digital path: pack the latest counts, push them through
         the bit-level link, unpack on the host side.
 
-        ``flip_bits`` injects bit corruption into response chunk number
-        ``flip_frame`` (the checksum must catch it and raise
-        :class:`~repro.chip.serial_interface.FrameError`).  For
-        multi-frame corruption pass ``flip_frames``, a mapping of chunk
-        index -> bit positions; it overrides the singular pair.  A
-        decode failure carries the failing chunk index on the raised
-        error as ``frame_index``."""
-        if self.recorder is not None:
-            self.recorder.seq_state("readout", detail="serial counter shift-out")
-        request = Frame(Command.READ_COUNTERS, 0x00)
-        self.link.transfer(request)
-        if self.recorder is not None:
-            # One sample-slot event per site, timestamped by the
-            # SiteSequence schedule relative to the start of shift-out.
-            base = self.recorder.now
-            for row in range(self.specs.rows):
-                for col in range(self.specs.cols):
-                    self.recorder.seq_sample(
-                        row,
-                        col,
-                        time_s=base + self.sequence.site_time_s(row, col),
-                        slot_s=self.sequence.site_slot_s,
-                        slot=row * self.specs.cols + col,
-                    )
-        payload = pack_counters(self._last_counts.tolist(), self.specs.counter_bits)
-        # Large payloads are split into <=255-byte frames.
-        chunk = counter_chunk_bytes(self.specs.counter_bits)
-        if flip_frames is None:
-            flip_frames = {flip_frame: flip_bits} if flip_bits else {}
-        received = bytearray()
-        for index, start in enumerate(range(0, len(payload), chunk)):
-            part = payload[start : start + chunk]
-            response = self.link.respond(part)
-            try:
-                roundtrip = self.link.transfer(
-                    response,
-                    flip_bits=flip_frames.get(index),
-                    direction=CHIP_TO_HOST,
-                )
-            except FrameError as exc:
-                exc.frame_index = index  # type: ignore[attr-defined]
-                raise
-            received.extend(roundtrip.payload)
-        return unpack_counters(bytes(received), self.specs.counter_bits)
+        ``flip_frames`` maps response-chunk index -> bit positions to
+        corrupt (the checksum must catch it and raise
+        :class:`~repro.chip.serial_interface.FrameError`, carrying the
+        failing chunk index as ``frame_index``)."""
+        from .readout import read_counters
+
+        return read_counters(
+            self._last_counts,
+            self.registers,
+            self.link,
+            self.sequence,
+            self.specs,
+            self.recorder,
+            flip_frames=flip_frames,
+        ).counters
 
     def inject_dead_pixel(self, row: int, col: int) -> None:
         """Failure injection: make one pixel's leakage exceed the signal

@@ -1,37 +1,55 @@
-"""Resilient host-side readout controller for the serial counter path.
+"""The host's READ_COUNTERS controller: one serial counter shift-out.
 
-Real hosts do not crash on a corrupted frame — they detect it (the
-two's-complement checksum catches any flip set that changes the byte
-sum mod 256), retry with bounded backoff, and when a chunk stays
-unreadable they mark its sites dead and keep going.  This module is
-that controller for the DNA chip's READ_COUNTERS path:
+However a chip's pixels were simulated, its counters leave over the
+6-pin serial interface the same way, so this module holds the one
+pack -> chunk -> respond -> transfer -> unpack loop.  :func:`read_counters`
+runs it over a flat counts array and the chip's register file, link,
+site sequence and specs, in one of two modes:
 
-* **detect** — frame decode failure (`FrameError`) or register
-  read-back mismatch against the host's shadow of the configuration
-  registers;
-* **retry** — up to ``max_retries`` re-transfers per chunk, waiting
-  ``backoff_s * backoff_factor**attempt`` of *simulated* clock between
-  attempts (the trace recorder's clock, never wall time);
-* **degrade** — a chunk that exhausts its retries is zero-filled and
-  its counter span reported in ``dead_sites`` instead of raising.
+* **plain** (no policy) -- the first frame that fails to decode raises
+  :class:`FrameError` carrying the failing response chunk as
+  ``frame_index``.  Both chips' ``read_counters_serial`` use it.
+* **resilient** (a :class:`ReadoutPolicy`, via
+  :func:`read_counters_resilient`) -- what real hosts do instead of
+  crashing on a corrupted frame:
 
-Every detect/retry/recover/give-up decision lands in the trace as a
-typed ``readout.*`` event, so a capture replays the controller's exact
-decision sequence.  Fault injection reaches this path only through the
-duck-typed ``injector`` seam on the link — no faults import here.
+  * **detect** -- frame decode failure (the two's-complement checksum
+    catches any flip set that changes the byte sum mod 256) or register
+    read-back mismatch against the host's shadow of the configuration
+    registers;
+  * **retry** -- up to ``max_retries`` re-transfers per chunk, waiting
+    ``backoff_s * backoff_factor**attempt`` of *simulated* clock between
+    attempts (the trace recorder's clock, never wall time);
+  * **degrade** -- a chunk that exhausts its retries is zero-filled and
+    its counter span reported in ``dead_sites`` instead of raising.
+
+  Every detect/retry/recover/give-up decision lands in the trace as a
+  typed ``readout.*`` event, so a capture replays the controller's exact
+  decision sequence.  The plain mode emits none.
+
+Fault injection reaches this path only through the duck-typed
+``injector`` seam on the link -- no faults import here.  The plain mode
+meets it only on the wire; register upsets, stuck pixels and sequencer
+stalls are drawn by the resilient mode alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Mapping
 
-from .dna_chip import DnaMicroarrayChip, counter_chunk_bytes
+import numpy as np
+
+from .dna_chip import ChipSpecs, counter_chunk_bytes
+from .registers import RegisterFile
+from .sequencer import SiteSequence
 from .serial_interface import (
     CHIP_TO_HOST,
     HOST_TO_CHIP,
     Command,
     Frame,
     FrameError,
+    SerialLink,
     pack_counters,
     unpack_counters,
 )
@@ -75,15 +93,17 @@ class ReadoutOutcome:
 
 
 def _verify_registers(
-    chip: DnaMicroarrayChip, expected: dict[str, int], outcome: ReadoutOutcome
+    registers: RegisterFile,
+    expected: dict[str, int],
+    outcome: ReadoutOutcome,
+    recorder: Any,
 ) -> None:
     """Read back every register against the host shadow; rewrite
     mismatched host-writable ones (read-only upsets stay detected but
     unrecoverable)."""
-    recorder = chip.recorder
     for name in sorted(expected):
         outcome.registers_checked += 1
-        value = chip.registers.read(name)
+        value = registers.read(name)
         if value == expected[name]:
             continue
         outcome.registers_corrupted += 1
@@ -93,7 +113,7 @@ def _verify_registers(
                 error=f"read-back mismatch: got {value:#x}, shadow {expected[name]:#x}",
             )
         try:
-            chip.registers.write(name, expected[name])
+            registers.write(name, expected[name])
         except ValueError:
             continue
         outcome.registers_restored += 1
@@ -101,34 +121,42 @@ def _verify_registers(
             recorder.readout_recover(f"reg.{name}", attempts=1)
 
 
-def _transfer_with_retry(
-    chip: DnaMicroarrayChip,
+def _transfer(
+    link: SerialLink,
     frame: Frame,
     direction: str,
-    policy: ReadoutPolicy,
+    policy: ReadoutPolicy | None,
     outcome: ReadoutOutcome,
+    recorder: Any,
     frame_index: int | None,
     channel: str,
+    flip_bits: list[int] | None = None,
 ) -> tuple[Frame | None, int]:
     """Push one frame, retrying with deterministic backoff.
 
-    Returns ``(decoded, failures)`` — ``decoded`` is ``None`` after
+    Returns ``(decoded, failures)`` -- ``decoded`` is ``None`` after
     give-up.  Each attempt is a real wire crossing (the injector
-    re-draws), so transient corruption usually clears on retry.
+    re-draws, ``flip_bits`` apply again), so transient corruption
+    usually clears on retry.  Without a policy there is one attempt and
+    a decode failure propagates, tagged with ``frame_index``.
     """
-    recorder = chip.recorder
     failures = 0
-    for attempt in range(policy.max_retries + 1):
+    attempts = 1 if policy is None else policy.max_retries + 1
+    for attempt in range(attempts):
         try:
-            received = chip.link.transfer(frame, direction=direction)
+            return link.transfer(frame, flip_bits=flip_bits, direction=direction), failures
         except FrameError as exc:
+            if policy is None:
+                if frame_index is not None:
+                    exc.frame_index = frame_index  # type: ignore[attr-defined]
+                raise
             failures += 1
             if recorder is not None:
                 recorder.readout_detect(
                     channel, error=str(exc), frame=frame_index, attempt=attempt
                 )
-            if attempt >= policy.max_retries:
-                return None, failures
+            if attempt == policy.max_retries:
+                break
             delay = policy.backoff_s * policy.backoff_factor**attempt
             outcome.retries += 1
             if recorder is not None:
@@ -136,59 +164,72 @@ def _transfer_with_retry(
                     channel, delay_s=delay, frame=frame_index, attempt=attempt + 1
                 )
                 recorder.advance(delay)
-            continue
-        return received, failures
-    return None, failures  # pragma: no cover - loop always returns
+    return None, failures
 
 
-def read_counters_resilient(
-    chip: DnaMicroarrayChip, policy: ReadoutPolicy | None = None
+def read_counters(
+    counts: np.ndarray,
+    registers: RegisterFile,
+    link: SerialLink,
+    sequence: SiteSequence,
+    specs: ChipSpecs,
+    recorder: Any = None,
+    policy: ReadoutPolicy | None = None,
+    flip_frames: Mapping[int, list[int]] | None = None,
 ) -> ReadoutOutcome:
-    """Run the full READ_COUNTERS sequence under the resilient policy.
+    """Shift one chip's ``counts`` (flat, row-major) out over ``link``.
 
-    Mirrors :meth:`DnaMicroarrayChip.read_counters_serial` chunk for
-    chunk (identical counters when nothing is injected) but never
-    raises on corruption: unrecoverable chunks are zero-filled with
-    their counter spans reported in ``dead_sites``.
+    Without ``policy`` this is the plain read: the first corrupted frame
+    raises :class:`FrameError`.  With one, the resilient read: it never
+    raises on corruption, and unrecoverable chunks are zero-filled with
+    their counter spans reported in ``dead_sites``.  ``flip_frames``
+    maps response-chunk index -> bit positions to invert on every
+    crossing of that chunk; an index outside the shift-out raises
+    ``ValueError``.  ``recorder`` (duck-typed, see :mod:`repro.trace`)
+    gets the readout phase, one sample slot per site and, in the
+    resilient mode, the controller's decisions.
     """
-    policy = policy or ReadoutPolicy()
-    recorder = chip.recorder
-    injector = getattr(chip.link, "injector", None)
+    # Only the resilient mode draws the injector's off-wire faults.
+    injector = getattr(link, "injector", None) if policy is not None else None
     outcome = ReadoutOutcome()
     if recorder is not None:
-        recorder.seq_state("readout", detail="resilient serial counter shift-out")
+        mode = "serial" if policy is None else "resilient serial"
+        recorder.seq_state("readout", detail=f"{mode} counter shift-out")
 
-    # Register integrity: the shadow is what the host believes it wrote.
-    expected = chip.registers.dump()
+    if policy is not None:
+        # Register integrity: the shadow is what the host believes it wrote.
+        expected = registers.dump()
+        if injector is not None:
+            injector.corrupt_registers(registers)
+        if policy.verify_registers:
+            _verify_registers(registers, expected, outcome, recorder)
     if injector is not None:
-        injector.corrupt_registers(chip.registers)
-    if policy.verify_registers:
-        _verify_registers(chip, expected, outcome)
-
-    counts = chip._last_counts
-    if injector is not None:
-        full_scale = (1 << chip.specs.counter_bits) - 1
-        stuck = injector.stuck_sites(chip.specs.sites, full_scale)
+        stuck = injector.stuck_sites(specs.sites, (1 << specs.counter_bits) - 1)
         if stuck:
             counts = counts.copy()
             for site, value in stuck:
                 counts[site] = value
 
-    payload = pack_counters(counts.tolist(), chip.specs.counter_bits)
-    chunk = counter_chunk_bytes(chip.specs.counter_bits)
-    bytes_per_counter = chip.specs.counter_bits // 8
-    spans = [
-        (index, start, payload[start : start + chunk])
-        for index, start in enumerate(range(0, len(payload), chunk))
-    ]
-    outcome.frames_total = len(spans)
+    payload = pack_counters(counts.tolist(), specs.counter_bits)
+    # Large payloads are split into <=255-byte frames.
+    chunk = counter_chunk_bytes(specs.counter_bits)
+    starts = range(0, len(payload), chunk)
+    outcome.frames_total = len(starts)
+    flip_frames = flip_frames or {}
+    outside = sorted(index for index in flip_frames if index not in range(len(starts)))
+    if outside:
+        raise ValueError(
+            f"flip chunk {outside[0]} is outside the shift-out, which has "
+            f"{len(starts)} chunk(s)"
+        )
 
-    request, _ = _transfer_with_retry(
-        chip,
+    request, _ = _transfer(
+        link,
         Frame(Command.READ_COUNTERS, 0x00),
-        direction=HOST_TO_CHIP,
-        policy=policy,
-        outcome=outcome,
+        HOST_TO_CHIP,
+        policy,
+        outcome,
+        recorder,
         frame_index=None,
         channel="serial.request",
     )
@@ -196,46 +237,48 @@ def read_counters_resilient(
         # The chip never saw the command: the whole array is lost.
         if recorder is not None:
             recorder.readout_giveup(
-                "serial.request",
-                attempts=policy.max_retries + 1,
-                sites_lost=chip.specs.sites,
+                "serial.request", attempts=policy.max_retries + 1, sites_lost=specs.sites
             )
-        outcome.frames_lost = len(spans)
-        outcome.counters = [0] * chip.specs.sites
-        outcome.dead_sites = tuple(range(chip.specs.sites))
+        outcome.frames_lost = len(starts)
+        outcome.counters = [0] * specs.sites
+        outcome.dead_sites = tuple(range(specs.sites))
         return outcome
 
     if recorder is not None:
-        # Same sample-slot schedule as the plain readout.
+        # One sample-slot event per site, timestamped by the
+        # SiteSequence schedule relative to the start of shift-out.
         base = recorder.now
-        for row in range(chip.specs.rows):
-            for col in range(chip.specs.cols):
+        for row in range(specs.rows):
+            for col in range(specs.cols):
                 recorder.seq_sample(
                     row,
                     col,
-                    time_s=base + chip.sequence.site_time_s(row, col),
-                    slot_s=chip.sequence.site_slot_s,
-                    slot=row * chip.specs.cols + col,
+                    time_s=base + sequence.site_time_s(row, col),
+                    slot_s=sequence.site_slot_s,
+                    slot=row * specs.cols + col,
                 )
 
+    bytes_per_counter = specs.counter_bits // 8
     received = bytearray()
     dead: list[int] = []
-    for index, start, part in spans:
+    for index, start in enumerate(starts):
+        part = payload[start : start + chunk]
         if injector is not None:
             stall = injector.stall_s(index)
             if stall > 0.0:
                 outcome.stall_s_total += stall
                 if recorder is not None:
                     recorder.advance(stall)
-        response = chip.link.respond(part)
-        roundtrip, failures = _transfer_with_retry(
-            chip,
-            response,
-            direction=CHIP_TO_HOST,
-            policy=policy,
-            outcome=outcome,
+        roundtrip, failures = _transfer(
+            link,
+            link.respond(part),
+            CHIP_TO_HOST,
+            policy,
+            outcome,
+            recorder,
             frame_index=index,
             channel="serial",
+            flip_bits=flip_frames.get(index),
         )
         if failures:
             outcome.frames_corrupted += 1
@@ -246,21 +289,33 @@ def read_counters_resilient(
             dead.extend(range(first, first + n_sites))
             if recorder is not None:
                 recorder.readout_giveup(
-                    "serial",
-                    attempts=policy.max_retries + 1,
-                    frame=index,
-                    sites_lost=n_sites,
+                    "serial", attempts=policy.max_retries + 1, frame=index, sites_lost=n_sites
                 )
-            received.extend(b"\x00" * len(part))
+            received.extend(bytes(len(part)))
         else:
             if failures:
                 outcome.frames_recovered += 1
                 if recorder is not None:
-                    recorder.readout_recover(
-                        "serial", attempts=failures + 1, frame=index
-                    )
+                    recorder.readout_recover("serial", attempts=failures + 1, frame=index)
             received.extend(roundtrip.payload)
 
-    outcome.counters = unpack_counters(bytes(received), chip.specs.counter_bits)
+    outcome.counters = unpack_counters(bytes(received), specs.counter_bits)
     outcome.dead_sites = tuple(dead)
     return outcome
+
+
+def read_counters_resilient(
+    counts: np.ndarray,
+    registers: RegisterFile,
+    link: SerialLink,
+    sequence: SiteSequence,
+    specs: ChipSpecs,
+    recorder: Any = None,
+    policy: ReadoutPolicy | None = None,
+) -> ReadoutOutcome:
+    """:func:`read_counters` under ``policy`` (default
+    :class:`ReadoutPolicy`): identical counters to the plain read when
+    nothing is injected, and never a raise on corruption."""
+    return read_counters(
+        counts, registers, link, sequence, specs, recorder, policy or ReadoutPolicy()
+    )

@@ -40,17 +40,11 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ..chip.dna_chip import ChipSpecs, counter_chunk_bytes, write_dna_register
+from ..chip.dna_chip import ChipSpecs, write_dna_register
+from ..chip.readout import read_counters
 from ..chip.registers import RegisterFile, dna_chip_registers
 from ..chip.sequencer import SiteSequence
-from ..chip.serial_interface import (
-    CHIP_TO_HOST,
-    Command,
-    Frame,
-    SerialLink,
-    pack_counters,
-    unpack_counters,
-)
+from ..chip.serial_interface import SerialLink
 from ..core.rng import RngLike, ensure_rng, spawn_children
 from ..core.units import FARADAY
 from ..devices.bandgap import BandgapReference
@@ -440,21 +434,10 @@ class VectorizedDnaChip:
         """Full digital path for the latest counts.  Single-chip batches
         return the object chip's flat ``list[int]``; larger batches a
         list of per-chip lists (the host polls chips in sequence)."""
-        per_chip: list[list[int]] = []
-        chunk = counter_chunk_bytes(self.specs.counter_bits)
-        for chip in range(self.n_chips):
-            request = Frame(Command.READ_COUNTERS, 0x00)
-            self.link.transfer(request)
-            payload = pack_counters(
-                self._last_counts[chip].tolist(), self.specs.counter_bits
-            )
-            received = bytearray()
-            for start in range(0, len(payload), chunk):
-                part = payload[start : start + chunk]
-                response = self.link.respond(part)
-                roundtrip = self.link.transfer(response, direction=CHIP_TO_HOST)
-                received.extend(roundtrip.payload)
-            per_chip.append(unpack_counters(bytes(received), self.specs.counter_bits))
+        per_chip = [
+            read_counters(counts, self.registers, self.link, self.sequence, self.specs).counters
+            for counts in self._last_counts
+        ]
         return per_chip[0] if self.n_chips == 1 else per_chip
 
     # ------------------------------------------------------------------

@@ -220,7 +220,7 @@ def _build_dna_chip_vectorized(
 
 
 def _faulted_readout(
-    spec: DnaAssaySpec, chip: DnaMicroarrayChip, counts: np.ndarray, rng
+    spec: DnaAssaySpec, chip: "DnaMicroarrayChip | VectorizedDnaChip", counts: np.ndarray, rng
 ) -> tuple[np.ndarray, dict[str, Any]]:
     """Run the serial readout under fault injection + resilient recovery.
 
@@ -237,13 +237,14 @@ def _faulted_readout(
     from ..chip.readout import read_counters_resilient
     from ..faults import FaultInjector
 
-    injector = FaultInjector(
-        spec.faults, rng=rng, recorder=getattr(chip, "recorder", None)
-    )
+    recorder = getattr(chip, "recorder", None)
+    injector = FaultInjector(spec.faults, rng=rng, recorder=recorder)
     shadow = chip.registers.dump()
     chip.link.injector = injector
     try:
-        outcome = read_counters_resilient(chip)
+        outcome = read_counters_resilient(
+            counts.reshape(-1), chip.registers, chip.link, chip.sequence, chip.specs, recorder
+        )
     finally:
         chip.link.injector = None
         # Scrub any register upset the controller could not rewrite
@@ -317,12 +318,6 @@ def _execute_dna(runner: "Runner", spec: DnaAssaySpec, rngs: dict, inputs: dict)
     counts = chip.measure_assay(assay, frame_s=spec.frame_s, rng=rngs["measure"])
     fault_info = None
     if getattr(spec, "faults", ()):
-        if vectorized:
-            raise ValueError(
-                "fault injection drives the serial readout path, which the "
-                "vectorized backend does not model; run faulted dna_assay "
-                "specs on the object backend"
-            )
         # The host now only knows what the resilient readout recovered:
         # counts (and everything downstream) switch to the wire values,
         # with lost frames zero-filled and flagged per site.

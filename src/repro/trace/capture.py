@@ -70,8 +70,6 @@ def replay_readout(
     spec: Optional[ExperimentSpec] = None,
     seed: int = 0,
     recorder: Optional[TraceRecorder] = None,
-    flip_bits: Optional[list[int]] = None,
-    flip_frame: int = 0,
     flip_frames: Optional[dict[int, list[int]]] = None,
 ) -> ReplayResult:
     """Run ``spec``'s full measurement under a trace recorder and return
@@ -80,13 +78,12 @@ def replay_readout(
     Sequence: register configuration and calibration over the serial
     link, a RUN_FRAME trigger, the workload's measurement (through the
     Runner, so records/metrics match a plain run), then the serial
-    counter shift-out.  ``flip_bits`` corrupts response chunk
-    ``flip_frame`` of the shift-out; ``flip_frames`` (a chunk-index →
-    bit-positions mapping, superseding the singular pair) corrupts
-    several chunks at once.  The first checksum failure is recorded as
-    a corrupt serial-frame event and reported as ``readout_error`` —
-    naming the failing chunk, also exposed as ``failed_frame`` — instead
-    of raising.
+    counter shift-out.  ``flip_frames`` (a chunk-index → bit-positions
+    mapping) corrupts those response chunks of the shift-out; a chunk
+    index the shift-out does not have raises ``ValueError``.  The first
+    checksum failure is recorded as a corrupt serial-frame event and
+    reported as ``readout_error`` — naming the failing chunk, also
+    exposed as ``failed_frame`` — instead of raising.
 
     Supports the DNA-chip kinds (``dna_assay``, ``array_scale`` with
     ``n_chips=1``).
@@ -110,9 +107,7 @@ def replay_readout(
     readout_error: Optional[str] = None
     failed_frame: Optional[int] = None
     try:
-        counters = chip.read_counters_serial(
-            flip_bits=flip_bits, flip_frame=flip_frame, flip_frames=flip_frames
-        )
+        counters = chip.read_counters_serial(flip_frames=flip_frames)
     except FrameError as exc:
         # The corrupt frame is already in the trace; surface the error
         # as data rather than an exception so callers can render it.

@@ -57,21 +57,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             raise SystemExit(f"repro: {error}")
     flips = _parse_ints(args.flip, "--flip")
     frames = _parse_ints(args.flip_frame, "--flip-frame") or [0]
-    # One chunk keeps the singular API; several corrupt every listed
-    # chunk with the same bit positions.
-    flip_frames = (
-        {frame: list(flips) for frame in frames}
-        if flips and len(frames) > 1
-        else None
-    )
+    # Every listed chunk gets the same bit positions.
+    flip_frames = {frame: list(flips) for frame in frames} if flips else None
     try:
-        replay = replay_readout(
-            spec,
-            seed=args.seed,
-            flip_bits=flips,
-            flip_frame=frames[0],
-            flip_frames=flip_frames,
-        )
+        replay = replay_readout(spec, seed=args.seed, flip_frames=flip_frames)
     except (IndexError, ValueError) as error:
         raise SystemExit(f"repro: {error}")
     trace = replay.trace

@@ -377,3 +377,6 @@ def test_trace_error_paths(tmp_path):
         main(["trace", "--spec", str(tmp_path / "ghost.json")])
     with pytest.raises(SystemExit, match="--flip expects"):
         main(["trace", "--flip", "abc"])
+    # The default 16x8 assay shifts out in two chunks: chunk 7 is no target.
+    with pytest.raises(SystemExit, match="has 2 chunk"):
+        main(["trace", "--flip", "5,9", "--flip-frame", "7", "--check"])

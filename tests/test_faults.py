@@ -199,9 +199,13 @@ class TestFaultedRuns:
         metrics = record.metrics if hasattr(record, "metrics") else result.metrics
         assert "fault_detection_rate" not in metrics
 
-    def test_vectorized_backend_rejected(self):
-        with pytest.raises(ValueError, match="vectorized"):
-            Runner(seed=9).run(BASE, backend="vectorized")
+    def test_vectorized_backend_runs_faulted_specs(self):
+        result = Runner(seed=9).run(BASE, backend="vectorized")
+        for name in FaultToleranceAnalysis.REQUIRED:
+            assert name in result.metrics, name
+        assert "site_dead" in result.records and "site_silent" in result.records
+        again = Runner(seed=9).run(BASE, backend="vectorized")
+        assert again.to_json() == result.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +255,89 @@ class TestFaultCampaigns:
 
 
 # ---------------------------------------------------------------------------
+# One readout on both backends
+# ---------------------------------------------------------------------------
+EVERY_KIND = (
+    {"kind": "serial_bitflip", "rate": 0.4, "n_flips": 1, "direction": "both"},
+    {"kind": "sequencer_stall", "rate": 0.5},
+    {"kind": "register_corrupt", "rate": 0.3},
+    {"kind": "stuck_pixel", "rate": 0.05, "mode": "full"},
+)
+VECTORIZED_CAMPAIGN = CampaignSpec(
+    base=BASE,
+    grid={"faults.rate": (0.0, 0.3, 0.6)},
+    replicates=4,
+    name="fault-parity-vectorized",
+    backend="vectorized",
+)
+
+
+class TestCrossBackendReadout:
+    @pytest.mark.parametrize("faults", [FAULTS, EVERY_KIND])
+    def test_same_counts_and_fault_stream_same_outcome(self, faults):
+        from repro.experiments.workloads import (
+            _build_dna_chip,
+            _build_dna_chip_vectorized,
+            _faulted_readout,
+        )
+
+        spec = BASE.replace(faults=faults)
+        chips = [
+            build(spec, np.random.default_rng(21), np.random.default_rng(22))
+            for build in (_build_dna_chip, _build_dna_chip_vectorized)
+        ]
+        assert chips[0].registers.dump() == chips[1].registers.dump()
+        counts = np.random.default_rng(23).integers(0, 5000, size=(spec.rows, spec.cols))
+        results = [
+            _faulted_readout(spec, chip, counts, np.random.default_rng(24)) for chip in chips
+        ]
+        (obj_counts, obj_info), (vec_counts, vec_info) = results
+        assert obj_info["outcome"] == vec_info["outcome"]
+        np.testing.assert_array_equal(obj_counts, vec_counts)
+        np.testing.assert_array_equal(obj_info["dead"], vec_info["dead"])
+        np.testing.assert_array_equal(obj_info["silent"], vec_info["silent"])
+        assert chips[0].link.transcript == chips[1].link.transcript
+        assert chips[0].registers.dump() == chips[1].registers.dump()
+
+    @pytest.fixture(scope="class")
+    def serial_vectorized(self):
+        return run_campaign(VECTORIZED_CAMPAIGN, seed=11, executor="serial")
+
+    def test_vectorized_campaign_reports_faults(self, serial_vectorized):
+        metrics = [r.metrics for r in serial_vectorized.results()]
+        assert all(m["backend"] == "vectorized" for m in metrics)
+        assert sum(m["fault_frames_corrupted"] + m["fault_sites_silent"] for m in metrics)
+
+    @pytest.mark.parametrize("executor,workers", [("process", 2), ("batched", None)])
+    def test_vectorized_executor_parity(self, serial_vectorized, executor, workers):
+        other = run_campaign(
+            VECTORIZED_CAMPAIGN, seed=11, executor=executor, workers=workers
+        )
+        assert _jsons(other) == _jsons(serial_vectorized)
+
+    def test_vectorized_cache_round_trip(self, serial_vectorized, tmp_path):
+        cold = run_campaign(VECTORIZED_CAMPAIGN, seed=11, cache=tmp_path / "cache")
+        warm = run_campaign(VECTORIZED_CAMPAIGN, seed=11, cache=tmp_path / "cache")
+        assert warm.manifest["cache"]["hits"] == VECTORIZED_CAMPAIGN.n_points
+        assert warm.manifest["cache"]["computed"] == 0
+        assert _jsons(cold) == _jsons(warm) == _jsons(serial_vectorized)
+
+
+# ---------------------------------------------------------------------------
 # Failure capture: executors, cache, job manager
 # ---------------------------------------------------------------------------
+# A calibration frame too short to count anything fails every point at
+# run time, on either backend.
 FAILING = CampaignSpec(
-    base=BASE, grid={"faults.rate": (0.1, 0.2)}, replicates=1,
-    name="faults-vectorized", backend="vectorized",
+    base=BASE.replace(calibration_frame_s=1e-9), grid={"faults.rate": (0.1, 0.2)},
+    replicates=1, name="faults-failing", backend="vectorized",
 )
 
 
 class TestFailureCapture:
     def test_executor_raises_without_capture(self):
         plan = FAILING.compile(seed=1)
-        with pytest.raises(ValueError, match="vectorized"):
+        with pytest.raises(ValueError, match="no counts"):
             list(SerialExecutor().run(plan, backend="vectorized"))
 
     def test_executor_captures_errors(self):
@@ -299,6 +374,13 @@ class TestFailureCapture:
 # ---------------------------------------------------------------------------
 # Resilient readout controller
 # ---------------------------------------------------------------------------
+def _resilient(chip, policy=None):
+    return read_counters_resilient(
+        chip._last_counts, chip.registers, chip.link, chip.sequence, chip.specs,
+        getattr(chip, "recorder", None), policy,
+    )
+
+
 def _fresh_chip(seed=3, recorder=None):
     chip = DnaMicroarrayChip(
         ChipSpecs(rows=16, cols=8), rng=np.random.default_rng(seed),
@@ -314,7 +396,7 @@ def _fresh_chip(seed=3, recorder=None):
 class TestResilientReadout:
     def test_clean_path_matches_plain_readout(self):
         chip = _fresh_chip()
-        outcome = read_counters_resilient(chip)
+        outcome = _resilient(chip)
         assert outcome.counters == chip.read_counters_serial()
         assert outcome.dead_sites == ()
         assert outcome.frames_corrupted == outcome.frames_lost == 0
@@ -325,7 +407,7 @@ class TestResilientReadout:
             (SerialBitflipFault(rate=0.5, n_flips=2),),
             rng=np.random.default_rng(9), recorder=chip.recorder,
         )
-        outcome = read_counters_resilient(chip, ReadoutPolicy(max_retries=4))
+        outcome = _resilient(chip, ReadoutPolicy(max_retries=4))
         assert outcome.frames_corrupted > 0
         assert outcome.frames_recovered + outcome.frames_lost == (
             outcome.frames_corrupted
@@ -341,7 +423,7 @@ class TestResilientReadout:
             (SerialBitflipFault(rate=1.0, n_flips=1),),
             rng=np.random.default_rng(9), recorder=chip.recorder,
         )
-        outcome = read_counters_resilient(chip, ReadoutPolicy(max_retries=1))
+        outcome = _resilient(chip, ReadoutPolicy(max_retries=1))
         assert outcome.frames_lost > 0
         assert outcome.dead_sites
         assert all(outcome.counters[i] == 0 for i in outcome.dead_sites)
@@ -354,7 +436,7 @@ class TestResilientReadout:
             (RegisterCorruptFault(rate=1.0, n_bits=1),),
             rng=np.random.default_rng(9), recorder=chip.recorder,
         )
-        outcome = read_counters_resilient(chip)
+        outcome = _resilient(chip)
         assert outcome.registers_checked > 0
         assert outcome.registers_corrupted > 0
         assert outcome.registers_restored <= outcome.registers_corrupted
@@ -366,7 +448,7 @@ class TestResilientReadout:
                 (SerialBitflipFault(rate=0.5, n_flips=2),),
                 rng=np.random.default_rng(9), recorder=chip.recorder,
             )
-            read_counters_resilient(chip)
+            _resilient(chip)
             return chip.recorder.trace().to_jsonl()
         assert capture() == capture()
 
@@ -383,16 +465,13 @@ class TestReplayAttribution:
         assert replay.ok and replay.failed_frame is None
 
     def test_single_frame_failure_is_attributed(self):
-        replay = replay_readout(REPLAY_SPEC, seed=0, flip_bits=[5, 9], flip_frame=1)
+        replay = replay_readout(REPLAY_SPEC, seed=0, flip_frames={1: [5, 9]})
         assert not replay.ok
         assert replay.failed_frame == 1
         assert replay.readout_error.startswith("response chunk 1:")
 
     def test_multi_frame_corruption_reports_first_failure(self):
-        replay = replay_readout(
-            REPLAY_SPEC, seed=0, flip_bits=[5, 9],
-            flip_frames={0: [5, 9], 1: [7]},
-        )
+        replay = replay_readout(REPLAY_SPEC, seed=0, flip_frames={0: [5, 9], 1: [7]})
         assert not replay.ok
         assert replay.failed_frame == 0
         assert replay.readout_error.startswith("response chunk 0:")

@@ -1,0 +1,452 @@
+"""Frozen-oracle tests for the READ_COUNTERS serial shift-out.
+
+The three loops below are test-local copies of the counter shift-out as
+it once existed in three places: the object chip's plain
+``read_counters_serial``, the vectorized chip's per-chip loop and the
+resilient controller.  They are frozen on purpose.  Hypothesis drives
+the library's public entry points and these oracles with the same
+counts, counter widths, geometries, bit flips, fault schedules and
+retry policies, and every observable must match exactly: the returned
+counters or :class:`ReadoutOutcome`, the failing chunk of a
+:class:`FrameError`, the link transcript and the trace JSONL.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.chip.dna_chip import ChipSpecs, DnaMicroarrayChip, counter_chunk_bytes
+from repro.chip.readout import ReadoutOutcome, ReadoutPolicy, read_counters_resilient
+from repro.chip.serial_interface import (
+    CHIP_TO_HOST,
+    HOST_TO_CHIP,
+    Command,
+    Frame,
+    FrameError,
+    pack_counters,
+    unpack_counters,
+)
+from repro.engine.vchip import VectorizedDnaChip
+from repro.faults import (
+    FaultInjector,
+    RegisterCorruptFault,
+    SequencerStallFault,
+    SerialBitflipFault,
+    StuckPixelFault,
+)
+from repro.trace import TraceRecorder
+
+SETTINGS = settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+#: Per counter width: a one-chunk geometry, the two-chunk Fig. 4 array
+#: (24-bit only) and a geometry that needs three chunks.
+GEOMETRIES = {
+    8: [(2, 3), (32, 16)],
+    16: [(2, 3), (16, 16)],
+    24: [(2, 3), (16, 8), (16, 12)],
+}
+
+
+# ---------------------------------------------------------------------------
+# The frozen oracles
+# ---------------------------------------------------------------------------
+def _oracle_plain(chip, flip_frames):
+    if chip.recorder is not None:
+        chip.recorder.seq_state("readout", detail="serial counter shift-out")
+    request = Frame(Command.READ_COUNTERS, 0x00)
+    chip.link.transfer(request)
+    if chip.recorder is not None:
+        base = chip.recorder.now
+        for row in range(chip.specs.rows):
+            for col in range(chip.specs.cols):
+                chip.recorder.seq_sample(
+                    row,
+                    col,
+                    time_s=base + chip.sequence.site_time_s(row, col),
+                    slot_s=chip.sequence.site_slot_s,
+                    slot=row * chip.specs.cols + col,
+                )
+    payload = pack_counters(chip._last_counts.tolist(), chip.specs.counter_bits)
+    chunk = counter_chunk_bytes(chip.specs.counter_bits)
+    received = bytearray()
+    for index, start in enumerate(range(0, len(payload), chunk)):
+        part = payload[start : start + chunk]
+        response = chip.link.respond(part)
+        try:
+            roundtrip = chip.link.transfer(
+                response, flip_bits=flip_frames.get(index), direction=CHIP_TO_HOST
+            )
+        except FrameError as exc:
+            exc.frame_index = index
+            raise
+        received.extend(roundtrip.payload)
+    return unpack_counters(bytes(received), chip.specs.counter_bits)
+
+
+def _oracle_vectorized(chip):
+    per_chip = []
+    chunk = counter_chunk_bytes(chip.specs.counter_bits)
+    for index in range(chip.n_chips):
+        request = Frame(Command.READ_COUNTERS, 0x00)
+        chip.link.transfer(request)
+        payload = pack_counters(chip._last_counts[index].tolist(), chip.specs.counter_bits)
+        received = bytearray()
+        for start in range(0, len(payload), chunk):
+            part = payload[start : start + chunk]
+            response = chip.link.respond(part)
+            roundtrip = chip.link.transfer(response, direction=CHIP_TO_HOST)
+            received.extend(roundtrip.payload)
+        per_chip.append(unpack_counters(bytes(received), chip.specs.counter_bits))
+    return per_chip[0] if chip.n_chips == 1 else per_chip
+
+
+def _oracle_verify_registers(chip, expected, outcome):
+    recorder = chip.recorder
+    for name in sorted(expected):
+        outcome.registers_checked += 1
+        value = chip.registers.read(name)
+        if value == expected[name]:
+            continue
+        outcome.registers_corrupted += 1
+        if recorder is not None:
+            recorder.readout_detect(
+                f"reg.{name}",
+                error=f"read-back mismatch: got {value:#x}, shadow {expected[name]:#x}",
+            )
+        try:
+            chip.registers.write(name, expected[name])
+        except ValueError:
+            continue
+        outcome.registers_restored += 1
+        if recorder is not None:
+            recorder.readout_recover(f"reg.{name}", attempts=1)
+
+
+def _oracle_transfer_with_retry(chip, frame, direction, policy, outcome, frame_index, channel):
+    recorder = chip.recorder
+    failures = 0
+    for attempt in range(policy.max_retries + 1):
+        try:
+            received = chip.link.transfer(frame, direction=direction)
+        except FrameError as exc:
+            failures += 1
+            if recorder is not None:
+                recorder.readout_detect(
+                    channel, error=str(exc), frame=frame_index, attempt=attempt
+                )
+            if attempt >= policy.max_retries:
+                return None, failures
+            delay = policy.backoff_s * policy.backoff_factor**attempt
+            outcome.retries += 1
+            if recorder is not None:
+                recorder.readout_retry(
+                    channel, delay_s=delay, frame=frame_index, attempt=attempt + 1
+                )
+                recorder.advance(delay)
+            continue
+        return received, failures
+    return None, failures
+
+
+def _oracle_resilient(chip, policy):
+    recorder = chip.recorder
+    injector = getattr(chip.link, "injector", None)
+    outcome = ReadoutOutcome()
+    if recorder is not None:
+        recorder.seq_state("readout", detail="resilient serial counter shift-out")
+    expected = chip.registers.dump()
+    if injector is not None:
+        injector.corrupt_registers(chip.registers)
+    if policy.verify_registers:
+        _oracle_verify_registers(chip, expected, outcome)
+    counts = chip._last_counts
+    if injector is not None:
+        full_scale = (1 << chip.specs.counter_bits) - 1
+        stuck = injector.stuck_sites(chip.specs.sites, full_scale)
+        if stuck:
+            counts = counts.copy()
+            for site, value in stuck:
+                counts[site] = value
+    payload = pack_counters(counts.tolist(), chip.specs.counter_bits)
+    chunk = counter_chunk_bytes(chip.specs.counter_bits)
+    bytes_per_counter = chip.specs.counter_bits // 8
+    spans = [
+        (index, start, payload[start : start + chunk])
+        for index, start in enumerate(range(0, len(payload), chunk))
+    ]
+    outcome.frames_total = len(spans)
+    request, _ = _oracle_transfer_with_retry(
+        chip, Frame(Command.READ_COUNTERS, 0x00), HOST_TO_CHIP, policy, outcome,
+        None, "serial.request",
+    )
+    if request is None:
+        if recorder is not None:
+            recorder.readout_giveup(
+                "serial.request", attempts=policy.max_retries + 1,
+                sites_lost=chip.specs.sites,
+            )
+        outcome.frames_lost = len(spans)
+        outcome.counters = [0] * chip.specs.sites
+        outcome.dead_sites = tuple(range(chip.specs.sites))
+        return outcome
+    if recorder is not None:
+        base = recorder.now
+        for row in range(chip.specs.rows):
+            for col in range(chip.specs.cols):
+                recorder.seq_sample(
+                    row,
+                    col,
+                    time_s=base + chip.sequence.site_time_s(row, col),
+                    slot_s=chip.sequence.site_slot_s,
+                    slot=row * chip.specs.cols + col,
+                )
+    received = bytearray()
+    dead = []
+    for index, start, part in spans:
+        if injector is not None:
+            stall = injector.stall_s(index)
+            if stall > 0.0:
+                outcome.stall_s_total += stall
+                if recorder is not None:
+                    recorder.advance(stall)
+        response = chip.link.respond(part)
+        roundtrip, failures = _oracle_transfer_with_retry(
+            chip, response, CHIP_TO_HOST, policy, outcome, index, "serial"
+        )
+        if failures:
+            outcome.frames_corrupted += 1
+        if roundtrip is None:
+            outcome.frames_lost += 1
+            first = start // bytes_per_counter
+            n_sites = len(part) // bytes_per_counter
+            dead.extend(range(first, first + n_sites))
+            if recorder is not None:
+                recorder.readout_giveup(
+                    "serial", attempts=policy.max_retries + 1, frame=index,
+                    sites_lost=n_sites,
+                )
+            received.extend(b"\x00" * len(part))
+        else:
+            if failures:
+                outcome.frames_recovered += 1
+                if recorder is not None:
+                    recorder.readout_recover("serial", attempts=failures + 1, frame=index)
+            received.extend(roundtrip.payload)
+    outcome.counters = unpack_counters(bytes(received), chip.specs.counter_bits)
+    outcome.dead_sites = tuple(dead)
+    return outcome
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+# ---------------------------------------------------------------------------
+@st.composite
+def layouts(draw):
+    """``(ChipSpecs, counts)`` with 0 and full-scale counts in the mix."""
+    bits = draw(st.sampled_from(sorted(GEOMETRIES)))
+    rows, cols = draw(st.sampled_from(GEOMETRIES[bits]))
+    specs = ChipSpecs(rows=rows, cols=cols, counter_bits=bits)
+    full = (1 << bits) - 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pattern = draw(st.sampled_from(["random", "zero", "full", "mixed"]))
+    if pattern == "zero":
+        counts = np.zeros(specs.sites, dtype=np.int64)
+    elif pattern == "full":
+        counts = np.full(specs.sites, full, dtype=np.int64)
+    else:
+        counts = rng.integers(0, full + 1, size=specs.sites, dtype=np.int64)
+        if pattern == "mixed":
+            counts[rng.random(specs.sites) < 0.3] = 0
+            counts[rng.random(specs.sites) < 0.3] = full
+    return specs, counts
+
+
+def _chunk_bits(specs):
+    """Bit length of each response frame of a shift-out."""
+    payload = specs.sites * specs.counter_bits // 8
+    chunk = counter_chunk_bytes(specs.counter_bits)
+    return [8 * (5 + min(chunk, payload - start)) for start in range(0, payload, chunk)]
+
+
+@st.composite
+def flip_maps(draw, specs):
+    """A chunk-index -> bit-positions mapping, every index in range."""
+    frame_bits = _chunk_bits(specs)
+    indices = draw(st.sets(st.integers(0, len(frame_bits) - 1), max_size=3))
+    return {
+        index: draw(
+            st.lists(st.integers(0, frame_bits[index] - 1), min_size=1, max_size=3)
+        )
+        for index in sorted(indices)
+    }
+
+
+rates = st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0])
+fault_schedules = st.lists(
+    st.one_of(
+        st.builds(
+            SerialBitflipFault,
+            rate=rates,
+            n_flips=st.integers(1, 3),
+            direction=st.sampled_from(["chip_to_host", "host_to_chip", "both"]),
+        ),
+        st.builds(SequencerStallFault, rate=rates, stall_s=st.sampled_from([1e-5, 3e-4])),
+        st.builds(RegisterCorruptFault, rate=rates, n_bits=st.integers(1, 2)),
+        st.builds(StuckPixelFault, rate=rates, mode=st.sampled_from(["zero", "full"])),
+    ),
+    max_size=4,
+)
+policies = st.builds(
+    ReadoutPolicy,
+    max_retries=st.integers(0, 3),
+    backoff_s=st.sampled_from([0.0, 1e-4, 2.5e-3]),
+    backoff_factor=st.sampled_from([1.0, 2.0, 3.5]),
+    verify_registers=st.booleans(),
+)
+
+
+# ---------------------------------------------------------------------------
+# Harness
+# ---------------------------------------------------------------------------
+def _object_chip(specs, counts, faults, fault_seed, traced=True):
+    chip = DnaMicroarrayChip(specs, rng=0, recorder=TraceRecorder() if traced else None)
+    chip._last_counts = counts.copy()
+    if faults is not None:
+        chip.link.injector = FaultInjector(
+            faults, rng=np.random.default_rng(fault_seed), recorder=chip.recorder
+        )
+    return chip
+
+
+def _vectorized_chip(specs, counts, faults, fault_seed):
+    chip = VectorizedDnaChip(specs, n_chips=counts.shape[0], rng=0, mismatch="fast")
+    chip._last_counts = counts.copy()
+    if faults is not None:
+        chip.link.injector = FaultInjector(faults, rng=np.random.default_rng(fault_seed))
+    return chip
+
+
+def _resilient(chip, policy):
+    return read_counters_resilient(
+        chip._last_counts, chip.registers, chip.link, chip.sequence, chip.specs,
+        chip.recorder, policy,
+    )
+
+
+def _observe(chip, read):
+    """Everything a readout leaves behind, as comparable data."""
+    try:
+        value, error = read(), None
+    except (FrameError, IndexError, ValueError) as exc:
+        value = None
+        error = (type(exc).__name__, str(exc), getattr(exc, "frame_index", "absent"))
+    recorder = getattr(chip, "recorder", None)
+    return {
+        "value": value,
+        "error": error,
+        "transcript": list(chip.link.transcript),
+        "registers": chip.registers.dump(),
+        "trace": recorder.trace().to_jsonl() if recorder is not None else None,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+class TestPlainObjectReadout:
+    @SETTINGS
+    @given(data=st.data(), layout=layouts())
+    def test_matches_oracle_with_flips(self, data, layout):
+        specs, counts = layout
+        flips = data.draw(flip_maps(specs))
+        traced = data.draw(st.booleans())
+        subject = _object_chip(specs, counts, None, 0, traced)
+        oracle = _object_chip(specs, counts, None, 0, traced)
+        got = _observe(subject, lambda: subject.read_counters_serial(flip_frames=flips))
+        want = _observe(oracle, lambda: _oracle_plain(oracle, flips))
+        assert got == want
+        if not flips:
+            assert got["value"] == [int(c) for c in counts]
+
+    @SETTINGS
+    @given(data=st.data(), layout=layouts(), faults=fault_schedules, seed=st.integers(0, 99))
+    def test_matches_oracle_under_an_attached_injector(self, data, layout, faults, seed):
+        specs, counts = layout
+        flips = data.draw(flip_maps(specs))
+        subject = _object_chip(specs, counts, faults, seed)
+        oracle = _object_chip(specs, counts, faults, seed)
+        got = _observe(subject, lambda: subject.read_counters_serial(flip_frames=flips))
+        want = _observe(oracle, lambda: _oracle_plain(oracle, flips))
+        assert got == want
+
+
+class TestVectorizedReadout:
+    @SETTINGS
+    @given(
+        layout=layouts(),
+        n_chips=st.integers(1, 3),
+        faults=st.none() | fault_schedules,
+        seed=st.integers(0, 99),
+    )
+    def test_matches_oracle(self, layout, n_chips, faults, seed):
+        specs, counts = layout
+        stack = np.stack([np.roll(counts, shift) for shift in range(n_chips)])
+        subject = _vectorized_chip(specs, stack, faults, seed)
+        oracle = _vectorized_chip(specs, stack, faults, seed)
+        got = _observe(subject, subject.read_counters_serial)
+        want = _observe(oracle, lambda: _oracle_vectorized(oracle))
+        if want["error"] is not None and want["error"][0] == "FrameError":
+            # The one deliberate difference: the vectorized read now names
+            # a failing response chunk the way the object read always has.
+            assert got["error"][2] == "absent" or isinstance(got["error"][2], int)
+            got["error"] = got["error"][:2] + ("absent",)
+        assert got == want
+
+
+class TestResilientReadout:
+    @SETTINGS
+    @given(
+        layout=layouts(),
+        faults=st.none() | fault_schedules,
+        seed=st.integers(0, 99),
+        policy=policies,
+        traced=st.booleans(),
+    )
+    def test_matches_oracle(self, layout, faults, seed, policy, traced):
+        specs, counts = layout
+        subject = _object_chip(specs, counts, faults, seed, traced)
+        oracle = _object_chip(specs, counts, faults, seed, traced)
+        got = _observe(subject, lambda: _resilient(subject, policy))
+        want = _observe(oracle, lambda: _oracle_resilient(oracle, policy))
+        assert got == want
+        assert isinstance(got["value"], ReadoutOutcome)
+
+    def test_every_fault_kind_fires_somewhere(self):
+        """The schedule strategy is not vacuous: a saturated schedule
+        exercises every injector hook through the controller."""
+        specs = ChipSpecs(rows=16, cols=12)
+        counts = np.arange(specs.sites, dtype=np.int64)
+        faults = (
+            SerialBitflipFault(rate=0.7, n_flips=1, direction="both"),
+            SequencerStallFault(rate=1.0),
+            RegisterCorruptFault(rate=0.5),
+            StuckPixelFault(rate=0.1, mode="full"),
+        )
+        subject = _object_chip(specs, counts, faults, 4)
+        oracle = _object_chip(specs, counts, faults, 4)
+        policy = ReadoutPolicy(max_retries=1)
+        got = _observe(subject, lambda: _resilient(subject, policy))
+        want = _observe(oracle, lambda: _oracle_resilient(oracle, policy))
+        assert got == want
+        outcome = got["value"]
+        assert outcome.frames_total == 3
+        assert outcome.retries and outcome.registers_corrupted and outcome.stall_s_total
+        fired = {
+            event.data["fault"] for event in subject.recorder.trace()
+            if event.kind == "fault.inject"
+        }
+        assert fired == {"serial_bitflip", "sequencer_stall", "register_corrupt", "stuck_pixel"}

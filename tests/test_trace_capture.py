@@ -29,7 +29,7 @@ def clean_replay():
 
 @pytest.fixture(scope="module")
 def corrupt_replay():
-    return replay_readout(SMALL_SPEC, seed=3, flip_bits=[42, 43])
+    return replay_readout(SMALL_SPEC, seed=3, flip_frames={0: [42, 43]})
 
 
 class TestReplayClean:
@@ -156,7 +156,12 @@ class TestReplaySpecs:
 
     def test_flip_out_of_range_propagates(self):
         with pytest.raises(IndexError):
-            replay_readout(SMALL_SPEC, seed=3, flip_bits=[10_000_000])
+            replay_readout(SMALL_SPEC, seed=3, flip_frames={0: [10_000_000]})
+
+    def test_flip_chunk_out_of_range_raises(self):
+        # The 16x8 chip shifts out in two chunks; chunk 7 does not exist.
+        with pytest.raises(ValueError, match="has 2 chunk"):
+            replay_readout(SMALL_SPEC, seed=0, flip_frames={7: [5, 9]})
 
 
 class TestResultAttachment:
