@@ -73,11 +73,8 @@ class ResultSet:
         """One plain-python dict per record — ready for csv.DictWriter,
         pandas, or a report table."""
         names = list(self.records)
-        columns = [self.records[name] for name in names]
-        return [
-            {name: _as_python(column[i]) for name, column in zip(names, columns)}
-            for i in range(self.n_records)
-        ]
+        columns = [_plain_column(self.records[name]) for name in names]
+        return [dict(zip(names, values)) for values in zip(*columns)]
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -86,10 +83,7 @@ class ResultSet:
             "seeds": self.seeds,
             "version": self.version,
             "record_name": self.record_name,
-            "records": {
-                name: [_as_python(value) for value in column]
-                for name, column in self.records.items()
-            },
+            "records": {name: _plain_column(column) for name, column in self.records.items()},
             # Column dtypes travel with the data: a bare np.asarray on
             # load would flip int columns carrying floats-as-json back
             # to float64 and string columns to '<U..' instead of object.
@@ -230,6 +224,14 @@ def _as_python(value: Any) -> Any:
     if isinstance(value, np.ndarray):
         return [_as_python(item) for item in value]
     return value
+
+
+def _plain_column(column: Any) -> list:
+    """``[_as_python(v) for v in column]``, in C for non-object arrays
+    (``tolist`` leaves NumPy scalars inside object arrays)."""
+    if isinstance(column, np.ndarray) and column.dtype != object:
+        return column.tolist()
+    return [_as_python(value) for value in column]
 
 
 def _dtype_token(column: np.ndarray) -> str:

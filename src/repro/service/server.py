@@ -20,7 +20,7 @@ POST   ``/jobs/<id>/cancel``      flag the job; it stops between points
 The submit body is ``{"campaign": <CampaignSpec dict>, "seed": 0,
 "executor": "serial", "workers": null, "backend": null,
 "flush_every": 1}`` — everything but ``campaign`` optional.  Responses
-are JSON with sorted keys, so identical analyses are byte-identical
+are one JSON line with sorted keys, so equal analyses are byte-identical
 (the CI smoke job diffs a cold submission's analysis against a warm
 re-submission's).
 
@@ -74,15 +74,23 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # Plumbing
     # ------------------------------------------------------------------
     def _send(self, payload: Any, status: int = 200) -> None:
-        body = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        # No indent: json takes its C encoder only when indent is None.
+        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        if not (header.isascii() and header.isdigit()):
+            # The body's end is unknown: answer, then drop the connection.
+            self.close_connection = True
+            raise _HttpError(400, f"invalid Content-Length: {header!r}")
+        length = int(header)
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -192,10 +200,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                     400,
                     f"unknown analysis {analysis!r}; one of {sorted(analysis_kinds())}",
                 )
-        report = job.result.analyze(analysis)
-        # Round-trip through to_json: the report's own serialization
-        # already normalises numpy scalars.
-        return {"id": job.id, "analysis": json.loads(report.to_json())}, 200
+        return {"id": job.id, "analysis": job.result.analyze(analysis).to_dict()}, 200
 
     def do_GET(self) -> None:  # noqa: N802 — http.server API
         self._dispatch("GET")

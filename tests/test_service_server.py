@@ -1,12 +1,25 @@
 """End-to-end HTTP service: submit, poll, results, analysis, errors."""
 
+import http.client
 import json
+import socket
+import sys
+import threading
+from pathlib import Path
+from urllib.parse import urlsplit
 
+import numpy as np
 import pytest
 
-from repro.campaigns import CampaignSpec
-from repro.experiments import DnaAssaySpec
-from repro.service import ServiceClient, ServiceError, start_server
+from repro import __version__
+from repro.campaigns import CampaignSpec, JsonlResultStore, PointOutcome
+from repro.experiments import DnaAssaySpec, ResultSet, Runner, spec_from_dict
+from repro.service import ResultCache, ServiceClient, ServiceError, start_server
+from repro.service.keys import point_key
+
+HERE = Path(__file__).resolve().parent
+FAULTED_SPEC = HERE.parent / "examples" / "specs" / "dna_assay_faulted.json"
+GOLDEN = HERE / "golden"
 
 BASE = DnaAssaySpec(probe_count=4, replicates=4, target_subset=(0, 1))
 CAMPAIGN = CampaignSpec(
@@ -181,3 +194,192 @@ def test_server_without_cache_reports_disabled(tmp_path):
         server.server_close()
         server.manager.shutdown()
         thread.join(timeout=10)
+
+
+# ---------------------------------------------------------------------------
+# Wire format: every body is one sort-keyed JSON line
+# ---------------------------------------------------------------------------
+def _raw(url, method, path, body=None):
+    """``(status, Content-Length header, body bytes)`` of one request."""
+    parts = urlsplit(url)
+    connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=30)
+    try:
+        data = None if body is None else json.dumps(body).encode("utf-8")
+        connection.request(method, path, body=data)
+        response = connection.getresponse()
+        return response.status, response.getheader("Content-Length"), response.read()
+    finally:
+        connection.close()
+
+
+def assert_one_sorted_line(length, body):
+    assert int(length) == len(body)
+    assert body.endswith(b"\n") and body.count(b"\n") == 1
+    assert body == (json.dumps(json.loads(body), sort_keys=True) + "\n").encode("utf-8")
+
+
+def _gated_server(tmp_path):
+    """A server whose job worker waits on a gate before each job, so a
+    job can be observed while it is still running."""
+    server, thread = start_server(port=0, cache=tmp_path / "cache")
+    gate = threading.Event()
+    execute = server.manager._execute
+
+    def gated(job):
+        gate.wait(30)
+        return execute(job)
+
+    server.manager._execute = gated
+    return server, thread, gate
+
+
+def test_every_endpoint_answers_one_sorted_json_line(tmp_path):
+    server, thread, gate = _gated_server(tmp_path)
+    url = server.url
+    try:
+        job = json.loads(_raw(url, "POST", "/jobs", {"campaign": CAMPAIGN.to_dict()})[2])
+        running = f"/jobs/{job['id']}"
+        # The worker holds the job at the gate: results conflict.
+        status, length, body = _raw(url, "GET", running + "/results")
+        assert status == 409
+        assert_one_sorted_line(length, body)
+        gate.set()
+        ServiceClient(url).wait(job["id"])
+        expected = {
+            ("GET", "/health"): 200,
+            ("GET", "/cache/stats"): 200,
+            ("GET", "/jobs"): 200,
+            ("GET", running): 200,
+            ("GET", running + "/results"): 200,
+            ("GET", running + "/analysis"): 200,
+            ("GET", running + "/analysis?analysis=bogus"): 400,
+            ("GET", "/jobs/job-9999"): 404,
+            ("GET", "/nope"): 404,
+            ("POST", "/jobs"): 400,
+        }
+        for (method, path), want in expected.items():
+            body_in = {"nope": 1} if method == "POST" else None
+            status, length, body = _raw(url, method, path, body_in)
+            assert status == want, (method, path, body)
+            assert_one_sorted_line(length, body)
+    finally:
+        gate.set()
+        server.shutdown()
+        server.server_close()
+        server.manager.shutdown()
+        thread.join(timeout=10)
+
+
+def _assert_same_result(loaded, computed):
+    assert loaded.kind == computed.kind
+    assert loaded.spec == computed.spec
+    assert loaded.seeds == computed.seeds
+    assert loaded.version == computed.version
+    assert loaded.record_name == computed.record_name
+    assert loaded.records.keys() == computed.records.keys()
+    for name, column in computed.records.items():
+        assert loaded.records[name].dtype == column.dtype, name
+        np.testing.assert_array_equal(loaded.records[name], column, err_msg=name)
+    assert loaded.metrics.keys() == computed.metrics.keys()
+    for name, value in computed.metrics.items():
+        np.testing.assert_equal(loaded.metrics[name], value, err_msg=name)
+
+
+def test_results_lines_rebuild_the_in_memory_results(tmp_path):
+    # No jobs root: the job keeps the computed ResultSets in memory.
+    faulted = CampaignSpec(
+        base=spec_from_dict(json.loads(FAULTED_SPEC.read_text(encoding="utf-8"))),
+        grid={"concentration": (1e-7, 1e-6)},
+        name="faulted-round-trip",
+    )
+    server, thread = start_server(port=0, cache=tmp_path / "cache")
+    try:
+        client = ServiceClient(server.url)
+        for _ in range(2):  # cold, then served from the cache
+            job = client.submit(faulted, seed=3)
+            assert client.wait(job["id"])["status"] == "done"
+            lines = client.results(job["id"])["results"]
+            computed = {
+                meta["point"]: result
+                for meta, result in server.manager.job(job["id"]).result.iter_results()
+            }
+            assert len(lines) == len(computed) == 2
+            for line in lines:
+                _assert_same_result(ResultSet.from_dict(line["result"]), computed[line["point"]])
+    finally:
+        server.shutdown()
+        server.server_close()
+        server.manager.shutdown()
+        thread.join(timeout=10)
+
+
+# ---------------------------------------------------------------------------
+# Malformed Content-Length
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("length", ["abc", "-1", "1.5"])
+def test_malformed_content_length_is_a_client_error(length):
+    server, thread = start_server(port=0)
+    try:
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(
+                f"POST /jobs HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode("ascii")
+            )
+            received = b""
+            while True:  # the server closes the connection after answering
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400", received
+        assert "Content-Length" in json.loads(body)["error"]
+        assert server.manager.jobs() == []
+    finally:
+        server.shutdown()
+        server.server_close()
+        server.manager.shutdown()
+        thread.join(timeout=10)
+
+
+# ---------------------------------------------------------------------------
+# Stored bytes: golden files of the faulted example spec at seed 3
+# ---------------------------------------------------------------------------
+def _faulted_store_bytes(tmp):
+    """The cache entry file and the ``results.jsonl`` line the faulted
+    example spec writes at seed 3 (point meta as the cached dispatch
+    writes it; a fixed wall time, so the line is reproducible)."""
+    spec = spec_from_dict(json.loads(FAULTED_SPEC.read_text(encoding="utf-8")))
+    point = CampaignSpec(base=spec, name="golden").compile(seed=3)[0]
+    result = Runner(seed=point.seed).run(point.spec)
+    cache = ResultCache(tmp / "cache")
+    key = point_key(point.spec.to_dict(), point.seed, None, __version__)
+    cache.put(
+        key,
+        result,
+        meta={"kind": point.spec.kind, "seed": point.seed, "spec_hash": point.spec.spec_hash()},
+    )
+    store = JsonlResultStore(tmp / "store")
+    store.add(PointOutcome(point=point, result=result, wall_s=0.25))
+    store.close()
+    return (
+        cache._entry_path(key).read_bytes(),
+        (tmp / "store" / JsonlResultStore.RESULTS_NAME).read_bytes(),
+    )
+
+
+def test_stored_bytes_match_the_golden_files(tmp_path):
+    entry, line = _faulted_store_bytes(tmp_path)
+    assert entry == (GOLDEN / "faulted_seed3_cache_entry.json").read_bytes()
+    assert line == (GOLDEN / "faulted_seed3_results.jsonl").read_bytes()
+
+
+if __name__ == "__main__":
+    # Regenerate the golden files (only when the stored format or the
+    # library version changes on purpose):
+    #     PYTHONPATH=src python tests/test_service_server.py <scratch dir>
+    entry, line = _faulted_store_bytes(Path(sys.argv[1]))
+    GOLDEN.mkdir(exist_ok=True)
+    (GOLDEN / "faulted_seed3_cache_entry.json").write_bytes(entry)
+    (GOLDEN / "faulted_seed3_results.jsonl").write_bytes(line)
