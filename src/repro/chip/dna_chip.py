@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.process import C5_PROCESS, ProcessSpec
-from ..core.rng import RngLike, ensure_rng, spawn_children
+from ..core.rng import RngLike, ensure_rng
 from ..devices.bandgap import BandgapReference
 from ..devices.current_mirror import ReferenceCurrentFanout
 from ..devices.dac import ResistorStringDac
 from ..dna.assay import AssayResult
-from ..pixel.pixel import DnaSensorPixel, PixelVariation
+from ..pixel.pixel import DnaSensorPixel, draw_variations
 from .registers import RegisterFile, dna_chip_registers
 from .sequencer import SiteSequence
 from .serial_interface import Command, Frame, SerialLink
@@ -106,13 +106,9 @@ class DnaMicroarrayChip:
         # digital path: register traffic, serial frames, sample slots.
         self.recorder = recorder
         generator = ensure_rng(rng)
-        pixel_rngs = spawn_children(generator, self.specs.sites)
         self.pixels: list[DnaSensorPixel] = [
-            DnaSensorPixel(
-                PixelVariation.draw(pixel_rng),
-                counter_bits=self.specs.counter_bits,
-            )
-            for pixel_rng in pixel_rngs
+            DnaSensorPixel(variation, counter_bits=self.specs.counter_bits)
+            for variation in draw_variations(generator, self.specs.sites)
         ]
         self.bandgap = BandgapReference.sample(generator)
         self.generator_dac = ResistorStringDac.sample(generator, bits=8, v_low=0.0, v_high=2.0)
@@ -183,11 +179,14 @@ class DnaMicroarrayChip:
         if self.recorder is not None:
             self.recorder.seq_state("calibrate", detail=f"reference frame {frame_s} s")
         generator = ensure_rng(rng)
-        branch_currents = self.reference_tree.branch_currents() / 100.0
-        corrections = np.empty(self.specs.sites)
-        for index, pixel in enumerate(self.pixels):
-            i_ref = float(branch_currents[index % len(branch_currents)])
-            corrections[index] = pixel.calibrate(i_ref, frame_s, rng=generator)
+        branch_currents = (self.reference_tree.branch_currents() / 100.0).tolist()
+        branches = len(branch_currents)
+        corrections = np.array(
+            [
+                pixel.calibrate(branch_currents[index % branches], frame_s, rng=generator)
+                for index, pixel in enumerate(self.pixels)
+            ]
+        )
         self._write_register("calibration_enable", 1)
         if self.recorder is not None:
             self.recorder.advance(frame_s)  # the calibration counting frame
@@ -210,16 +209,16 @@ class DnaMicroarrayChip:
         if self.recorder is not None:
             self.recorder.seq_state("measure", detail=f"assay frame {frame_s} s")
         generator = ensure_rng(rng)
-        counts = np.zeros((self.specs.rows, self.specs.cols), dtype=int)
+        counts = [0] * self.specs.sites
         for site in assay.sites:
-            pixel = self.pixel_at(site.row, site.col)
-            counts[site.row, site.col] = pixel.measure_concentration(
+            index = self._site_index(site.row, site.col)
+            counts[index] = self.pixels[index].measure_concentration(
                 site.surface_concentration, frame_s, rng=generator
             )
-        self._last_counts = counts.reshape(-1).astype(np.int64)
+        self._last_counts = np.array(counts, dtype=np.int64)
         if self.recorder is not None:
             self.recorder.advance(frame_s)  # the counting frame
-        return counts
+        return self._last_counts.reshape(self.specs.rows, self.specs.cols).copy()
 
     def measure_currents(
         self, currents: np.ndarray, frame_s: float = 1.0, rng: RngLike = None

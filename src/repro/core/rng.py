@@ -9,7 +9,7 @@ reproducible and lets tests pin seeds without monkeypatching globals.
 from __future__ import annotations
 
 import hashlib
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -55,6 +55,104 @@ def spawn_children(rng: RngLike, count: int) -> list[np.random.Generator]:
     # Generator(PCG64(seed)) is what default_rng(seed) builds, without
     # its per-call dispatch.
     return [np.random.Generator(np.random.PCG64(int(seed))) for seed in seeds]
+
+
+# NumPy's SeedSequence mixing constants (numpy/random/bit_generator.pyx)
+# and PCG64's 128-bit LCG multiplier.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> list[tuple[np.uint32, np.uint32]]:
+    """(xor, multiply) pair of each successive hash call: every call
+    xors with the running constant, advances it, then multiplies."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return [(np.uint32(a), np.uint32(b)) for a, b in zip(consts, consts[1:])]
+
+
+# A seed below 2**63 is at most two entropy words, within the pool of
+# four, so mix_entropy makes 4 + 4*3 hashmix calls; generate_state(4,
+# uint64) hashes 8 words.
+_HASHMIX = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
+_GENERATE = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+
+
+def _hashmix(value: np.ndarray, call: int) -> np.ndarray:
+    xor, mult = _HASHMIX[call]
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``PCG64(int(seed))`` for every seed at once.
+
+    NumPy's ``SeedSequence(seed)`` hash with pool size 4, evaluated in
+    uint32 lanes (a seed below 2**32 has one entropy word; the missing
+    word hashes as zero either way), then PCG64's ``set_seed``:
+    ``inc = seq << 1 | 1`` and two LCG steps from a zero state.
+    """
+    seeds = seeds.astype(np.uint64)
+    low = (seeds & np.uint64(_MASK32)).astype(np.uint32)
+    high = (seeds >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros_like(low)
+    pool = [_hashmix(word, call) for call, word in enumerate((low, high, zero, zero))]
+    call = len(pool)
+    for src in range(len(pool)):
+        for dst in range(len(pool)):
+            if src != dst:
+                hashed = _hashmix(pool[src], call)
+                call += 1
+                mixed = _MIX_L * pool[dst] - _MIX_R * hashed
+                pool[dst] = mixed ^ (mixed >> 16)
+    words = []
+    for index, (xor, mult) in enumerate(_GENERATE):
+        value = (pool[index % len(pool)] ^ xor) * mult
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    # generate_state(4, uint64) views the 8 words as little-endian pairs.
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        (words[2 * k] | (words[2 * k + 1] << np.uint64(32))).tolist() for k in range(4)
+    )
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        start = (inc + (s_hi << 64 | s_lo)) & _MASK128
+        states.append(((start * _PCG64_MULTIPLIER + inc) & _MASK128, inc))
+    return states
+
+
+def child_streams(rng: RngLike, count: int) -> Iterator[np.random.Generator]:
+    """The children of ``spawn_children(rng, count)``, one at a time.
+
+    Consumes the parent exactly as :func:`spawn_children` does and
+    yields one reused generator, re-seeded in turn to each child's
+    state: a yielded generator is valid only until the next one is
+    requested.  The seeding runs as one vectorized pass, so callers that
+    draw from each child in turn (a chip's pixels) skip building
+    ``count`` ``PCG64`` objects.
+    """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    parent = ensure_rng(rng)
+    states = _pcg64_states(parent.integers(0, 2**63 - 1, size=count))
+    return _reseeded(states)
+
+
+def _reseeded(states: list[tuple[int, int]]) -> Iterator[np.random.Generator]:
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for state, inc in states:
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield generator
 
 
 def stable_entropy(*parts: object) -> tuple[int, ...]:

@@ -8,11 +8,11 @@ the array-scale replacement for a list of
 Two draw modes:
 
 * ``"paired"`` — replicates the object chip's RNG consumption exactly:
-  spawn one child stream per site (``core.rng.spawn_children``), then
-  draw each site's :class:`PixelVariation` from its child.  A
-  :class:`~repro.chip.dna_chip.DnaMicroarrayChip` built from the same
-  generator gets *bit-identical* pixel parameters — the foundation of
-  the backend parity tests.
+  one child stream per site, each site's ``PixelVariation`` drawn from
+  its child (``pixel.pixel.draw_variations``, the object chip's own
+  draw).  A :class:`~repro.chip.dna_chip.DnaMicroarrayChip` built from
+  the same generator gets *bit-identical* pixel parameters — the
+  foundation of the backend parity tests.
 * ``"fast"`` — draws whole-array vectors straight from the generator
   (three draws total instead of three per site).  Statistically
   identical spread, different realisation; the default for
@@ -25,9 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..core.rng import RngLike, ensure_rng, spawn_children
+from ..core.rng import RngLike, ensure_rng
 from ..core.units import fF, ns
-from ..pixel.pixel import PixelVariation
+from ..pixel.pixel import draw_variations
 
 DRAW_MODES = ("paired", "fast")
 
@@ -158,19 +158,16 @@ class PixelArrayParams:
         generator = ensure_rng(rng)
         sites = rows * cols
         if mode == "paired":
-            offsets = np.empty(sites)
-            cint_rel = np.empty(sites)
-            leakage = np.empty(sites)
-            for index, child in enumerate(spawn_children(generator, sites)):
-                variation = PixelVariation.draw(
-                    child,
-                    sigma_offset_v=sigma_offset_v,
-                    sigma_cint_rel=sigma_cint_rel,
-                    leakage_mean_a=leakage_mean_a,
-                )
-                offsets[index] = variation.comparator_offset_v
-                cint_rel[index] = variation.cint_relative_error
-                leakage[index] = variation.leakage_a
+            variations = draw_variations(
+                generator,
+                sites,
+                sigma_offset_v=sigma_offset_v,
+                sigma_cint_rel=sigma_cint_rel,
+                leakage_mean_a=leakage_mean_a,
+            )
+            offsets = np.array([v.comparator_offset_v for v in variations])
+            cint_rel = np.array([v.cint_relative_error for v in variations])
+            leakage = np.array([v.leakage_a for v in variations])
         else:
             offsets = generator.normal(0.0, sigma_offset_v, size=sites)
             cint_rel = generator.normal(0.0, sigma_cint_rel, size=sites)

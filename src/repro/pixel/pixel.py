@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.rng import RngLike, ensure_rng
+from ..core.rng import RngLike, child_streams, ensure_rng
 from ..core.units import fF, ns
 from ..devices.capacitor import Capacitor
 from ..devices.comparator import Comparator
@@ -50,6 +50,27 @@ class PixelVariation:
             cint_relative_error=float(generator.normal(0.0, sigma_cint_rel)),
             leakage_a=float(abs(generator.normal(leakage_mean_a, 0.5 * leakage_mean_a))),
         )
+
+
+def draw_variations(
+    rng: RngLike,
+    count: int,
+    sigma_offset_v: float = 0.008,
+    sigma_cint_rel: float = 0.015,
+    leakage_mean_a: float = 2.0e-15,
+) -> list[PixelVariation]:
+    """The paired per-pixel draw: pixel *k*'s variation comes from child
+    stream *k* of ``rng`` (:func:`~repro.core.rng.child_streams`), so
+    one pixel's draws never shift its neighbours'."""
+    return [
+        PixelVariation.draw(
+            child,
+            sigma_offset_v=sigma_offset_v,
+            sigma_cint_rel=sigma_cint_rel,
+            leakage_mean_a=leakage_mean_a,
+        )
+        for child in child_streams(rng, count)
+    ]
 
 
 class DnaSensorPixel:

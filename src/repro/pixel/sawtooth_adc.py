@@ -152,23 +152,33 @@ class SawtoothAdc:
         """
         if frame_s <= 0:
             raise ValueError("frame must be positive")
+        if i_sensor != i_sensor:
+            raise ValueError("sensor current is NaN")
+        if start_phase is not None and not 0.0 <= start_phase <= 1.0:
+            raise ValueError("start_phase must lie in [0, 1]")
         generator = ensure_rng(rng)
+        # ramp_time and dead_time, read straight off the parts.
+        comparator = self.comparator
+        v_reset = self.v_reset
+        swing_v = comparator.threshold_v + comparator.offset_v - v_reset
+        net = i_sensor - self.leakage_a
+        if net <= 0:
+            return 0  # at or below the leakage floor: the pixel never fires
+        charge_time = self.cint.charge_time
         try:
-            base_ramp = self.ramp_time(i_sensor)
+            base_ramp = charge_time(net, swing_v, start_v=v_reset)
         except ValueError:
             return 0
-        dead = self.dead_time()
-        noise_sigma = self.comparator.noise_rms_v
+        dead = comparator.delay_s + self.tau_delay_s
+        noise_sigma = comparator.noise_rms_v
         if start_phase is None:
-            start_phase = float(generator.uniform(0.0, 1.0))
-        elif not 0.0 <= start_phase <= 1.0:
-            raise ValueError("start_phase must lie in [0, 1]")
+            # The same draw and state as uniform(0.0, 1.0), without its dispatch.
+            start_phase = generator.random()
         period = base_ramp + dead
         # Fast path: noiseless comparator -> closed-form count.
         if noise_sigma == 0:
             return int((frame_s / period) + start_phase) if period > 0 else 0
         expected = frame_s / period
-        swing_v = self.swing_v
         if expected > 2000.0:
             # Gaussian limit of the per-cycle jitter: each cycle's ramp
             # varies by sigma_T = ramp * (sigma_V / swing); the frame
@@ -182,12 +192,9 @@ class SawtoothAdc:
         # one scalar draw per cycle from the shared stream.
         elapsed = -start_phase * period
         count = 0
-        net = self.net_current(i_sensor)
         max_cycles = int(frame_s / period) + 16
         swing_floor = 0.05 * swing_v
         normal = generator.normal
-        charge_time = self.cint.charge_time
-        v_reset = self.v_reset
         for _ in range(max_cycles):
             swing = swing_v + float(normal(0.0, noise_sigma))
             swing = max(swing, swing_floor)

@@ -22,7 +22,9 @@ The submit body is ``{"campaign": <CampaignSpec dict>, "seed": 0,
 "flush_every": 1}`` — everything but ``campaign`` optional.  Responses
 are one JSON line with sorted keys, so equal analyses are byte-identical
 (the CI smoke job diffs a cold submission's analysis against a warm
-re-submission's).
+re-submission's).  A request body may be at most
+:data:`MAX_BODY_BYTES`; a larger ``Content-Length`` is answered with
+413 and the connection is closed.
 
 Single-writer discipline is the cache's, not the server's: concurrent
 submissions of overlapping grids are the *intended* workload — each
@@ -43,6 +45,11 @@ from .jobs import Job, JobManager
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8750
+
+#: Largest request body the server reads (1 MiB; a campaign spec is a
+#: few hundred bytes).  A larger declared ``Content-Length`` gets a 413
+#: before any of the body is read.
+MAX_BODY_BYTES = 1 << 20
 
 #: Submit-body keys forwarded to :meth:`JobManager.submit` verbatim.
 _SUBMIT_OPTIONS = ("seed", "executor", "workers", "backend", "flush_every", "overwrite")
@@ -91,6 +98,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise _HttpError(400, f"invalid Content-Length: {header!r}")
         length = int(header)
+        if length > MAX_BODY_BYTES:
+            # Unread body: answer, then drop the connection.
+            self.close_connection = True
+            raise _HttpError(
+                413, f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}

@@ -65,6 +65,12 @@ class TestCalibrationAndMeasurement:
         with pytest.raises(ValueError):
             dna_chip.measure_currents(np.zeros((4, 4)))
 
+    def test_nan_site_current_is_rejected(self):
+        currents = np.full((16, 8), 1e-9)
+        currents[3, 5] = np.nan
+        with pytest.raises(ValueError, match="sensor current is NaN"):
+            DnaMicroarrayChip(rng=1).measure_currents(currents, frame_s=0.1, rng=2)
+
     def test_count_matrix_monotone_in_current(self):
         chip = DnaMicroarrayChip(rng=22)
         chip.configure_bias(0.45, -0.25)

@@ -115,6 +115,29 @@ class TestCounting:
         with pytest.raises(ValueError):
             adc.count_in_frame(1e-9, 1.0, start_phase=2.0)
 
+    @pytest.mark.parametrize("noise_rms_v", [0.0, 0.002])
+    def test_nan_current_is_rejected_before_any_draw(self, noise_rms_v):
+        # It used to fail in int(frame / period) when noisy and count 0
+        # when noiseless.
+        adc = SawtoothAdc(comparator=Comparator(threshold_v=1.0, noise_rms_v=noise_rms_v))
+        generator = np.random.default_rng(3)
+        state = generator.bit_generator.state
+        with pytest.raises(ValueError, match="sensor current is NaN"):
+            adc.count_in_frame(float("nan"), 1.0, rng=generator)
+        assert generator.bit_generator.state == state
+
+    @pytest.mark.parametrize("phase", [5.0, -0.1, float("nan")])
+    def test_out_of_range_phase_is_rejected_below_the_floor_too(self, phase):
+        # Below the leakage floor a bad phase used to count 0 silently.
+        adc = SawtoothAdc(leakage_a=5e-12)
+        with pytest.raises(ValueError, match="start_phase"):
+            adc.count_in_frame(1e-12, 1.0, start_phase=phase)
+
+    def test_infinite_current_counts_at_the_dead_time_limit(self, adc):
+        frame = 1e-3
+        count = adc.count_in_frame(float("inf"), frame, rng=0, start_phase=0.0)
+        assert count == int(frame / adc.dead_time())
+
     def test_measured_frequency(self, adc):
         f = adc.measured_frequency(1e-9, 1.0, rng=1)
         assert f == pytest.approx(adc.frequency(1e-9), rel=0.01)

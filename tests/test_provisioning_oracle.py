@@ -2,11 +2,14 @@
 
 The oracles below are verbatim copies of the earlier ``Mosfet.ids``
 (every derived parameter recomputed per call), ``CurrentMirror.transfer``
-(with its discarded 100-step ``vgs_for_current`` solve) and
-``SawtoothAdc.count_in_frame`` (loop invariants re-read per cycle).  The
-library versions must return ``==`` results and leave a shared generator
-in the same state, so the chip's output bits cannot drift.  The work
-counts pin how many ``Mosfet.ids`` evaluations provisioning costs.
+(with its discarded 100-step ``vgs_for_current`` solve),
+``SawtoothAdc.count_in_frame`` (loop invariants re-read per cycle) and the
+chip's per-pixel loops (one ``PCG64`` built per pixel stream, 2-D count
+item writes).  The library versions must return ``==`` results and leave
+a shared generator in the same state, so the chip's output bits cannot
+drift.  ``child_streams`` is checked against ``spawn_children``, which
+NumPy seeds itself.  The work counts pin how many ``Mosfet.ids``
+evaluations provisioning costs.
 """
 
 import dataclasses
@@ -17,15 +20,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chip import DnaMicroarrayChip
+from repro.chip import ChipSpecs, DnaMicroarrayChip, dna_chip
 from repro.core.mismatch import MismatchSample
 from repro.core.process import C5_PROCESS
-from repro.core.rng import ensure_rng, spawn_children
+from repro.core.rng import _pcg64_states, child_streams, ensure_rng, spawn_children
 from repro.core.units import thermal_voltage
 from repro.devices.capacitor import Capacitor
 from repro.devices.comparator import Comparator
 from repro.devices.current_mirror import CurrentMirror, ReferenceCurrentFanout
 from repro.devices.mosfet import Mosfet
+from repro.dna import MicroarrayAssay, ProbeLayout, Sample
+from repro.engine import VectorizedDnaChip
+from repro.engine.params import PixelArrayParams
+from repro.pixel.pixel import PixelVariation, draw_variations
 from repro.pixel.sawtooth_adc import SawtoothAdc
 
 
@@ -145,6 +152,43 @@ def oracle_count_in_frame(adc, i_sensor, frame_s, rng=None, start_phase=None):
             break
         count += 1
     return count
+
+
+def oracle_draw_variations(rng, count):
+    return [PixelVariation.draw(child) for child in spawn_children(rng, count)]
+
+
+def oracle_paired_planes(rng, sites):
+    offsets, cint_rel, leakage = np.empty(sites), np.empty(sites), np.empty(sites)
+    for index, child in enumerate(spawn_children(ensure_rng(rng), sites)):
+        variation = PixelVariation.draw(child)
+        offsets[index] = variation.comparator_offset_v
+        cint_rel[index] = variation.cint_relative_error
+        leakage[index] = variation.leakage_a
+    return offsets, cint_rel, leakage
+
+
+def oracle_auto_calibrate(chip, frame_s, rng):
+    generator = ensure_rng(rng)
+    branch_currents = chip.reference_tree.branch_currents() / 100.0
+    corrections = np.empty(chip.specs.sites)
+    for index, pixel in enumerate(chip.pixels):
+        i_ref = float(branch_currents[index % len(branch_currents)])
+        corrections[index] = pixel.calibrate(i_ref, frame_s, rng=generator)
+    chip._write_register("calibration_enable", 1)
+    return corrections
+
+
+def oracle_measure_assay(chip, assay, frame_s, rng):
+    generator = ensure_rng(rng)
+    counts = np.zeros((chip.specs.rows, chip.specs.cols), dtype=int)
+    for site in assay.sites:
+        pixel = chip.pixel_at(site.row, site.col)
+        counts[site.row, site.col] = pixel.measure_concentration(
+            site.surface_concentration, frame_s, rng=generator
+        )
+    chip._last_counts = counts.reshape(-1).astype(np.int64)
+    return counts
 
 
 # ----------------------------------------------------------------------
@@ -305,6 +349,126 @@ def test_spawn_children_matches_default_rng_streams():
     seeds = np.random.default_rng(42).integers(0, 2**63 - 1, size=16)
     for child, seed in zip(children, seeds):
         assert child.random(4).tolist() == np.random.default_rng(int(seed)).random(4).tolist()
+
+
+# ----------------------------------------------------------------------
+# Child streams and the chip's pixel loops
+# ----------------------------------------------------------------------
+class TestChildStreams:
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        count=st.sampled_from([0, 1, 2, 128, 1000]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_spawn_children(self, seed, count):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        streams = child_streams(ours, count)
+        children = spawn_children(theirs, count)
+        # The parent is consumed at the call, before any child is used.
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        seen = 0
+        for index, (stream, child) in enumerate(zip(streams, children)):
+            assert stream.bit_generator.state == child.bit_generator.state
+            # Uneven draws per child: each one must still start fresh.
+            size = index % 4
+            assert stream.random(size).tolist() == child.random(size).tolist()
+            assert stream.normal() == child.normal()
+            seen += 1
+        assert seen == count
+        assert next(streams, None) is None
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 2])
+    def test_seeding_hash_matches_pcg64(self, seed):
+        # A seed below 2**32 has a one-word entropy array in NumPy.
+        state = np.random.PCG64(seed).state["state"]
+        assert _pcg64_states(np.array([seed], dtype=np.int64)) == [
+            (state["state"], state["inc"])
+        ]
+
+    def test_negative_count_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            child_streams(0, -1)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_draw_variations_match_spawned_children(self, seed):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert draw_variations(ours, 128) == oracle_draw_variations(theirs, 128)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def _variations(chip):
+    return [pixel.variation for pixel in chip.pixels]
+
+
+def _oracle_chip(monkeypatch, specs, rng):
+    with monkeypatch.context() as patch:
+        patch.setattr(dna_chip, "draw_variations", oracle_draw_variations)
+        return DnaMicroarrayChip(specs, rng=rng)
+
+
+def _assay(specs, seed):
+    layout = ProbeLayout.random_panel(4, rows=specs.rows, cols=specs.cols, rng=seed)
+    return MicroarrayAssay(layout).run(Sample.for_probes(layout.probes(), 1e-6))
+
+
+class TestChipLoopsOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shape", [(16, 8), (3, 5)])
+    def test_object_chip_matches_frozen_loops(self, monkeypatch, seed, shape):
+        specs = ChipSpecs(rows=shape[0], cols=shape[1])
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        chip = DnaMicroarrayChip(specs, rng=ours)
+        oracle = _oracle_chip(monkeypatch, specs, theirs)
+        assert _variations(chip) == _variations(oracle)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+        calibration = [np.random.default_rng(seed + 10) for _ in range(2)]
+        corrections = chip.auto_calibrate(rng=calibration[0])
+        expected = oracle_auto_calibrate(oracle, 0.05, calibration[1])
+        assert corrections.dtype == expected.dtype
+        assert corrections.tolist() == expected.tolist()
+        assert [p.gain_correction for p in chip.pixels] == [
+            p.gain_correction for p in oracle.pixels
+        ]
+        assert calibration[0].bit_generator.state == calibration[1].bit_generator.state
+
+        assay = _assay(specs, seed)
+        measure = [np.random.default_rng(seed + 20) for _ in range(2)]
+        counts = chip.measure_assay(assay, rng=measure[0])
+        expected = oracle_measure_assay(oracle, assay, 1.0, measure[1])
+        assert counts.dtype == expected.dtype and counts.shape == expected.shape
+        assert counts.tolist() == expected.tolist()
+        assert chip._last_counts.dtype == oracle._last_counts.dtype
+        assert chip._last_counts.tolist() == oracle._last_counts.tolist()
+        assert measure[0].bit_generator.state == measure[1].bit_generator.state
+        # The returned matrix is the caller's: writing it leaves the
+        # counts the serial readout shifts out alone.
+        counts[0, 0] += 1
+        assert chip._last_counts.tolist() == oracle._last_counts.tolist()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_paired_planes_match_frozen_loop(self, seed):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        params = PixelArrayParams.draw(16, 8, rng=ours, mode="paired")
+        offsets, cint_rel, leakage = oracle_paired_planes(theirs, 128)
+        assert params.comparator_offset_v.ravel().tolist() == offsets.tolist()
+        assert params.cint_relative_error.ravel().tolist() == cint_rel.tolist()
+        assert params.leakage_a.ravel().tolist() == leakage.tolist()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_vectorized_paired_chip_matches_frozen_object_chip(self, monkeypatch, seed):
+        specs = ChipSpecs()
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        chip = VectorizedDnaChip(specs, rng=ours, mismatch="paired")
+        oracle = _oracle_chip(monkeypatch, specs, theirs)
+        variations = _variations(oracle)
+        assert chip.params.comparator_offset_v.ravel().tolist() == [
+            v.comparator_offset_v for v in variations
+        ]
+        assert chip.params.leakage_a.ravel().tolist() == [v.leakage_a for v in variations]
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 # ----------------------------------------------------------------------

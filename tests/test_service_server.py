@@ -16,6 +16,7 @@ from repro.campaigns import CampaignSpec, JsonlResultStore, PointOutcome
 from repro.experiments import DnaAssaySpec, ResultSet, Runner, spec_from_dict
 from repro.service import ResultCache, ServiceClient, ServiceError, start_server
 from repro.service.keys import point_key
+from repro.service.server import MAX_BODY_BYTES
 
 HERE = Path(__file__).resolve().parent
 FAULTED_SPEC = HERE.parent / "examples" / "specs" / "dna_assay_faulted.json"
@@ -314,26 +315,37 @@ def test_results_lines_rebuild_the_in_memory_results(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Malformed Content-Length
+# Malformed and oversized Content-Length
 # ---------------------------------------------------------------------------
+def _post_raw(server, length, body=b"", close=False):
+    """Send ``POST /jobs`` with a literal ``Content-Length`` header over a
+    raw socket; return ``(status, head lines, body)`` once the server
+    closes the connection (a hung handler times the socket out).
+    ``close`` asks the server to close after answering."""
+    host, port = server.server_address[:2]
+    connection = "Connection: close\r\n" if close else ""
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(
+            f"POST /jobs HTTP/1.1\r\nHost: {host}\r\n{connection}"
+            f"Content-Length: {length}\r\n\r\n".encode("ascii") + body
+        )
+        received = b""
+        while True:  # the server closes the connection after answering
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            received += chunk
+    head, _, body = received.partition(b"\r\n\r\n")
+    lines = head.split(b"\r\n")
+    return int(lines[0].split()[1]), lines[1:], body
+
+
 @pytest.mark.parametrize("length", ["abc", "-1", "1.5"])
 def test_malformed_content_length_is_a_client_error(length):
     server, thread = start_server(port=0)
     try:
-        host, port = server.server_address[:2]
-        with socket.create_connection((host, port), timeout=5) as sock:
-            sock.sendall(
-                f"POST /jobs HTTP/1.1\r\nHost: {host}\r\n"
-                f"Content-Length: {length}\r\n\r\n".encode("ascii")
-            )
-            received = b""
-            while True:  # the server closes the connection after answering
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                received += chunk
-        head, _, body = received.partition(b"\r\n\r\n")
-        assert head.split(b"\r\n")[0].split()[1] == b"400", received
+        status, _, body = _post_raw(server, length)
+        assert status == 400, body
         assert "Content-Length" in json.loads(body)["error"]
         assert server.manager.jobs() == []
     finally:
@@ -383,3 +395,42 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     (GOLDEN / "faulted_seed3_cache_entry.json").write_bytes(entry)
     (GOLDEN / "faulted_seed3_results.jsonl").write_bytes(line)
+
+
+@pytest.mark.parametrize(
+    "length, body",
+    [
+        (1_000_000_000_000, b""),  # was a 500 MemoryError
+        (50_000_000, b"{}"),  # was a handler blocked on the missing bytes
+        (MAX_BODY_BYTES + 1, b""),
+    ],
+)
+def test_oversized_content_length_is_refused_unread(length, body):
+    server, thread = start_server(port=0)
+    try:
+        status, headers, answer = _post_raw(server, length, body)
+        assert status == 413, answer
+        assert b"Connection: close" in headers
+        assert f"{MAX_BODY_BYTES}-byte limit" in json.loads(answer)["error"]
+        assert server.manager.jobs() == []
+    finally:
+        server.shutdown()
+        server.server_close()
+        server.manager.shutdown()
+        thread.join(timeout=10)
+
+
+def test_a_body_of_exactly_the_cap_is_read():
+    server, thread = start_server(port=0)
+    try:
+        payload = b'{"nope": 1}'
+        padded = payload + b" " * (MAX_BODY_BYTES - len(payload))
+        status, _, answer = _post_raw(server, len(padded), padded, close=True)
+        # Read and parsed: refused for its content, not its size.
+        assert status == 400, answer
+        assert "limit" not in json.loads(answer)["error"]
+    finally:
+        server.shutdown()
+        server.server_close()
+        server.manager.shutdown()
+        thread.join(timeout=10)
