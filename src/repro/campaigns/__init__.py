@@ -45,6 +45,7 @@ or, from the shell::
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Union
@@ -112,16 +113,18 @@ __all__ = [
 
 @dataclass
 class PreparedCampaign:
-    """A campaign that passed setup: compiled plan, resolved executor,
-    backend and cache.  :meth:`execute` is the one driver loop behind
+    """A campaign that passed setup: compiled plan, resolved executor
+    and cache.  :meth:`execute` is the one driver loop behind
     :func:`run_campaign`, the job service and resume."""
 
     campaign: CampaignSpec
     plan: Plan
     seed: int
     executor: Executor
+    #: The campaign-level backend choice (``None``: each spec's own), as
+    #: recorded in the manifest and sidecar; every plan point already
+    #: carries the backend it resolved to.
     backend: Optional[str]
-    inputs: Optional[dict[str, Any]] = None
     cache: Optional["ResultCache"] = None
     #: The cache-aware dispatch of the current execution (``None``
     #: without a cache); its ``summary()`` is the manifest's cache block.
@@ -155,18 +158,11 @@ class PreparedCampaign:
             from ..service.cache import CachedDispatch
 
             self.dispatch = CachedDispatch(
-                todo,
-                self.executor,
-                self.cache,
-                backend=self.backend,
-                inputs=self.inputs,
-                capture_errors=capture_errors,
+                todo, self.executor, self.cache, capture_errors=capture_errors
             )
             outcomes = self.dispatch.outcomes()
         else:
-            outcomes = self.executor.run(
-                todo, backend=self.backend, inputs=self.inputs, capture_errors=capture_errors
-            )
+            outcomes = self.executor.run(todo, capture_errors=capture_errors)
         provenance = {
             "name": self.campaign.name,
             "campaign": self.campaign.to_dict(),
@@ -216,39 +212,35 @@ def prepare_campaign(
     executor: Union[str, Executor] = "serial",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    inputs: Optional[dict[str, Any]] = None,
     cache: Any = None,
     store: Union[None, str, ResultStore] = None,
     out: Any = None,
     flush_every: int = 1,
 ) -> PreparedCampaign:
-    """The one setup step: coerce and compile the campaign, resolve the
-    executor, backend and cache, and check the store arguments.  Every
-    argument error fires here, before any store touches the filesystem
-    — an ``overwrite=True`` run must not destroy an old campaign and
-    then die on a bad argument."""
-    from ..experiments.workloads import validate_backend
-    from ..service.cache import make_cache, reject_inputs_with_cache
+    """The one setup step: coerce and compile the campaign (every
+    point's backend resolved and validated there), resolve the executor
+    and cache, and check the seed and store arguments.  Every argument
+    error fires here, before any store touches the filesystem — an
+    ``overwrite=True`` run must not destroy an old campaign and then
+    die on a bad argument."""
+    from ..service.cache import make_cache
 
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"campaign seed must be an integer, got {seed!r}")
     if not isinstance(campaign, CampaignSpec):
         campaign = CampaignSpec.from_dict(campaign)
-    resolved_backend = backend if backend is not None else campaign.backend
-    plan = campaign.compile(seed)
+    if backend is None:
+        backend = campaign.backend
+    plan = campaign.compile(seed, backend=backend)
     chosen = make_executor(executor, workers=workers)
-    chosen.check_inputs(inputs)
-    for kind in plan.kinds():
-        validate_backend(kind, resolved_backend)
     result_cache = make_cache(cache)
-    if result_cache is not None:
-        reject_inputs_with_cache(inputs)
     check_store(store, out, flush_every)
     return PreparedCampaign(
         campaign=campaign,
         plan=plan,
         seed=int(seed),
         executor=chosen,
-        backend=resolved_backend,
-        inputs=inputs,
+        backend=backend,
         cache=result_cache,
     )
 
@@ -264,7 +256,6 @@ def run_campaign(
     overwrite: bool = False,
     flush_every: int = 1,
     backend: Optional[str] = None,
-    inputs: Optional[dict[str, Any]] = None,
     cache: Any = None,
 ) -> CampaignResult:
     """Compile ``campaign``, stream it through an executor into a store,
@@ -280,8 +271,9 @@ def run_campaign(
     overhead in large campaigns; buffered lines always land by
     ``finalize``).  ``backend`` overrides the campaign's own
     ``backend`` field (and ``None`` defers to it, then to each spec's
-    default).  Results are bit-identical across executors and worker
-    counts; only wall times and completion order differ.
+    default; see :meth:`CampaignSpec.compile`).  Results are
+    bit-identical across executors and worker counts; only wall times
+    and completion order differ.
 
     ``cache`` enables content-addressed result caching (CLI:
     ``--cache-dir``): a directory path or a
@@ -291,10 +283,7 @@ def run_campaign(
     are computed once, and every computed point is cached for later
     campaigns; the manifest gains a ``cache`` accounting block.  Cached
     replay is bit-identical to recomputation (the reproduction
-    invariant), so enabling a cache never changes numbers.  Because
-    injected ``inputs`` substrates would break exactly that invariant
-    (they alter results without altering the content key), combining
-    ``cache`` with non-empty ``inputs`` raises ``ValueError``.
+    invariant), so enabling a cache never changes numbers.
     """
     prepared = prepare_campaign(
         campaign,
@@ -302,7 +291,6 @@ def run_campaign(
         executor=executor,
         workers=workers,
         backend=backend,
-        inputs=inputs,
         cache=cache,
         store=store,
         out=out,

@@ -17,7 +17,7 @@ groups of same-spec points into *chip-batched* engine calls instead:
 Determinism contract — enforced by ``tests/test_campaign_batched.py``:
 
 * Per-point results are **bit-identical to the serial executor** (and
-  therefore to ``Runner(point.seed).run(point.spec, backend)``): every
+  therefore to ``Runner(point.seed).run(point.spec, backend=point.backend)``): every
   point draws its streams from the same :class:`~repro.core.rng.StreamPlan`
   the Runner uses, each unit replays its own draws inside the stacked
   kernel call, and the kernels' per-chip results do not depend on the
@@ -29,8 +29,8 @@ Determinism contract — enforced by ``tests/test_campaign_batched.py``:
   :class:`PointOutcome` objects (batch wall time amortised over the
   batch's points).
 
-Points whose kind has no batch compiler — or whose resolved backend is
-not ``"vectorized"`` — fall back to serial per-point dispatch inside
+Points whose kind has no batch compiler — or whose backend is not
+``"vectorized"`` — fall back to serial per-point dispatch inside
 the same executor, so ``executor="batched"`` is always safe to request.
 """
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -168,35 +168,22 @@ class BatchedExecutor(Executor):
     engine calls; everything else runs serially in the same stream."""
 
     name = "batched"
-    inputs_refusal = (
-        "pre-built `inputs` substrates cannot ride a batched compile; "
-        "use the serial executor to inject them"
-    )
 
     def __init__(self, workers: Optional[int] = None) -> None:
         if workers not in (None, 1):
             raise ValueError("the batched executor runs in the calling thread")
         self.workers = 1
 
-    def _iter(
-        self,
-        plan: Plan,
-        backend: Optional[str],
-        inputs: Optional[dict[str, Any]],
-        capture_errors: bool,
-    ) -> Iterator[PointOutcome]:
+    def run(self, plan: Plan, *, capture_errors: bool = False) -> Iterator[PointOutcome]:
         fallback: list[PlanPoint] = []
-        for (kind, _), group in plan.groups_by_spec().items():
-            # One group shares one spec, so the whole group resolves to
-            # one backend; only vectorized groups with a compiler batch.
-            spec = group[0].spec
-            resolved = backend if backend is not None else getattr(spec, "backend", "object")
-            # Fault injection drives the per-frame serial path, which no
-            # batch compiler models — those points take the serial lane.
+        for (kind, _, backend), group in plan.groups_by_spec().items():
+            # Only vectorized groups with a compiler batch.  Fault
+            # injection drives the per-frame serial path, which no batch
+            # compiler models — those points take the serial lane.
             if (
-                resolved != "vectorized"
+                backend != "vectorized"
                 or kind not in BATCH_COMPILERS
-                or getattr(spec, "faults", ())
+                or getattr(group[0].spec, "faults", ())
             ):
                 fallback.extend(group)
                 continue
@@ -212,4 +199,4 @@ class BatchedExecutor(Executor):
                 start = time.perf_counter()  # repro: allow-wallclock
         runners: "OrderedDict[int, Runner]" = OrderedDict()
         for point in fallback:
-            yield _run_point(runners, point, backend, None, capture_errors)
+            yield _run_point(runners, point, capture_errors)

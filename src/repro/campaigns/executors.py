@@ -4,14 +4,13 @@ An executor turns a :class:`~repro.campaigns.plan.Plan` into a stream of
 :class:`PointOutcome` — one per completed run, possibly out of plan
 order.  Every built-in (these two plus ``batched``, see
 :mod:`repro.campaigns.batched`) honours the SeedTree contract: a point's
-result depends only on ``(point.seed, point.spec, backend)``, never on
-which worker ran it, in what order, or how many workers there are, so
-the executors are bit-identical per point (the parity tests in
+result depends only on ``(point.spec, point.seed, point.backend)``,
+never on which worker ran it, in what order, or how many workers there
+are, so the executors are bit-identical per point (the parity tests in
 ``tests/test_campaign_executors.py`` enforce this).
 
 * :class:`SerialExecutor` — runs in the calling thread, one Runner per
-  distinct point seed; the only executor that accepts injected
-  ``inputs`` substrates.
+  distinct point seed.
 * :class:`ProcessExecutor` — a process pool; each worker process owns
   its own Runners keyed by point seed.  Specs travel as their
   ``to_dict()`` payloads and results come back artifact-free (rich
@@ -88,40 +87,13 @@ def _check_workers(workers: Optional[int]) -> int:
 
 
 class Executor:
-    """Interface: stream PointOutcomes for a Plan.
-
-    Subclasses implement :meth:`_iter`; :meth:`run` checks ``inputs``
-    eagerly (at call time, not first iteration) so callers see bad
-    arguments before any store touches the filesystem.
-    """
+    """Interface: stream PointOutcomes for a Plan.  Each point carries
+    everything its run needs; ``capture_errors`` streams a failing point
+    out as a failed outcome instead of raising."""
 
     name: str = "base"
-    #: Why this executor refuses injected ``inputs`` (``None``: accepts them).
-    inputs_refusal: Optional[str] = None
 
-    def check_inputs(self, inputs: Optional[dict[str, Any]]) -> None:
-        """Raise ``ValueError`` when ``inputs`` cannot ride this executor."""
-        if inputs and self.inputs_refusal is not None:
-            raise ValueError(self.inputs_refusal)
-
-    def run(
-        self,
-        plan: Plan,
-        *,
-        backend: Optional[str] = None,
-        inputs: Optional[dict[str, Any]] = None,
-        capture_errors: bool = False,
-    ) -> Iterator[PointOutcome]:
-        self.check_inputs(inputs)
-        return self._iter(plan, backend, inputs, capture_errors)
-
-    def _iter(
-        self,
-        plan: Plan,
-        backend: Optional[str],
-        inputs: Optional[dict[str, Any]],
-        capture_errors: bool,
-    ) -> Iterator[PointOutcome]:
+    def run(self, plan: Plan, *, capture_errors: bool = False) -> Iterator[PointOutcome]:
         raise NotImplementedError
 
 
@@ -174,11 +146,7 @@ def _stream_pool(
 
 
 def _run_point(
-    runners: "OrderedDict[int, Runner]",
-    point: PlanPoint,
-    backend: Optional[str],
-    inputs: Optional[dict[str, Any]],
-    capture_errors: bool = False,
+    runners: "OrderedDict[int, Runner]", point: PlanPoint, capture_errors: bool = False
 ) -> PointOutcome:
     """The one timed-run body of every executor: fetch-or-build the
     Runner for the point's seed, execute, time.  ``capture_errors``
@@ -188,7 +156,7 @@ def _run_point(
     result, error = None, None
     start = time.perf_counter()  # repro: allow-wallclock
     try:
-        result = runner.run(point.spec, backend=backend, inputs=inputs)
+        result = runner.run(point.spec, backend=point.backend)
     except Exception as exc:  # noqa: BLE001 — opted into by capture_errors
         if not capture_errors:
             raise
@@ -207,16 +175,10 @@ class SerialExecutor(Executor):
             raise ValueError("the serial executor has exactly one worker")
         self.workers = 1
 
-    def _iter(
-        self,
-        plan: Plan,
-        backend: Optional[str],
-        inputs: Optional[dict[str, Any]],
-        capture_errors: bool,
-    ) -> Iterator[PointOutcome]:
+    def run(self, plan: Plan, *, capture_errors: bool = False) -> Iterator[PointOutcome]:
         runners: "OrderedDict[int, Runner]" = OrderedDict()
         for point in plan:
-            yield _run_point(runners, point, backend, inputs, capture_errors)
+            yield _run_point(runners, point, capture_errors)
 
 
 # Per-process Runners, keyed by point seed.  Module-level so the
@@ -229,8 +191,10 @@ def _process_worker(payload: tuple) -> tuple[int, float, Optional[ResultSet], Op
     """Top-level (picklable) task body for :class:`ProcessExecutor`."""
     index, seed, spec_dict, backend, capture_errors = payload
     # A worker-side stand-in: the parent maps the index back to its point.
-    point = PlanPoint(index=index, spec=spec_from_dict(spec_dict), replicate=0, seed=seed)
-    outcome = _run_point(_WORKER_RUNNERS, point, backend, None, capture_errors)
+    point = PlanPoint(
+        index=index, spec=spec_from_dict(spec_dict), replicate=0, seed=seed, backend=backend
+    )
+    outcome = _run_point(_WORKER_RUNNERS, point, capture_errors)
     # Artifacts (chips, cultures, ...) stay in the worker: only the
     # columnar result crosses the process boundary.
     result = None if outcome.result is None else outcome.result.without_artifacts()
@@ -241,10 +205,6 @@ class ProcessExecutor(Executor):
     """Run points on a process pool of per-worker Runners."""
 
     name = "process"
-    inputs_refusal = (
-        "in-memory `inputs` substrates cannot cross process boundaries; "
-        "use the serial executor to inject pre-built objects"
-    )
 
     def __init__(
         self, workers: Optional[int] = None, start_method: Optional[str] = None
@@ -252,22 +212,15 @@ class ProcessExecutor(Executor):
         self.workers = _check_workers(workers)
         self.start_method = start_method
 
-    def _iter(
-        self,
-        plan: Plan,
-        backend: Optional[str],
-        inputs: Optional[dict[str, Any]],
-        capture_errors: bool,
-    ) -> Iterator[PointOutcome]:
+    def run(self, plan: Plan, *, capture_errors: bool = False) -> Iterator[PointOutcome]:
         by_index = {point.index: point for point in plan}
         context = multiprocessing.get_context(self.start_method)
         with ProcessPoolExecutor(max_workers=self.workers, mp_context=context) as pool:
 
             def submit(point: PlanPoint):
-                return pool.submit(
-                    _process_worker,
-                    (point.index, point.seed, point.spec.to_dict(), backend, capture_errors),
-                )
+                spec_dict = point.spec.to_dict()
+                payload = (point.index, point.seed, spec_dict, point.backend, capture_errors)
+                return pool.submit(_process_worker, payload)
 
             for index, wall_s, result, error in _stream_pool(pool, submit, plan, self.workers):
                 yield PointOutcome(

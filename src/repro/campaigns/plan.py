@@ -1,11 +1,11 @@
 """The compiled form of a campaign: an explicit, ordered list of runs.
 
 A :class:`Plan` is what executors actually consume — every axis already
-expanded, every point carrying its own spec, replicate index and derived
-Runner root seed.  Because a point's result is a pure function of
-``(point.seed, point.spec, backend)``, a Plan can be partitioned across
-threads, processes or machines in any order and still reassemble into
-bit-identical results.
+expanded, every point carrying its own spec, replicate index, derived
+Runner root seed and resolved compute backend.  Because a point's result
+is a pure function of ``(point.spec, point.seed, point.backend)``, a Plan
+can be partitioned across threads, processes or machines in any order
+and still reassemble into bit-identical results.
 """
 
 from __future__ import annotations
@@ -21,12 +21,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class PlanPoint:
-    """One scheduled run: position, spec, replicate, Runner root seed."""
+    """One scheduled run: position, spec, replicate, Runner root seed
+    and the backend it runs on — with the engine version, its whole
+    content key."""
 
     index: int
     spec: ExperimentSpec
     replicate: int
     seed: int
+    #: Resolved once by ``CampaignSpec.compile``; executors and cache
+    #: keys read it and never fall back to defaults themselves.
+    backend: str
     #: The axis fields this point overrides on the campaign base spec —
     #: the columns a report table shows.
     assignment: dict[str, Any] = field(default_factory=dict)
@@ -75,15 +80,16 @@ class Plan:
                 seen.append(point.spec.kind)
         return seen
 
-    def groups_by_spec(self) -> "dict[tuple[str, str], list[PlanPoint]]":
-        """Points grouped by ``(kind, spec content hash)``, first-seen
-        order preserved.  Points of one group share an identical spec
-        and differ only in replicate/seed — the unit the batched
-        executor compiles into one chip-batched engine call."""
-        groups: dict[tuple[str, str], list[PlanPoint]] = {}
+    def groups_by_spec(self) -> "dict[tuple[str, str, str], list[PlanPoint]]":
+        """Points grouped by ``(kind, spec content hash, backend)``,
+        first-seen order preserved.  Points of one group share an
+        identical spec and backend and differ only in replicate/seed —
+        the unit the batched executor compiles into one chip-batched
+        engine call."""
+        groups: dict[tuple[str, str, str], list[PlanPoint]] = {}
         for point in self.points:
             groups.setdefault(
-                (point.spec.kind, point.spec.content_hash()), []
+                (point.spec.kind, point.spec.content_hash(), point.backend), []
             ).append(point)
         return groups
 

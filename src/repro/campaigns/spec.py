@@ -12,12 +12,15 @@ three axis constructs:
 * ``replicates`` — seed-varied repeats of every grid×zip point (Fig. 6's
   chip-to-chip Monte Carlo).
 
-``compile(seed)`` expands the axes into an explicit
+``compile(seed, backend)`` expands the axes into an explicit
 :class:`~repro.campaigns.plan.Plan` whose per-point seeds derive from
 the campaign root via :func:`replicate_seed` — stable functions of
 ``(root, replicate)`` only, never of point position, executor or worker
 count.  Replicate 0 keeps the root itself, so a single-replicate
-campaign point is bit-identical to ``Runner(seed).run(spec)``.
+campaign point is bit-identical to ``Runner(seed).run(spec)``.  Each
+point's backend is resolved and validated there, once: the ``backend``
+override, then the campaign's ``backend``, then the spec's own
+``backend`` field, then ``"object"``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Any, Mapping, Optional
 
 from ..core.rng import stable_entropy
 from ..experiments.specs import BACKENDS, ExperimentSpec, spec_from_dict
+from ..experiments.workloads import resolve_backend
 
 
 def _normalize_axis_value(value: Any) -> Any:
@@ -193,11 +197,15 @@ class CampaignSpec:
                 points.append({**dict(combo), **zip_row})
         return points
 
-    def compile(self, seed: int = 0) -> "Plan":
+    def compile(self, seed: int = 0, backend: Optional[str] = None) -> "Plan":
         """Expand into an explicit :class:`~repro.campaigns.plan.Plan`
-        of runs, replicates innermost."""
+        of runs, replicates innermost.  ``backend`` overrides the
+        campaign's own ``backend``; every point stores the backend it
+        resolves to, validated against its kind."""
         from .plan import Plan, PlanPoint
 
+        if backend is None:
+            backend = self.backend
         points = []
         index = 0
         for assignment in self.assignments():
@@ -220,6 +228,7 @@ class CampaignSpec:
                     {**dict(entry), sub: value} for entry in getattr(spec, parent)
                 )
                 spec = spec.replace(**{parent: entries})
+            resolved = resolve_backend(spec, backend)
             for replicate in range(self.replicates):
                 points.append(
                     PlanPoint(
@@ -227,6 +236,7 @@ class CampaignSpec:
                         spec=spec,
                         replicate=replicate,
                         seed=replicate_seed(seed, replicate),
+                        backend=resolved,
                         assignment=assignment,
                     )
                 )

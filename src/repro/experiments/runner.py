@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterable, Optional
 from ..core.rng import SeedTree
 from .results import ResultSet
 from .specs import ExperimentSpec, experiment_type
-from .workloads import validate_backend, workload_for
+from .workloads import resolve_backend, workload_for
 
 
 @dataclass
@@ -112,8 +112,7 @@ class Runner:
         reference.
         """
         spec = self._coerce_spec(spec, params)
-        resolved_backend = backend if backend is not None else getattr(spec, "backend", "object")
-        validate_backend(spec.kind, resolved_backend)
+        resolved_backend = resolve_backend(spec, backend)
         workload = workload_for(spec.kind)
         plan = workload.stream_plan(spec)
         rngs = plan.generators(self.seed)

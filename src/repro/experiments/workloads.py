@@ -115,8 +115,9 @@ def validate_backend(kind: str, backend: "str | None") -> None:
     """Raise unless ``backend`` is known and supported by ``kind``
     (``None`` — defer to defaults — always passes).
 
-    The one definition of this check: Runner.run, run_campaign and the
-    CLI all route through it, so error wording cannot drift, and
+    The one definition of this check: :func:`resolve_backend` (behind
+    Runner.run and campaign compile) and the CLI route through it, so
+    error wording cannot drift, and
     callers that create resources (result stores on disk) can validate
     *first*.
     """
@@ -132,6 +133,19 @@ def validate_backend(kind: str, backend: "str | None") -> None:
             f"workload {kind!r} does not support backend "
             f"{backend!r}; supported: {workload.backends}"
         )
+
+
+def resolve_backend(spec: ExperimentSpec, backend: "str | None") -> str:
+    """The backend ``spec`` runs on, validated: ``backend`` when given,
+    else the spec's own ``backend`` field, else ``"object"``.
+
+    The one place this fallback is spelled out: ``Runner.run`` resolves
+    through it, and ``CampaignSpec.compile`` stores its answer on every
+    plan point, so executors and cache keys never resolve again.
+    """
+    resolved = backend if backend is not None else getattr(spec, "backend", "object")
+    validate_backend(spec.kind, resolved)
+    return resolved
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,11 @@ from .cache import (
     ResultCache,
     make_cache,
     plan_keys,
-    reject_inputs_with_cache,
 )
 from .client import ServiceClient, ServiceError
 from .jobs import (
     JOB_STATES,
+    MAX_CAMPAIGN_POINTS,
     Job,
     JobCancelled,
     JobManager,
@@ -71,6 +71,7 @@ __all__ = [
     "DEFAULT_PORT",
     "JOB_STATES",
     "KEY_SCHEMA",
+    "MAX_CAMPAIGN_POINTS",
     "CacheStats",
     "CachedDispatch",
     "Job",
@@ -86,7 +87,6 @@ __all__ = [
     "make_cache",
     "plan_keys",
     "point_key",
-    "reject_inputs_with_cache",
     "resume_campaign",
     "serve",
     "spec_key",

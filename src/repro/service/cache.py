@@ -6,10 +6,9 @@ keyed by :func:`~repro.service.keys.point_key` can never serve a stale
 or wrong answer: a key either addresses exactly the bytes the engine
 would recompute, or it is absent.  That turns overlapping sweeps from
 many clients into mostly cache traffic, and identical re-submissions
-into pure replay.  The one thing that could break the invariant —
-injected ``inputs`` substrates, which change results without changing
-the key — is rejected up front wherever a cache is active
-(:func:`reject_inputs_with_cache`).
+into pure replay.  Every plan point already carries its whole key —
+spec, seed and the backend its plan resolved — so keying a plan
+resolves nothing.
 
 Two layers:
 
@@ -289,26 +288,6 @@ class ResultCache:
         )
 
 
-def reject_inputs_with_cache(inputs: Optional[dict[str, Any]]) -> None:
-    """Refuse to combine a result cache with injected ``inputs``.
-
-    Injected substrates change what the engine computes without changing
-    the ``(spec, seed, backend, version)`` key, so a cache hit could
-    silently return numbers computed under different inputs — the one
-    way the "a key addresses exactly what the engine would recompute"
-    invariant can be broken.  Mirrors the process executor's eager
-    ``inputs`` rejection: fail loudly, before any store is touched.
-    """
-    if inputs:
-        raise ValueError(
-            "a result cache cannot be combined with injected `inputs`: "
-            "pre-built substrates change results without changing the "
-            "(spec, seed, backend, version) content key, so cache hits "
-            "could silently serve numbers computed under different inputs "
-            "— drop `inputs` or run without a cache"
-        )
-
-
 def make_cache(
     cache: Union[None, str, Path, ResultCache],
     max_memory: Optional[int] = 128,
@@ -329,23 +308,15 @@ def make_cache(
 # ---------------------------------------------------------------------------
 # Cache-aware plan execution
 # ---------------------------------------------------------------------------
-def plan_keys(
-    plan: Plan,
-    *,
-    backend: Optional[str] = None,
-    engine_version: Optional[str] = None,
-) -> dict[int, str]:
-    """Content key per plan point index.
-
-    ``backend`` is the campaign-level resolved backend (``None`` defers
-    to each spec's own default, exactly like the Runner), and
-    ``engine_version`` defaults to the installed library version — the
-    four key components of the reproduction invariant.
+def plan_keys(plan: Plan, *, engine_version: Optional[str] = None) -> dict[int, str]:
+    """Content key per plan point index: each point's spec, seed and
+    backend, plus ``engine_version`` (default: the installed library
+    version) — the four key components of the reproduction invariant.
     """
     if engine_version is None:
         from .. import __version__ as engine_version
     return {
-        point.index: point_key(point.spec.to_dict(), point.seed, backend, engine_version)
+        point.index: point_key(point.spec.to_dict(), point.seed, point.backend, engine_version)
         for point in plan
     }
 
@@ -366,19 +337,14 @@ class CachedDispatch:
         executor: Executor,
         cache: ResultCache,
         *,
-        backend: Optional[str] = None,
-        inputs: Optional[dict[str, Any]] = None,
         engine_version: Optional[str] = None,
         capture_errors: bool = False,
     ) -> None:
-        reject_inputs_with_cache(inputs)
         self.plan = plan
         self.executor = executor
         self.cache = cache
-        self.backend = backend
-        self.inputs = inputs
         self.capture_errors = capture_errors
-        self.keys = plan_keys(plan, backend=backend, engine_version=engine_version)
+        self.keys = plan_keys(plan, engine_version=engine_version)
         #: key -> all plan points sharing it, first-seen order.
         self.groups: "OrderedDict[str, list[PlanPoint]]" = OrderedDict()
         for point in plan:
@@ -416,12 +382,7 @@ class CachedDispatch:
             campaign=self.plan.campaign,
             seed=self.plan.seed,
         )
-        for outcome in self.executor.run(
-            sub_plan,
-            backend=self.backend,
-            inputs=self.inputs,
-            capture_errors=self.capture_errors,
-        ):
+        for outcome in self.executor.run(sub_plan, capture_errors=self.capture_errors):
             key = self.keys[outcome.point.index]
             if outcome.result is None:
                 # A captured failure never enters the cache (it carries

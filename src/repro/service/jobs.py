@@ -45,6 +45,11 @@ from .cache import ResultCache, make_cache
 #: Every state a job can report.  Terminal states: done/failed/cancelled.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
+#: Most plan points one submitted campaign may expand to.  Checked on
+#: ``CampaignSpec.n_points`` before the plan is compiled, so a tiny
+#: request cannot make the service expand millions of points.
+MAX_CAMPAIGN_POINTS = 10_000
+
 
 class JobCancelled(Exception):
     """Raised inside a worker when a job's cancel flag is set."""
@@ -180,7 +185,6 @@ class JobManager:
         executor: Union[str, Executor] = "serial",
         workers: Optional[int] = None,
         backend: Optional[str] = None,
-        inputs: Optional[dict[str, Any]] = None,
         out: Union[None, str, Path] = None,
         overwrite: bool = False,
         flush_every: int = 1,
@@ -190,15 +194,22 @@ class JobManager:
 
         Everything that can be rejected is rejected *here*, in the
         caller's thread — a queued job only fails for execution-time
-        reasons, never for a bad argument.
+        reasons, never for a bad argument.  A campaign of more than
+        :data:`MAX_CAMPAIGN_POINTS` points is refused before it compiles.
         """
+        if not isinstance(campaign, CampaignSpec):
+            campaign = CampaignSpec.from_dict(campaign)
+        if campaign.n_points > MAX_CAMPAIGN_POINTS:
+            raise ValueError(
+                f"campaign has {campaign.n_points} points; a job takes at most "
+                f"{MAX_CAMPAIGN_POINTS} — split it into smaller campaigns"
+            )
         prepared = prepare_campaign(
             campaign,
             seed=seed,
             executor=executor,
             workers=workers,
             backend=backend,
-            inputs=inputs,
             cache=self.cache,
             # A job without ``out`` writes under ``<root>/<job id>``.
             out=out if out is not None else self.root,
@@ -343,7 +354,6 @@ def resume_campaign(
     executor: Union[str, Executor] = "serial",
     workers: Optional[int] = None,
     flush_every: int = 1,
-    inputs: Optional[dict[str, Any]] = None,
     cache: Union[None, str, Path, ResultCache] = None,
     ignore_version: bool = False,
 ) -> CampaignResult:
@@ -389,7 +399,6 @@ def resume_campaign(
         executor=executor,
         workers=workers,
         backend=sidecar.get("backend"),
-        inputs=inputs,
         cache=cache,
         out=root,
         flush_every=flush_every,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 #: Schema tag baked into every point key; bump on incompatible changes
 #: to the key derivation itself (a bump invalidates every cache).
@@ -95,24 +95,18 @@ def content_digest(value: Any) -> str:
 
 
 def point_key(
-    spec_dict: Mapping[str, Any],
-    seed: int,
-    backend: Optional[str],
-    engine_version: str,
+    spec_dict: Mapping[str, Any], seed: int, backend: str, engine_version: str
 ) -> str:
     """The content address of one campaign point's result.
 
     ``spec_dict`` is the spec's ``to_dict()`` payload (dict or spec-
     shaped mapping; field order irrelevant), ``seed`` the Runner root
     seed the point runs under, ``backend`` the *resolved* compute
-    backend (``None`` is normalised to the spec's own default exactly
-    like the Runner resolves it), and ``engine_version`` the library
-    version that owns the numbers.  Any difference in any component
-    yields a different key; representation differences (tuple vs list,
-    np.float64 vs float, dict insertion order) never do.
+    backend (a plan point's ``backend``), and ``engine_version`` the
+    library version that owns the numbers.  Any difference in any
+    component yields a different key; representation differences (tuple
+    vs list, np.float64 vs float, dict insertion order) never do.
     """
-    if backend is None:
-        backend = str(spec_dict.get("backend", "object") or "object")
     return content_digest(
         {
             "schema": KEY_SCHEMA,

@@ -176,12 +176,6 @@ class TestExecutorMechanics:
         with pytest.raises(ValueError, match="calling thread"):
             BatchedExecutor(workers=4)
 
-    def test_rejects_inputs_eagerly(self):
-        executor = BatchedExecutor()
-        plan = CampaignSpec(base=ArrayScaleSpec(rows=8, cols=8)).compile(seed=1)
-        with pytest.raises(ValueError, match="inputs"):
-            executor.run(plan, inputs={"chip": object()})
-
     def test_non_batchable_kind_falls_back_serially(self):
         campaign = CampaignSpec(base=ScreeningSpec(library_size=500), replicates=3)
         serial = run_campaign(campaign, seed=6)
@@ -207,7 +201,7 @@ class TestExecutorMechanics:
     def test_outcome_wall_times_amortised(self):
         executor = BatchedExecutor()
         plan = ARRAY_CAMPAIGN.compile(5)
-        outcomes = list(executor.run(plan, backend=None))
+        outcomes = list(executor.run(plan))
         assert len(outcomes) == len(plan)
         walls = {outcome.wall_s for outcome in outcomes}
         assert all(wall > 0 for wall in walls)

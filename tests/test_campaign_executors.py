@@ -5,6 +5,7 @@ The acceptance bar for the campaign subsystem: a ≥64-point campaign
 every executor, at any worker count, on both compute backends.
 """
 
+import numpy as np
 import pytest
 
 from repro.campaigns import (
@@ -133,14 +134,6 @@ def test_make_executor_passes_instances_through():
         make_executor(executor, workers=4)
 
 
-def test_process_executor_rejects_inputs_eagerly():
-    plan = CampaignSpec(base=ScreeningSpec(library_size=500)).compile(seed=0)
-    executor = ProcessExecutor(workers=1)
-    # At run() call time, not first iteration.
-    with pytest.raises(ValueError, match="process boundaries"):
-        executor.run(plan, inputs={"library": object()})
-
-
 def test_bad_executor_arguments_never_touch_an_existing_store(tmp_path):
     """The data-loss guard: a finalized campaign must survive a rerun
     that dies on setup validation, even with overwrite=True."""
@@ -149,11 +142,8 @@ def test_bad_executor_arguments_never_touch_an_existing_store(tmp_path):
     run_campaign(campaign, seed=1, store="jsonl", out=out)
     before = (out / "results.jsonl").read_text()
     assert before and (out / "manifest.json").exists()
-    with pytest.raises(ValueError, match="process boundaries"):
-        run_campaign(
-            campaign, seed=1, executor="process", store="jsonl", out=out,
-            overwrite=True, inputs={"library": object()},
-        )
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_campaign(campaign, seed=1.5, store="jsonl", out=out, overwrite=True)
     with pytest.raises(ValueError, match="unknown backend"):
         run_campaign(
             campaign, seed=1, store="jsonl", out=out, overwrite=True,
@@ -168,16 +158,19 @@ def test_bad_executor_arguments_never_touch_an_existing_store(tmp_path):
     assert (out / "manifest.json").exists()
 
 
-def test_serial_executor_accepts_injected_inputs():
-    from repro.screening.compounds import CompoundLibrary
+@pytest.mark.parametrize("seed", [1.5, True, np.float64(2.0), "3"])
+def test_run_campaign_rejects_a_non_integer_seed(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_campaign(CampaignSpec(base=BASE), seed=seed)
 
-    library = CompoundLibrary.generate(size=500, viable_rate=1e-3, rng=7)
-    plan = CampaignSpec(
-        base=ScreeningSpec(library_size=500, viable_rate=1e-3),
-        grid={"cmos": (False, True)},
-    ).compile(seed=0)
-    outcomes = list(SerialExecutor().run(plan, inputs={"library": library}))
-    assert all(o.result.artifacts["library"] is library for o in outcomes)
+
+def test_run_campaign_accepts_numpy_integer_seeds():
+    campaign = CampaignSpec(base=BASE, replicates=2)
+    plain = run_campaign(campaign, seed=7)
+    wrapped = run_campaign(campaign, seed=np.int64(7))
+    assert wrapped.manifest["seed"] == 7
+    assert [p.seed for p in wrapped.plan] == [p.seed for p in plain.plan]
+    assert [r.to_dict() for r in wrapped.results()] == [r.to_dict() for r in plain.results()]
 
 
 def test_memory_store_keeps_artifacts_for_in_process_executors():

@@ -338,13 +338,12 @@ class TestFailureCapture:
     def test_executor_raises_without_capture(self):
         plan = FAILING.compile(seed=1)
         with pytest.raises(ValueError, match="no counts"):
-            list(SerialExecutor().run(plan, backend="vectorized"))
+            list(SerialExecutor().run(plan))
 
     def test_executor_captures_errors(self):
         plan = FAILING.compile(seed=1)
-        outcomes = list(
-            SerialExecutor().run(plan, backend="vectorized", capture_errors=True)
-        )
+        assert {point.backend for point in plan} == {"vectorized"}
+        outcomes = list(SerialExecutor().run(plan, capture_errors=True))
         assert len(outcomes) == 2
         for outcome in outcomes:
             assert not outcome.ok

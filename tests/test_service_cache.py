@@ -4,13 +4,23 @@ import json
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaigns import CampaignSpec, run_campaign
-from repro.experiments import DnaAssaySpec, Runner
+from repro.experiments import (
+    ArrayScaleSpec,
+    DnaAssaySpec,
+    NeuralRecordingSpec,
+    Runner,
+    ScreeningSpec,
+)
 from repro.service import (
     CACHE_SCHEMA,
+    KEY_SCHEMA,
     CachedDispatch,
     ResultCache,
+    content_digest,
     make_cache,
     plan_keys,
     point_key,
@@ -35,7 +45,7 @@ def _payloads(result):
 def test_get_put_get_counts_hits_and_misses(tmp_path):
     cache = ResultCache(root=tmp_path / "cache")
     result = Runner(seed=1).run(BASE)
-    key = point_key(BASE.to_dict(), 1, None, "x")
+    key = point_key(BASE.to_dict(), 1, "object", "x")
     assert cache.get(key) is None
     cache.put(key, result)
     assert cache.get(key) is not None
@@ -139,7 +149,131 @@ def test_different_seed_backend_or_version_never_hits(tmp_path):
     keys_a = plan_keys(plan)
     assert set(plan_keys(plan, engine_version="0.0").values()).isdisjoint(keys_a.values())
     assert set(plan_keys(CAMPAIGN.compile(2)).values()).isdisjoint(keys_a.values())
-    assert set(plan_keys(plan, backend="vectorized").values()).isdisjoint(keys_a.values())
+    vectorized = CAMPAIGN.compile(1, backend="vectorized")
+    assert set(plan_keys(vectorized).values()).isdisjoint(keys_a.values())
+
+
+# ---------------------------------------------------------------------------
+# Plan keys: each point carries its resolved backend; keys never moved
+# ---------------------------------------------------------------------------
+ARRAY = ArrayScaleSpec(rows=8, cols=8)
+
+#: name -> (campaign, compile-time override, each point's backend, the
+#: keys at seed 3 under engine 1.10.0).  The hex was recorded from the
+#: campaign-level backend resolution; cache directories written then
+#: must keep hitting, so per-point backends must reproduce it exactly.
+PINNED_PLAN_KEYS = {
+    "dna_grid": (
+        CampaignSpec(base=BASE, grid={"concentration": (1e-7, 1e-6)}, replicates=2),
+        None,
+        ("object",) * 4,
+        (
+            "18d18ba6f2c8302ac2c8ee9111e7229d0f738bf71964e340a02020b0b9755cc0",
+            "471ef0fff8f94516c824971c6f8de79236fbf88b89aeb04093de6a342b57481a",
+            "ed6d64b57674099ef0bf102d052e575c529be58e7be1ab5fc56675e77d115326",
+            "3d7aa68c0d7865810d6fd985a2a829a785037c6c8d318628e59102aa80ff6158",
+        ),
+    ),
+    "array_scale_spec_default": (
+        CampaignSpec(base=ARRAY, replicates=2),
+        None,
+        ("vectorized",) * 2,
+        (
+            "9b22e344b3ae0afad441dc2fc252b0651756ed24aa0464c123b99ade25f0c6c9",
+            "1f11ca9d29baa50d3273c241337422120dba8be76b05edc397435603174b74fb",
+        ),
+    ),
+    "campaign_backend_object": (
+        CampaignSpec(base=ARRAY, backend="object"),
+        None,
+        ("object",),
+        ("7f303176d276cf7e74d2369dc1e24237fec96394e55c423a34167857c15afe5b",),
+    ),
+    "grid_over_spec_backend": (
+        CampaignSpec(base=ARRAY, grid={"backend": ("object", "vectorized")}),
+        None,
+        ("object", "vectorized"),
+        (
+            "77bd900f6f764d5f4b6baf12ec451398426a74b9c8176d54915c0f144e79fe64",
+            "9b22e344b3ae0afad441dc2fc252b0651756ed24aa0464c123b99ade25f0c6c9",
+        ),
+    ),
+    "neural_vectorized_override": (
+        CampaignSpec(base=NeuralRecordingSpec(n_neurons=4)),
+        "vectorized",
+        ("vectorized",),
+        ("0851806a9b8b7debe1ad8cdc36c213006664bae2c8b98dc0f329f75812baa828",),
+    ),
+    "vectorized_campaign_overridden_to_object": (
+        CampaignSpec(base=ARRAY, backend="vectorized"),
+        "object",
+        ("object",),
+        ("7f303176d276cf7e74d2369dc1e24237fec96394e55c423a34167857c15afe5b",),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PLAN_KEYS))
+def test_plan_keys_match_the_pinned_hex(name):
+    campaign, override, backends, expected = PINNED_PLAN_KEYS[name]
+    plan = campaign.compile(3, backend=override)
+    assert tuple(point.backend for point in plan) == backends
+    keys = plan_keys(plan, engine_version="1.10.0")
+    assert tuple(keys[point.index] for point in plan) == expected
+
+
+def _frozen_point_key(spec_dict, seed, backend, engine_version):
+    """The key derivation before points carried their backend: a
+    campaign-level ``backend`` of ``None`` fell back to the spec's own
+    ``backend`` field, then to ``"object"``."""
+    if backend is None:
+        backend = str(spec_dict.get("backend", "object") or "object")
+    return content_digest(
+        {
+            "schema": KEY_SCHEMA,
+            "spec": dict(spec_dict),
+            "seed": int(seed),
+            "backend": str(backend),
+            "version": str(engine_version),
+        }
+    )
+
+
+BACKEND_CHOICES = st.sampled_from([None, "object", "vectorized"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["dna_assay", "array_scale", "neural_recording", "screening"]),
+    campaign_backend=BACKEND_CHOICES,
+    override=BACKEND_CHOICES,
+    backend_axis=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_plan_keys_resolve_like_the_campaign_level_backend(
+    kind, campaign_backend, override, backend_axis, seed
+):
+    base = {
+        "dna_assay": BASE,
+        "array_scale": ARRAY,
+        "neural_recording": NeuralRecordingSpec(n_neurons=4),
+        "screening": ScreeningSpec(library_size=500),
+    }[kind]
+    grid = {"backend": ("object", "vectorized")} if backend_axis and kind == "array_scale" else {}
+    campaign = CampaignSpec(base=base, grid=grid, replicates=2, backend=campaign_backend)
+    level = override if override is not None else campaign_backend
+    try:
+        plan = campaign.compile(seed, backend=override)
+    except ValueError as error:
+        # Only an object-only kind asked to run vectorized is refused.
+        assert kind == "screening" and level == "vectorized", error
+        return
+    assert kind != "screening" or level != "vectorized"
+    expected = {
+        point.index: _frozen_point_key(point.spec.to_dict(), point.seed, level, "9.9")
+        for point in plan
+    }
+    assert plan_keys(plan, engine_version="9.9") == expected
 
 
 def test_cache_entries_record_meta(tmp_path):
@@ -243,23 +377,3 @@ def test_dispatch_requires_matching_plan_and_summary(tmp_path):
     assert dispatch.summary()["computed"] == 4
 
 
-def test_cache_rejects_injected_inputs(tmp_path):
-    # Injected substrates change results without changing the content
-    # key, so every cache-aware entry point must refuse the combination
-    # eagerly — before any store or directory is touched.
-    from repro.campaigns import SerialExecutor
-
-    cache = ResultCache(root=tmp_path / "cache")
-    with pytest.raises(ValueError, match="inputs"):
-        CachedDispatch(
-            CAMPAIGN.compile(1), SerialExecutor(), cache, inputs={"substrate": object()}
-        )
-    out = tmp_path / "out"
-    with pytest.raises(ValueError, match="inputs"):
-        run_campaign(
-            CAMPAIGN, seed=1, cache=cache, inputs={"substrate": object()}, out=str(out)
-        )
-    assert not out.exists()  # rejected before make_store ran
-    # Without a cache the same inputs argument stays legal.
-    uncached = run_campaign(CAMPAIGN, seed=1, inputs=None)
-    assert uncached.manifest["n_points"] == 4

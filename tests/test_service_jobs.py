@@ -69,6 +69,29 @@ def test_submit_accepts_a_campaign_dict(manager):
     assert job.status == "done"
 
 
+def test_submit_caps_the_campaign_point_count(manager, monkeypatch):
+    from repro.service import jobs
+
+    huge = {"base": {"kind": "dna_assay"}, "replicates": 1_000_000_000}
+    with pytest.raises(ValueError, match="1000000000 points"):
+        manager.submit(huge)
+    # The cap is inclusive.
+    monkeypatch.setattr(jobs, "MAX_CAMPAIGN_POINTS", CAMPAIGN.n_points)
+    with pytest.raises(ValueError, match=f"at most {CAMPAIGN.n_points}"):
+        manager.submit(CAMPAIGN.to_dict() | {"replicates": 3})
+    assert manager.jobs() == []
+    job = manager.submit(CAMPAIGN, seed=1)
+    manager.wait(job.id, timeout=60)
+    assert job.status == "done"
+
+
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_submit_rejects_a_non_integer_seed(manager, seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        manager.submit(CAMPAIGN, seed=seed)
+    assert manager.jobs() == []
+
+
 def test_submit_validates_eagerly(manager):
     for name in ("bogus", "async", "thread"):
         with pytest.raises(ValueError, match="unknown executor"):
@@ -86,11 +109,6 @@ def test_submit_validates_eagerly(manager):
         assert in_memory.jobs() == []
     finally:
         in_memory.shutdown()
-
-
-def test_submit_rejects_inputs_against_the_shared_cache(manager):
-    with pytest.raises(ValueError, match="inputs"):
-        manager.submit(CAMPAIGN, seed=1, inputs={"substrate": object()})
 
 
 def test_manager_evicts_oldest_finished_jobs(tmp_path):
@@ -218,17 +236,6 @@ def test_resume_refuses_a_version_mismatch(tmp_path):
     # The override finishes the directory but records the mixture.
     resumed = resume_campaign(tmp_path / "part", ignore_version=True)
     assert resumed.manifest["resumed"]["sidecar_version"] == "0.0.0-elsewhere"
-
-
-def test_resume_rejects_inputs_with_a_cache(tmp_path):
-    run_campaign(CAMPAIGN, seed=1, out=str(tmp_path / "part"))
-    (tmp_path / "part" / "manifest.json").unlink()
-    with pytest.raises(ValueError, match="inputs"):
-        resume_campaign(
-            tmp_path / "part",
-            cache=tmp_path / "cache",
-            inputs={"substrate": object()},
-        )
 
 
 def test_a_failing_point_keeps_the_buffered_results_on_disk(tmp_path, monkeypatch):

@@ -76,13 +76,6 @@ def test_point_key_ignores_representation_details():
     assert point_key(noisy, 1, "object", "1.0") == point_key(SPEC.to_dict(), 1, "object", "1.0")
 
 
-def test_point_key_backend_none_resolves_like_the_runner():
-    # None defers to the spec's own backend field (default "object").
-    assert point_key(SPEC.to_dict(), 1, None, "1.0") == point_key(
-        SPEC.to_dict(), 1, "object", "1.0"
-    )
-
-
 # ---------------------------------------------------------------------------
 # spec_hash
 # ---------------------------------------------------------------------------

@@ -14,7 +14,13 @@ import pytest
 from repro import __version__
 from repro.campaigns import CampaignSpec, JsonlResultStore, PointOutcome
 from repro.experiments import DnaAssaySpec, ResultSet, Runner, spec_from_dict
-from repro.service import ResultCache, ServiceClient, ServiceError, start_server
+from repro.service import (
+    MAX_CAMPAIGN_POINTS,
+    ResultCache,
+    ServiceClient,
+    ServiceError,
+    start_server,
+)
 from repro.service.keys import point_key
 from repro.service.server import MAX_BODY_BYTES
 
@@ -366,7 +372,8 @@ def _faulted_store_bytes(tmp):
     point = CampaignSpec(base=spec, name="golden").compile(seed=3)[0]
     result = Runner(seed=point.seed).run(point.spec)
     cache = ResultCache(tmp / "cache")
-    key = point_key(point.spec.to_dict(), point.seed, None, __version__)
+    assert point.backend == "object"
+    key = point_key(point.spec.to_dict(), point.seed, "object", __version__)
     cache.put(
         key,
         result,
@@ -434,3 +441,37 @@ def test_a_body_of_exactly_the_cap_is_read():
         server.server_close()
         server.manager.shutdown()
         thread.join(timeout=10)
+
+
+# ---------------------------------------------------------------------------
+# Campaign point cap and seed type
+# ---------------------------------------------------------------------------
+#: 71 bytes that name a billion-point campaign.
+OVERSIZED_CAMPAIGN = b'{"campaign": {"base": {"kind": "dna_assay"}, "replicates": 1000000000}}'
+
+
+def test_an_oversized_campaign_is_refused_before_it_compiles():
+    assert len(OVERSIZED_CAMPAIGN) == 71
+    server, thread = start_server(port=0)
+    try:
+        status, _, answer = _post_raw(
+            server, len(OVERSIZED_CAMPAIGN), OVERSIZED_CAMPAIGN, close=True
+        )
+        assert status == 400, answer
+        error = json.loads(answer)["error"]
+        assert "1000000000 points" in error and f"at most {MAX_CAMPAIGN_POINTS}" in error
+        assert server.manager.jobs() == []
+    finally:
+        server.shutdown()
+        server.server_close()
+        server.manager.shutdown()
+        thread.join(timeout=10)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "1"])
+def test_a_non_integer_seed_is_a_client_error(service, seed):
+    with pytest.raises(ServiceError) as bad_seed:
+        service.submit(CAMPAIGN, seed=seed)
+    assert bad_seed.value.status == 400
+    assert "seed must be an integer" in str(bad_seed.value)
+    assert service.jobs() == []
