@@ -7,7 +7,7 @@ operation) and 6 pin interface for power supply and serial digital data
 transmission."  Basic CMOS process: Lmin = 0.5 um, tox = 15 nm, VDD = 5 V.
 
 The model wires together:
-  * 128 sensor pixels, each a Fig. 3 sawtooth ADC with its own drawn
+  * 128 sensor sites, each a Fig. 3 sawtooth ADC with its own drawn
     manufacturing variation,
   * a bandgap + reference-current fanout + two electrode DACs periphery,
   * the 6-pin serial protocol for configuration and counter readout.
@@ -16,6 +16,7 @@ The model wires together:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +26,9 @@ from ..devices.bandgap import BandgapReference
 from ..devices.current_mirror import ReferenceCurrentFanout
 from ..devices.dac import ResistorStringDac
 from ..dna.assay import AssayResult
-from ..pixel.pixel import DnaSensorPixel, draw_variations
+from ..electrochem.redox_cycling import RedoxCyclingSensor
+from ..pixel.pixel import DnaSensorPixel, PixelVariation, draw_variations, pixel_adc
+from ..pixel.sawtooth_adc import SawtoothAdc
 from .registers import RegisterFile, dna_chip_registers
 from .sequencer import SiteSequence
 from .serial_interface import Command, Frame, SerialLink
@@ -86,6 +89,12 @@ class ChipSpecs:
 class DnaMicroarrayChip:
     """Behavioural model of the full Fig. 4 device.
 
+    Each site keeps only its in-pixel converter (``adcs``, flat
+    row-major).  The chip holds the rest: one redox-cycling ``sensor``
+    (every site's IDA is identical), per-site ``gain_correction`` and
+    drawn ``cint_relative_error`` arrays, and the counters' saturating
+    ``full_scale``.
+
     Parameters
     ----------
     specs:
@@ -106,10 +115,12 @@ class DnaMicroarrayChip:
         # digital path: register traffic, serial frames, sample slots.
         self.recorder = recorder
         generator = ensure_rng(rng)
-        self.pixels: list[DnaSensorPixel] = [
-            DnaSensorPixel(variation, counter_bits=self.specs.counter_bits)
-            for variation in draw_variations(generator, self.specs.sites)
-        ]
+        variations = draw_variations(generator, self.specs.sites)
+        self.adcs: list[SawtoothAdc] = [pixel_adc(*row) for row in variations.tolist()]
+        self.cint_relative_error: np.ndarray = variations[:, 1].copy()
+        self.sensor = RedoxCyclingSensor()
+        self.gain_correction: np.ndarray = np.ones(self.specs.sites)
+        self.full_scale = (1 << self.specs.counter_bits) - 1
         self.bandgap = BandgapReference.sample(generator)
         self.generator_dac = ResistorStringDac.sample(generator, bits=8, v_low=0.0, v_high=2.0)
         self.collector_dac = ResistorStringDac.sample(generator, bits=8, v_low=-1.0, v_high=1.0)
@@ -125,7 +136,6 @@ class DnaMicroarrayChip:
             cols=self.specs.cols,
             counter_bits=self.specs.counter_bits,
         )
-        self._configured = False
         # Latest per-site counts, flat row-major — held as an ndarray so
         # readout/serial paths index it instead of rebuilding list[int]
         # copies of the rows x cols loop.
@@ -139,8 +149,22 @@ class DnaMicroarrayChip:
             raise IndexError(f"site ({row}, {col}) outside array")
         return row * self.specs.cols + col
 
+    @property
+    def pixels(self) -> list[DnaSensorPixel]:
+        """Every site as a :meth:`pixel_at` view."""
+        return [self.pixel_at(*divmod(index, self.specs.cols)) for index in range(self.specs.sites)]
+
     def pixel_at(self, row: int, col: int) -> DnaSensorPixel:
-        return self.pixels[self._site_index(row, col)]
+        """A :class:`DnaSensorPixel` built on demand around the site's
+        converter, stored gain and the chip's sensor: a read-only view,
+        so calibrating or counting on it leaves the chip alone."""
+        index = self._site_index(row, col)
+        adc = self.adcs[index]
+        cint_relative_error = float(self.cint_relative_error[index])
+        variation = PixelVariation(adc.comparator.offset_v, cint_relative_error, adc.leakage_a)
+        pixel = DnaSensorPixel(variation, self.specs.counter_bits, self.sensor)
+        pixel.adc, pixel.gain_correction = adc, float(self.gain_correction[index])
+        return pixel
 
     # ------------------------------------------------------------------
     # Configuration (over the serial link, as on silicon)
@@ -148,7 +172,7 @@ class DnaMicroarrayChip:
     def configure_bias(self, v_generator: float, v_collector: float) -> bool:
         """Program the electrode DACs and validate redox-cycling bias.
 
-        Returns True when every pixel's sensor is correctly biased.
+        Returns True when the (shared) sensor model is correctly biased.
         """
         if self.recorder is not None:
             self.recorder.seq_state("configure", detail="electrode DAC programming")
@@ -158,15 +182,21 @@ class DnaMicroarrayChip:
         self._write_register("collector_dac", col_code)
         v_gen_actual = self.generator_dac.output(gen_code)
         v_col_actual = self.collector_dac.output(col_code)
-        all_ok = True
-        for pixel in self.pixels:
-            ok = pixel.sensor.check_bias(v_gen_actual, v_col_actual)
-            all_ok = all_ok and ok
-        self._configured = all_ok
-        return all_ok
+        return self.sensor.check_bias(v_gen_actual, v_col_actual)
 
     def _write_register(self, name: str, value: int) -> None:
         write_dna_register(self.link, self.registers, name, value)
+
+    def _count_frame(
+        self, sites: Sequence[int], currents: Sequence[float], frame_s: float, rng: RngLike
+    ) -> list[int]:
+        """Each listed site's converter counts its current for one frame,
+        in list order on one generator; the counter holds at full scale."""
+        generator = ensure_rng(rng)
+        return [
+            min(self.adcs[site].count_in_frame(current, frame_s, rng=generator), self.full_scale)
+            for site, current in zip(sites, currents)
+        ]
 
     # ------------------------------------------------------------------
     # Auto-calibration
@@ -176,17 +206,17 @@ class DnaMicroarrayChip:
         tree (divided 100:1 into the ADC's mid-range) to every pixel and
         store gain corrections.  Returns the array of correction
         factors."""
+        from ..engine import kernels
+
         if self.recorder is not None:
             self.recorder.seq_state("calibrate", detail=f"reference frame {frame_s} s")
-        generator = ensure_rng(rng)
         branch_currents = (self.reference_tree.branch_currents() / 100.0).tolist()
-        branches = len(branch_currents)
-        corrections = np.array(
-            [
-                pixel.calibrate(branch_currents[index % branches], frame_s, rng=generator)
-                for index, pixel in enumerate(self.pixels)
-            ]
-        )
+        sites = range(self.specs.sites)
+        references = [branch_currents[index % len(branch_currents)] for index in sites]
+        counts = self._count_frame(sites, references, frame_s, rng)
+        dead_time_s = np.array([adc.dead_time() for adc in self.adcs])
+        corrections = kernels.calibration_corrections(counts, references, frame_s, dead_time_s)
+        self.gain_correction = corrections.copy()
         self._write_register("calibration_enable", 1)
         if self.recorder is not None:
             self.recorder.advance(frame_s)  # the calibration counting frame
@@ -199,7 +229,7 @@ class DnaMicroarrayChip:
         self, assay: AssayResult, frame_s: float = 1.0, rng: RngLike = None
     ) -> np.ndarray:
         """Digitise an assay outcome: every site's surface concentration
-        is re-transduced by that pixel's own sensor and converted by its
+        is transduced by the sensor model and converted by that site's
         own ADC.  Returns the (rows x cols) count matrix."""
         if assay.rows != self.specs.rows or assay.cols != self.specs.cols:
             raise ValueError(
@@ -208,14 +238,11 @@ class DnaMicroarrayChip:
             )
         if self.recorder is not None:
             self.recorder.seq_state("measure", detail=f"assay frame {frame_s} s")
-        generator = ensure_rng(rng)
-        counts = [0] * self.specs.sites
-        for site in assay.sites:
-            index = self._site_index(site.row, site.col)
-            counts[index] = self.pixels[index].measure_concentration(
-                site.surface_concentration, frame_s, rng=generator
-            )
-        self._last_counts = np.array(counts, dtype=np.int64)
+        current = self.sensor.current
+        sites = [self._site_index(site.row, site.col) for site in assay.sites]
+        currents = [current(site.surface_concentration) for site in assay.sites]
+        self._last_counts = np.zeros(self.specs.sites, dtype=np.int64)
+        self._last_counts[sites] = self._count_frame(sites, currents, frame_s, rng)
         if self.recorder is not None:
             self.recorder.advance(frame_s)  # the counting frame
         return self._last_counts.reshape(self.specs.rows, self.specs.cols).copy()
@@ -229,26 +256,26 @@ class DnaMicroarrayChip:
             raise ValueError(f"expected {self.specs.rows}x{self.specs.cols} currents")
         if self.recorder is not None:
             self.recorder.seq_state("measure", detail=f"current pattern frame {frame_s} s")
-        generator = ensure_rng(rng)
-        counts = np.zeros_like(currents, dtype=int)
-        for row in range(self.specs.rows):
-            for col in range(self.specs.cols):
-                pixel = self.pixel_at(row, col)
-                counts[row, col] = pixel.convert_current(
-                    float(currents[row, col]), frame_s, rng=generator
-                )
-        self._last_counts = counts.reshape(-1).astype(np.int64)
+        counts = self._count_frame(range(self.specs.sites), currents.ravel().tolist(), frame_s, rng)
+        self._last_counts = np.array(counts, dtype=np.int64)
         if self.recorder is not None:
             self.recorder.advance(frame_s)  # the counting frame
-        return counts
+        return self._last_counts.reshape(currents.shape).astype(int)
+
+    @property
+    def cint_host_nominal_f(self) -> np.ndarray:
+        """The nominal Cint the host assumes per site (flat): ``actual /
+        (1 + drawn error)``, as :meth:`DnaSensorPixel.current_estimate`."""
+        cint_f = np.array([adc.cint.capacitance_f for adc in self.adcs])
+        return cint_f / (1.0 + self.cint_relative_error)
 
     def current_estimates(self, counts: np.ndarray, frame_s: float) -> np.ndarray:
         """Host-side conversion of counts to amperes with stored
         per-pixel calibration.
 
         Evaluated as one :mod:`repro.engine.kernels` call over the
-        gathered per-pixel parameters (same formula and operation order
-        as the former per-pixel loop, bit-identical results).
+        chip's per-site parameters (same formula and operation order
+        as :meth:`DnaSensorPixel.current_estimate`, bit-identical).
         """
         from ..engine import kernels
 
@@ -257,14 +284,12 @@ class DnaMicroarrayChip:
             raise ValueError("count matrix shape mismatch")
         if frame_s <= 0:
             raise ValueError("frame must be positive")
-        cint_nominal = np.array(
-            [
-                pixel.adc.cint.capacitance_f / (1.0 + pixel.variation.cint_relative_error)
-                for pixel in self.pixels
-            ]
-        ).reshape(counts.shape)
-        gains = np.array([pixel.gain_correction for pixel in self.pixels]).reshape(counts.shape)
-        return kernels.host_current_estimate(counts, frame_s, cint_nominal, gains)
+        return kernels.host_current_estimate(
+            counts,
+            frame_s,
+            self.cint_host_nominal_f.reshape(counts.shape),
+            self.gain_correction.reshape(counts.shape),
+        )
 
     # ------------------------------------------------------------------
     # Serial readout (the 6-pin data path)
@@ -292,13 +317,12 @@ class DnaMicroarrayChip:
     def inject_dead_pixel(self, row: int, col: int) -> None:
         """Failure injection: make one pixel's leakage exceed the signal
         floor so it never fires."""
-        pixel = self.pixel_at(row, col)
-        pixel.adc.leakage_a = 10e-12
+        self.adcs[self._site_index(row, col)].leakage_a = 10e-12
 
     def dead_pixel_map(self) -> np.ndarray:
         from ..engine import kernels
 
-        leakage = np.array([pixel.adc.leakage_a for pixel in self.pixels])
+        leakage = np.array([adc.leakage_a for adc in self.adcs])
         return kernels.dead_pixel_mask(leakage).reshape(self.specs.rows, self.specs.cols)
 
     # ------------------------------------------------------------------

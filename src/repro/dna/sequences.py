@@ -107,9 +107,6 @@ class DnaSequence:
                     break
         return best
 
-    def is_perfect_match_for(self, probe: "DnaSequence") -> bool:
-        return self.mismatches_against(probe) == 0
-
     @staticmethod
     def _hamming(a: str, b: str) -> int:
         return sum(1 for x, y in zip(a, b) if x != y)

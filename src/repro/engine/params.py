@@ -8,9 +8,9 @@ the array-scale replacement for a list of
 Two draw modes:
 
 * ``"paired"`` — replicates the object chip's RNG consumption exactly:
-  one child stream per site, each site's ``PixelVariation`` drawn from
-  its child (``pixel.pixel.draw_variations``, the object chip's own
-  draw).  A :class:`~repro.chip.dna_chip.DnaMicroarrayChip` built from
+  one child stream per site, each site's three mismatch values drawn
+  from its child (``pixel.pixel.draw_variations``, the object chip's
+  own draw).  A :class:`~repro.chip.dna_chip.DnaMicroarrayChip` built from
   the same generator gets *bit-identical* pixel parameters — the
   foundation of the backend parity tests.
 * ``"fast"`` — draws whole-array vectors straight from the generator
@@ -158,16 +158,9 @@ class PixelArrayParams:
         generator = ensure_rng(rng)
         sites = rows * cols
         if mode == "paired":
-            variations = draw_variations(
-                generator,
-                sites,
-                sigma_offset_v=sigma_offset_v,
-                sigma_cint_rel=sigma_cint_rel,
-                leakage_mean_a=leakage_mean_a,
-            )
-            offsets = np.array([v.comparator_offset_v for v in variations])
-            cint_rel = np.array([v.cint_relative_error for v in variations])
-            leakage = np.array([v.leakage_a for v in variations])
+            offsets, cint_rel, leakage = draw_variations(
+                generator, sites, sigma_offset_v, sigma_cint_rel, leakage_mean_a
+            ).T
         else:
             offsets = generator.normal(0.0, sigma_offset_v, size=sites)
             cint_rel = generator.normal(0.0, sigma_cint_rel, size=sites)
@@ -180,34 +173,6 @@ class PixelArrayParams:
             comparator_offset_v=offsets.reshape(shape),
             leakage_a=leakage.reshape(shape),
             **design,
-        )
-
-    @classmethod
-    def from_pixels(cls, pixels, rows: int, cols: int) -> "PixelArrayParams":
-        """Gather the parameter arrays out of built
-        :class:`DnaSensorPixel` objects (one chip) — the exact bridge
-        from an object-model chip to the kernels."""
-        if len(pixels) != rows * cols:
-            raise ValueError(f"{len(pixels)} pixels do not fill a {rows}x{cols} grid")
-        template = pixels[0]
-        shape = (1, rows, cols)
-        return cls(
-            cint_f=np.array([p.adc.cint.capacitance_f for p in pixels]).reshape(shape),
-            cint_relative_error=np.array(
-                [p.variation.cint_relative_error for p in pixels]
-            ).reshape(shape),
-            comparator_offset_v=np.array(
-                [p.adc.comparator.offset_v for p in pixels]
-            ).reshape(shape),
-            leakage_a=np.array([p.adc.leakage_a for p in pixels]).reshape(shape),
-            cint_nominal_f=template.adc.cint.capacitance_f
-            / (1.0 + template.variation.cint_relative_error),
-            swing_nominal_v=template.adc.comparator.threshold_v,
-            v_reset=template.adc.v_reset,
-            tau_delay_s=template.adc.tau_delay_s,
-            comparator_delay_s=template.adc.comparator.delay_s,
-            noise_rms_v=template.adc.comparator.noise_rms_v,
-            counter_bits=template.counter.bits,
         )
 
     @classmethod

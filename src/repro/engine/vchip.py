@@ -289,7 +289,6 @@ class VectorizedDnaChip:
         )
         self.bias_ok_chips = np.ones(n_chips, dtype=bool)
         self.gain_correction = np.ones(self.params.shape)
-        self._configured = False
         self._last_counts = np.zeros((n_chips, self.specs.sites), dtype=np.int64)
 
     # ------------------------------------------------------------------
@@ -342,8 +341,7 @@ class VectorizedDnaChip:
                 self._write_register("collector_dac", col_code)
             ok[index] = self.sensor.check_bias(gen_dac.output(gen_code), col_dac.output(col_code))
         self.bias_ok_chips = ok
-        self._configured = bool(ok.all())
-        return self._configured
+        return bool(ok.all())
 
     def _write_register(self, name: str, value: int) -> None:
         write_dna_register(self.link, self.registers, name, value)
@@ -469,23 +467,35 @@ class VectorizedDnaChip:
         twin.specs = chip.specs
         twin.n_chips = 1
         twin.mismatch = "paired"
-        twin.params = PixelArrayParams.from_pixels(
-            chip.pixels, chip.specs.rows, chip.specs.cols
+
+        def plane(values) -> np.ndarray:
+            return np.array(values).reshape(1, chip.specs.rows, chip.specs.cols)
+
+        template = chip.adcs[0]
+        twin.params = PixelArrayParams(
+            cint_f=plane([adc.cint.capacitance_f for adc in chip.adcs]),
+            cint_relative_error=plane(chip.cint_relative_error),
+            comparator_offset_v=plane([adc.comparator.offset_v for adc in chip.adcs]),
+            leakage_a=plane([adc.leakage_a for adc in chip.adcs]),
+            cint_nominal_f=float(chip.cint_host_nominal_f[0]),
+            swing_nominal_v=template.comparator.threshold_v,
+            v_reset=template.v_reset,
+            tau_delay_s=template.tau_delay_s,
+            comparator_delay_s=template.comparator.delay_s,
+            noise_rms_v=template.comparator.noise_rms_v,
+            counter_bits=chip.specs.counter_bits,
         )
         twin.bandgaps = [chip.bandgap]
         twin.generator_dacs = [chip.generator_dac]
         twin.collector_dacs = [chip.collector_dac]
         twin.reference_trees = [chip.reference_tree]
         # Own sensor copy: check_bias stores state on the instance.
-        twin.sensor = copy.deepcopy(chip.pixels[0].sensor)
+        twin.sensor = copy.deepcopy(chip.sensor)
         twin.registers = copy.deepcopy(chip.registers)
         twin.link = copy.deepcopy(chip.link)
         twin.sequence = chip.sequence
-        twin.bias_ok_chips = np.array([all(p.sensor.bias_ok for p in chip.pixels)])
-        twin.gain_correction = np.array(
-            [p.gain_correction for p in chip.pixels]
-        ).reshape(twin.params.shape)
-        twin._configured = chip._configured
+        twin.bias_ok_chips = np.array([chip.sensor.bias_ok])
+        twin.gain_correction = chip.gain_correction.reshape(twin.params.shape).copy()
         twin._last_counts = np.array(chip._last_counts, dtype=np.int64).reshape(
             1, chip.specs.sites
         )

@@ -882,9 +882,8 @@ def _execute_array_scale(
         )
         dead = np.asarray([int(chip.dead_pixel_map().sum()) for chip in chips])
         counter_bits = chips[0].specs.counter_bits
-        pixel = chips[0].pixels[0]
-        cint_nominal = pixel.adc.cint.capacitance_f / (1.0 + pixel.variation.cint_relative_error)
-        swing_nominal = pixel.adc.comparator.threshold_v
+        cint_nominal = float(chips[0].cint_host_nominal_f[0])
+        swing_nominal = chips[0].adcs[0].comparator.threshold_v
 
     records, metrics = array_scale_records_and_metrics(
         spec, backend, counts, dead, counter_bits, cint_nominal, swing_nominal, currents

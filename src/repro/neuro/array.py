@@ -62,11 +62,6 @@ class RecordedMovie:
             label=f"pixel ({row},{col})",
         )
 
-    def peak_frame(self) -> int:
-        """Index of the frame with the largest absolute sample."""
-        flat = np.max(np.abs(self.frames.reshape(self.n_frames, -1)), axis=1)
-        return int(np.argmax(flat))
-
 
 class NeuralArrayModel:
     """Parameter-plane model of the sensor matrix.

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.rng import RngLike, child_streams, ensure_rng
 from ..core.units import fF, ns
 from ..devices.capacitor import Capacitor
@@ -58,71 +60,66 @@ def draw_variations(
     sigma_offset_v: float = 0.008,
     sigma_cint_rel: float = 0.015,
     leakage_mean_a: float = 2.0e-15,
-) -> list[PixelVariation]:
-    """The paired per-pixel draw: pixel *k*'s variation comes from child
-    stream *k* of ``rng`` (:func:`~repro.core.rng.child_streams`), so
-    one pixel's draws never shift its neighbours'."""
-    return [
-        PixelVariation.draw(
-            child,
-            sigma_offset_v=sigma_offset_v,
-            sigma_cint_rel=sigma_cint_rel,
-            leakage_mean_a=leakage_mean_a,
-        )
-        for child in child_streams(rng, count)
-    ]
+) -> np.ndarray:
+    """The paired per-pixel draw: row *k* holds :class:`PixelVariation`'s
+    three fields for pixel *k*, drawn from child stream *k* of ``rng``
+    (:func:`~repro.core.rng.child_streams`) with the bits of
+    :meth:`PixelVariation.draw`, so one pixel never shifts another's."""
+    normals = np.empty((count, 3))
+    for index, child in enumerate(child_streams(rng, count)):
+        child.standard_normal(out=normals[index])
+    loc = np.array([0.0, 0.0, leakage_mean_a])
+    scale = np.array([sigma_offset_v, sigma_cint_rel, 0.5 * leakage_mean_a])
+    variations = loc + scale * normals
+    np.abs(variations[:, 2], out=variations[:, 2])
+    return variations
+
+
+def pixel_adc(
+    comparator_offset_v: float, cint_relative_error: float, leakage_a: float
+) -> SawtoothAdc:
+    """One site's Fig. 3 converter (100 fF Cint, 1 V swing, 50 ns
+    comparator delay, 100 ns reset pulse) with its drawn mismatch."""
+    return SawtoothAdc(
+        cint=Capacitor(100 * fF * (1.0 + cint_relative_error)),
+        comparator=Comparator(
+            threshold_v=1.0, offset_v=comparator_offset_v, delay_s=50 * ns, noise_rms_v=0.002
+        ),
+        v_reset=0.0,
+        tau_delay_s=100 * ns,
+        leakage_a=leakage_a,
+    )
 
 
 class DnaSensorPixel:
-    """One of the 16x8 sensor sites.
+    """One of the 16x8 sensor sites: a :func:`pixel_adc` converter, its
+    counter and a redox-cycling sensor.
 
     Parameters
     ----------
     variation:
         This pixel's parameter deviations.
-    cint_nominal:
-        Design value of the integration capacitor.
-    swing_v:
-        Nominal comparator threshold above the reset level.
-    frame_s:
-        Default counting frame.
+    counter_bits:
+        Counter width; the counter saturates at full scale.
     """
 
     def __init__(
         self,
         variation: PixelVariation | None = None,
-        cint_nominal: float = 100 * fF,
-        swing_v: float = 1.0,
-        tau_delay_s: float = 100 * ns,
-        comparator_delay_s: float = 50 * ns,
         counter_bits: int = 24,
         sensor: RedoxCyclingSensor | None = None,
     ) -> None:
         self.variation = variation or PixelVariation()
-        cint = Capacitor(cint_nominal * (1.0 + self.variation.cint_relative_error))
-        comparator = Comparator(
-            threshold_v=swing_v,
-            offset_v=self.variation.comparator_offset_v,
-            delay_s=comparator_delay_s,
-            noise_rms_v=0.002,
-        )
-        self.adc = SawtoothAdc(
-            cint=cint,
-            comparator=comparator,
-            v_reset=0.0,
-            tau_delay_s=tau_delay_s,
-            leakage_a=self.variation.leakage_a,
+        self.adc = pixel_adc(
+            self.variation.comparator_offset_v,
+            self.variation.cint_relative_error,
+            self.variation.leakage_a,
         )
         self.counter = PixelCounter(bits=counter_bits)
         self.sensor = sensor or RedoxCyclingSensor()
         self.gain_correction = 1.0  # set by chip auto-calibration
 
     # ------------------------------------------------------------------
-    @property
-    def conversion_gain(self) -> float:
-        """Nominal counts-per-ampere-second: 1/(Cint*swing)."""
-        return 1.0 / (self.adc.cint.capacitance_f * self.adc.swing_v)
-
     def convert_current(self, i_sensor: float, frame_s: float, rng: RngLike = None) -> int:
         """Digitise a sensor current: count reset pulses over the frame."""
         self.counter.reset()

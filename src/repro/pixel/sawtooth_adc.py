@@ -157,16 +157,25 @@ class SawtoothAdc:
         if start_phase is not None and not 0.0 <= start_phase <= 1.0:
             raise ValueError("start_phase must lie in [0, 1]")
         generator = ensure_rng(rng)
-        # ramp_time and dead_time, read straight off the parts.
+        # The frame's invariants, read straight off the parts once.
         comparator = self.comparator
         v_reset = self.v_reset
         swing_v = comparator.threshold_v + comparator.offset_v - v_reset
         net = i_sensor - self.leakage_a
-        if net <= 0:
-            return 0  # at or below the leakage floor: the pixel never fires
-        charge_time = self.cint.charge_time
+        if net <= 0 or swing_v <= 0:
+            return 0  # at or below the leakage floor or the reset level: never fires
+        cint = self.cint
+        if cint.leakage_conductance_s == 0 and cint.voltage_coefficient == 0:
+            cap = cint.capacitance_f
+            # charge_time's own arithmetic for a leak-free linear Cint (its
+            # capacitance factor is exactly 1.0), without its checks.
+            def ramp_time(swing: float) -> float:
+                return cap * swing / net
+        else:
+            def ramp_time(swing: float) -> float:
+                return cint.charge_time(net, swing, start_v=v_reset)
         try:
-            base_ramp = charge_time(net, swing_v, start_v=v_reset)
+            base_ramp = ramp_time(swing_v)
         except ValueError:
             return 0
         dead = comparator.delay_s + self.tau_delay_s
@@ -186,7 +195,8 @@ class SawtoothAdc:
             # counts (jitter << quantisation there anyway).
             sigma_cycle = base_ramp * (noise_sigma / swing_v)
             sigma_count = math.sqrt(expected) * (sigma_cycle / period)
-            jitter = float(generator.normal(0.0, sigma_count))
+            # NumPy's normal(0, s) is 0.0 + s * z: these sums get its bits.
+            jitter = sigma_count * generator.standard_normal()
             return max(0, int(expected + start_phase + jitter))
         # Event-driven: each cycle's swing is perturbed by threshold noise,
         # one scalar draw per cycle from the shared stream.
@@ -194,12 +204,11 @@ class SawtoothAdc:
         count = 0
         max_cycles = int(frame_s / period) + 16
         swing_floor = 0.05 * swing_v
-        normal = generator.normal
+        standard_normal = generator.standard_normal
         for _ in range(max_cycles):
-            swing = swing_v + float(normal(0.0, noise_sigma))
-            swing = max(swing, swing_floor)
+            swing = max(swing_v + noise_sigma * standard_normal(), swing_floor)
             try:
-                ramp = charge_time(net, swing, start_v=v_reset)
+                ramp = ramp_time(swing)
             except ValueError:
                 break
             elapsed += ramp + dead

@@ -165,7 +165,10 @@ class JobManager:
         self._jobs: "dict[str, Job]" = {}
         self._order: list[str] = []
         self._lock = threading.Lock()
-        self._counter = itertools.count(1)
+        # Number after the jobs left under ``root`` by an earlier session.
+        taken = [] if self.root is None else sorted(self.root.glob("job-*"))
+        numbers = [int(path.name[4:]) for path in taken if path.name[4:].isdecimal()]
+        self._counter = itertools.count(max(numbers, default=0) + 1)
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
         self._threads = [
             threading.Thread(target=self._worker, name=f"repro-job-{n}", daemon=True)

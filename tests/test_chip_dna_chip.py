@@ -40,8 +40,9 @@ class TestConfiguration:
         assert counts.max() > 0
 
     def test_pixel_indexing(self, dna_chip):
-        assert dna_chip.pixel_at(0, 0) is dna_chip.pixels[0]
-        assert dna_chip.pixel_at(15, 7) is dna_chip.pixels[127]
+        # Pixels are views built on demand around each site's converter.
+        assert dna_chip.pixel_at(0, 0).adc is dna_chip.pixels[0].adc is dna_chip.adcs[0]
+        assert dna_chip.pixel_at(15, 7).adc is dna_chip.pixels[127].adc is dna_chip.adcs[127]
         with pytest.raises(IndexError):
             dna_chip.pixel_at(16, 0)
 

@@ -9,7 +9,8 @@ item writes).  The library versions must return ``==`` results and leave
 a shared generator in the same state, so the chip's output bits cannot
 drift.  ``child_streams`` is checked against ``spawn_children``, which
 NumPy seeds itself.  The work counts pin how many ``Mosfet.ids``
-evaluations provisioning costs.
+evaluations provisioning costs, how many ADC frames a Fig. 4 point
+counts, and that the point builds no per-pixel objects.
 """
 
 import dataclasses
@@ -32,7 +33,10 @@ from repro.devices.mosfet import Mosfet
 from repro.dna import MicroarrayAssay, ProbeLayout, Sample
 from repro.engine import VectorizedDnaChip
 from repro.engine.params import PixelArrayParams
-from repro.pixel.pixel import PixelVariation, draw_variations
+from repro.experiments import Runner
+from repro.experiments.specs import spec_from_dict
+from repro.pixel.counter import PixelCounter
+from repro.pixel.pixel import DnaSensorPixel, PixelVariation, draw_variations
 from repro.pixel.sawtooth_adc import SawtoothAdc
 
 
@@ -168,22 +172,22 @@ def oracle_paired_planes(rng, sites):
     return offsets, cint_rel, leakage
 
 
-def oracle_auto_calibrate(chip, frame_s, rng):
+def oracle_auto_calibrate(chip, pixels, frame_s, rng):
     generator = ensure_rng(rng)
     branch_currents = chip.reference_tree.branch_currents() / 100.0
     corrections = np.empty(chip.specs.sites)
-    for index, pixel in enumerate(chip.pixels):
+    for index, pixel in enumerate(pixels):
         i_ref = float(branch_currents[index % len(branch_currents)])
         corrections[index] = pixel.calibrate(i_ref, frame_s, rng=generator)
     chip._write_register("calibration_enable", 1)
     return corrections
 
 
-def oracle_measure_assay(chip, assay, frame_s, rng):
+def oracle_measure_assay(chip, pixels, assay, frame_s, rng):
     generator = ensure_rng(rng)
     counts = np.zeros((chip.specs.rows, chip.specs.cols), dtype=int)
     for site in assay.sites:
-        pixel = chip.pixel_at(site.row, site.col)
+        pixel = pixels[site.row * chip.specs.cols + site.col]
         counts[site.row, site.col] = pixel.measure_concentration(
             site.surface_concentration, frame_s, rng=generator
         )
@@ -393,7 +397,9 @@ class TestChildStreams:
     @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
     def test_draw_variations_match_spawned_children(self, seed):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert draw_variations(ours, 128) == oracle_draw_variations(theirs, 128)
+        assert draw_variations(ours, 128).tolist() == [
+            list(dataclasses.astuple(v)) for v in oracle_draw_variations(theirs, 128)
+        ]
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
@@ -402,9 +408,18 @@ def _variations(chip):
 
 
 def _oracle_chip(monkeypatch, specs, rng):
+    """A chip drawn through the frozen variation draw, and the frozen
+    model's pixels: one ``DnaSensorPixel`` per drawn variation."""
+    drawn = []
+
+    def draw(rng, count):
+        drawn.extend(oracle_draw_variations(rng, count))
+        return np.array([dataclasses.astuple(v) for v in drawn])
+
     with monkeypatch.context() as patch:
-        patch.setattr(dna_chip, "draw_variations", oracle_draw_variations)
-        return DnaMicroarrayChip(specs, rng=rng)
+        patch.setattr(dna_chip, "draw_variations", draw)
+        chip = DnaMicroarrayChip(specs, rng=rng)
+    return chip, [DnaSensorPixel(v, counter_bits=specs.counter_bits) for v in drawn]
 
 
 def _assay(specs, seed):
@@ -419,24 +434,24 @@ class TestChipLoopsOracle:
         specs = ChipSpecs(rows=shape[0], cols=shape[1])
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         chip = DnaMicroarrayChip(specs, rng=ours)
-        oracle = _oracle_chip(monkeypatch, specs, theirs)
-        assert _variations(chip) == _variations(oracle)
+        oracle, oracle_pixels = _oracle_chip(monkeypatch, specs, theirs)
+        assert _variations(chip) == [pixel.variation for pixel in oracle_pixels]
         assert ours.bit_generator.state == theirs.bit_generator.state
 
         calibration = [np.random.default_rng(seed + 10) for _ in range(2)]
         corrections = chip.auto_calibrate(rng=calibration[0])
-        expected = oracle_auto_calibrate(oracle, 0.05, calibration[1])
+        expected = oracle_auto_calibrate(oracle, oracle_pixels, 0.05, calibration[1])
         assert corrections.dtype == expected.dtype
         assert corrections.tolist() == expected.tolist()
         assert [p.gain_correction for p in chip.pixels] == [
-            p.gain_correction for p in oracle.pixels
+            p.gain_correction for p in oracle_pixels
         ]
         assert calibration[0].bit_generator.state == calibration[1].bit_generator.state
 
         assay = _assay(specs, seed)
         measure = [np.random.default_rng(seed + 20) for _ in range(2)]
         counts = chip.measure_assay(assay, rng=measure[0])
-        expected = oracle_measure_assay(oracle, assay, 1.0, measure[1])
+        expected = oracle_measure_assay(oracle, oracle_pixels, assay, 1.0, measure[1])
         assert counts.dtype == expected.dtype and counts.shape == expected.shape
         assert counts.tolist() == expected.tolist()
         assert chip._last_counts.dtype == oracle._last_counts.dtype
@@ -462,8 +477,8 @@ class TestChipLoopsOracle:
         specs = ChipSpecs()
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         chip = VectorizedDnaChip(specs, rng=ours, mismatch="paired")
-        oracle = _oracle_chip(monkeypatch, specs, theirs)
-        variations = _variations(oracle)
+        _, oracle_pixels = _oracle_chip(monkeypatch, specs, theirs)
+        variations = [pixel.variation for pixel in oracle_pixels]
         assert chip.params.comparator_offset_v.ravel().tolist() == [
             v.comparator_offset_v for v in variations
         ]
@@ -487,6 +502,34 @@ def ids_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def adc_frames(monkeypatch):
+    """Counts ``SawtoothAdc.count_in_frame`` calls, wrapped on the class
+    as the end-to-end benchmark's ``pixel.adc_frames`` counter is."""
+    calls = [0]
+    count_in_frame = SawtoothAdc.count_in_frame
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return count_in_frame(self, *args, **kwargs)
+
+    monkeypatch.setattr(SawtoothAdc, "count_in_frame", counted)
+    return calls
+
+
+#: The Fig. 4 chip experiment the end-to-end benchmark sweeps, and the
+#: fault schedule of its faulted service workload.
+FIG4_FAULTS = (
+    {"kind": "serial_bitflip", "rate": 0.3, "n_flips": 2},
+    {"kind": "stuck_pixel", "rate": 0.02},
+)
+
+
+def _fig4_point(concentration, faults=()):
+    spec = {"kind": "dna_assay", "probe_count": 4, "replicates": 4, "target_subset": [0, 1]}
+    return spec_from_dict({**spec, "concentration": concentration, "faults": list(faults)})
+
+
 class TestWorkCounts:
     def test_transfer_makes_83_ids_calls(self, ids_calls):
         mirror = CurrentMirror.matched_pair(4e-6, 2e-6, rng=3)
@@ -499,6 +542,28 @@ class TestWorkCounts:
         chip.auto_calibrate(rng=8)
         # 8 reference-tree branches x 83 (it was 8 x 183 = 1,464).
         assert ids_calls[0] == 664
+
+    @pytest.mark.parametrize("faults", [(), FIG4_FAULTS])
+    def test_a_fig4_point_counts_one_adc_frame_per_pixel_per_frame(
+        self, adc_frames, faults
+    ):
+        runner = Runner(seed=0)
+        runner.run(_fig4_point(1e-7, faults))
+        # 128 calibration frames + 128 measurement frames.
+        assert adc_frames[0] == 256
+        runner.run(_fig4_point(1e-6, faults))
+        # The second point reuses the runner's cached, calibrated chip.
+        assert adc_frames[0] == 256 + 128
+
+    @pytest.mark.parametrize("faults", [(), FIG4_FAULTS])
+    def test_a_fig4_point_builds_no_per_pixel_objects(self, monkeypatch, faults):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} built on the Fig. 4 path")
+
+        for cls in (DnaSensorPixel, PixelCounter, PixelVariation):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        result = Runner(seed=0).run(_fig4_point(1e-7, faults))
+        assert result.metrics
 
     def test_mosfet_is_frozen(self):
         device = Mosfet(2e-6, 1e-6)

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.campaigns import CampaignSpec, run_campaign
-from repro.experiments import DnaAssaySpec, Runner
+from repro.experiments import AdcTransferSpec, DnaAssaySpec, Runner
 from repro.service import (
     JOB_STATES,
     JobManager,
@@ -133,6 +133,22 @@ def test_manager_evicts_oldest_finished_jobs(tmp_path):
 
     with pytest.raises(ValueError, match="max_finished"):
         JobManager(max_finished=-1)
+
+
+def test_a_restarted_manager_numbers_jobs_after_the_last_session(tmp_path):
+    campaign = CampaignSpec(base=AdcTransferSpec(), name="restart")
+    outs = []
+    for _ in range(2):
+        manager = JobManager(workers=1, root=tmp_path / "jobs")
+        try:
+            job = manager.submit(campaign, seed=1)
+            manager.wait(job.id, timeout=60)
+            assert job.status == "done", job.error
+            outs.append(job.out)
+        finally:
+            manager.shutdown()
+    assert [out.name for out in outs] == ["job-0001", "job-0002"]
+    assert all((out / "manifest.json").exists() for out in outs)
 
 
 def test_failed_job_reports_its_error_and_frees_the_worker(manager):
