@@ -230,7 +230,13 @@ class DnaMicroarrayChip:
     ) -> np.ndarray:
         """Digitise an assay outcome: every site's surface concentration
         is transduced by the sensor model and converted by that site's
-        own ADC.  Returns the (rows x cols) count matrix."""
+        own ADC.  Returns the (rows x cols) count matrix.
+
+        The transduction is one :func:`repro.engine.kernels.sensor_currents`
+        call, the formula :class:`~repro.engine.VectorizedDnaChip` uses
+        (bit-identical to :meth:`RedoxCyclingSensor.current` per site)."""
+        from ..engine import kernels
+
         if assay.rows != self.specs.rows or assay.cols != self.specs.cols:
             raise ValueError(
                 f"assay grid {assay.rows}x{assay.cols} does not match the "
@@ -238,9 +244,10 @@ class DnaMicroarrayChip:
             )
         if self.recorder is not None:
             self.recorder.seq_state("measure", detail=f"assay frame {frame_s} s")
-        current = self.sensor.current
+        sensor = self.sensor
         sites = [self._site_index(site.row, site.col) for site in assay.sites]
-        currents = [current(site.surface_concentration) for site in assay.sites]
+        concentrations = [site.surface_concentration for site in assay.sites]
+        currents = kernels.sensor_currents(sensor, concentrations, sensor.bias_ok).tolist()
         self._last_counts = np.zeros(self.specs.sites, dtype=np.int64)
         self._last_counts[sites] = self._count_frame(sites, currents, frame_s, rng)
         if self.recorder is not None:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.rng import RngLike, ensure_rng
-from ..core.units import fF
+from ..core.units import FARADAY, fF
 from ..pixel.pixel import DEAD_PIXEL_LEAKAGE_A  # single source, shared with is_dead()
 
 
@@ -294,26 +294,22 @@ def calibration_corrections(
     return expected / measured
 
 
-def sensor_currents(
-    surface_concentration,
-    diffusion_coefficient_term: float,
-    geometry_factor: float,
-    background_current_a: float,
-    bias_ok=True,
-) -> np.ndarray:
-    """Redox-cycling transduction, vectorised over sites.
+def sensor_currents(sensor, surface_concentration, bias_ok=True) -> np.ndarray:
+    """A :class:`~repro.electrochem.RedoxCyclingSensor`'s transduction,
+    vectorised over sites: the one formula both DNA chips use.
 
-    ``diffusion_coefficient_term`` is ``electrons * FARADAY * D`` so the
-    multiplication order matches
-    :meth:`RedoxCyclingSensor.current` exactly (bit parity); mis-biased
-    chips read background only.
+    Multiplies in the order of :meth:`RedoxCyclingSensor.current`, so
+    each site's current is bit-identical to it; mis-biased chips
+    (``bias_ok`` false, per chip or scalar) read background only.
     """
     conc = np.asarray(surface_concentration, dtype=float)
     if np.any(conc < 0):
         raise ValueError("concentration must be non-negative")
-    diffusive = diffusion_coefficient_term * conc * geometry_factor
-    current = background_current_a + diffusive
-    return np.where(bias_ok, current, background_current_a)
+    species = sensor.species
+    coefficient = species.electrons_transferred * FARADAY * species.diffusion_coefficient
+    diffusive = coefficient * conc * sensor.electrode.geometry_factor()
+    current = sensor.background_current + diffusive
+    return np.where(bias_ok, current, sensor.background_current)
 
 
 def dead_pixel_mask(leakage_a, floor_a: float = DEAD_PIXEL_LEAKAGE_A) -> np.ndarray:

@@ -7,12 +7,16 @@ with one ``np.interp`` call per (neuron, pixel) pair
 evaluate the same physics as whole-array NumPy operations:
 
 * :func:`hh_batch` — one RK4 integration over *all* neurons at once
-  (state vectors of shape ``(n_neurons,)`` instead of one Python object
-  per neuron); per-step cost is flat in the neuron count up to
-  thousands of cells.  Below that the cost is NumPy call overhead, so
-  each RK4 step is fused into as few calls as the operation order
-  allows: packed gating blocks, preallocated stage buffers, and the
-  post-step ionic current taken from the next step's first stage.
+  (one ``(4, n_neurons)`` state block held as ``(v, m, n, h)`` instead
+  of one Python object per neuron); per-step cost is flat in the neuron
+  count up to thousands of cells.  Below that the cost is NumPy call
+  overhead, so each RK4 stage is 25 calls over buffers bound once per
+  integration: one packed gating block whose alpha and beta rows line
+  up with the gates, one ``(3, n)`` ionic-current block, and the
+  post-step ionic current taken from the next step's first stage.  The
+  ``[m, n]`` rows are read through a positive-stride view: over a
+  negative-stride view ``np.power`` takes another SIMD path at one
+  neuron and its bits differ from ``m**3``.
 * :func:`template_tables` — the analytic-AP fast path: the template
   waveform and its derivative are computed once and shared across every
   neuron and spike (the object model rebuilds them per spike).
@@ -21,8 +25,8 @@ evaluate the same physics as whole-array NumPy operations:
   interp-free pass (a table gather over precomputed waveform tables
   followed by one ``np.add.at`` accumulation).
 * :func:`apply_chain_transfer` — the per-channel readout gain +
-  clipping as a single broadcast (bit-identical to the object chip's
-  per-channel loop).
+  clipping as one broadcast and two in-place bounds (bit-identical to
+  the object chip's per-channel ``np.clip`` loop).
 * :func:`mad_sigma_matrix` / :func:`detect_spikes_matrix` — array-wide
   threshold spike detection over a matrix of traces.
 
@@ -109,66 +113,98 @@ def stimulus_matrix(stimuli, steps: int, dt_s: float) -> np.ndarray:
     return out
 
 
-# Gating-rate layout of the packed exponential block: rows are the
-# arguments of alpha_n, alpha_m, beta_n, beta_m, alpha_h, beta_h in the
-# scalar model's ``-(v + offset) / scale`` form.
-_GATE_OFFSETS = np.array([55.0, 40.0, 65.0, 65.0, 65.0, 35.0])[:, None]
-_GATE_SCALES = np.array([-10.0, -10.0, -80.0, -18.0, -20.0, -10.0])[:, None]
-_ALPHA_SINGULAR = np.array([0.1, 1.0])[:, None]  # alpha_n, alpha_m at x == 0
-_ALPHA_GAINS = np.array([0.01, 0.1])[:, None]
-_BETA_GAINS = np.array([0.125, 4.0])[:, None]
+# Packed gating block, one row per rate: alpha_m, alpha_n, alpha_h,
+# beta_m, beta_n, beta_h.  ``rates[:3]`` are the alphas and ``rates[3:]``
+# the betas of the gates (m, n, h) at ``state[1:]``; the offsets and
+# scales give the scalar model's ``-(v + offset) / scale`` arguments.
+_GATE_OFFSETS = np.array([40.0, 55.0, 65.0, 65.0, 65.0, 35.0])[:, None]
+_GATE_SCALES = np.array([-10.0, -10.0, -20.0, -18.0, -80.0, -10.0])[:, None]
+_ALPHA_GAINS = np.array([0.1, 0.01])[:, None]  # alpha_m, alpha_n
+_ALPHA_SINGULAR = np.array([1.0, 0.1])[:, None]  # their limits at x == 0
+_EXP_GAINS = np.array([0.07, 4.0, 0.125])[:, None]  # alpha_h, beta_m, beta_n
+_POWERS = np.array([3.0, 4.0])[:, None]  # m**3, n**4
 
 
-def _derivatives(
-    state: np.ndarray,
-    i_stim,
-    p: HHParameters,
-    out: np.ndarray,
-    scratch: tuple,
-    i_ion: np.ndarray | None = None,
-) -> np.ndarray:
-    """The batched twin of ``HodgkinHuxleyNeuron._derivatives``.
+def _derivatives(p: HHParameters, count: int):
+    """Bind the batched twin of ``HodgkinHuxleyNeuron._derivatives``
+    for one :func:`hh_batch` call.
 
-    Same expressions in the same per-element operation order, arrays
-    over neurons (``state``/``out`` are ``(4, n_neurons)``), fused into
-    as few NumPy calls as that order allows:
+    Returns ``derivatives(src, i_stim, out, i_ion=None)``: ``src`` is the
+    ``(v, gates, [m, n], h)`` views of a ``(4, count)`` state held as
+    ``(v, m, n, h)``, ``out`` the ``(dv, dgates)`` rows of a derivative
+    block.  It evaluates the scalar model's expressions in the same
+    per-element operation order, in 25 NumPy calls over the neurons:
 
     * one broadcast add of ``v`` to the six gating offsets, one divide
       and one ``np.exp`` over the packed ``(6, n)`` block — ``x / -c``
       equals ``-(x / c)`` bitwise in IEEE arithmetic, so the arguments
       match the scalar model's ``-(v+a)/c`` exactly;
-    * ``alpha_n``/``alpha_m`` as one stacked ``np.where``, ``beta_n``/
-      ``beta_m`` as one scaled multiply;
-    * one ``alpha * (1 - g) - beta * g`` pass over the three gates.
+    * ``alpha_m``/``alpha_n`` by ``out=`` multiply, subtract and
+      divide, their removable singularities patched by one
+      ``np.copyto(..., where=|x| < 1e-7)``; ``alpha_h``, ``beta_m`` and
+      ``beta_n`` as one scaled multiply; ``beta_h`` in two calls;
+    * the ionic currents ``(i_Na, i_K, i_leak)`` as one ``(3, n)``
+      block: one ``np.power`` of the ``[m, n]`` view by ``[3, 4]``,
+      times ``[g_na, g_k]``, row 0 times ``h``, then the conductance
+      block (leak row ``g_leak``) times ``v - [e_na, e_k, e_leak]``;
+    * ``dv/dt`` and ``alpha * (1 - g) - beta * g`` in four in-place
+      calls each.
 
-    ``scratch`` is the caller's ``(x, e, alpha, beta)`` buffers (shapes
-    ``(6, n)``, ``(6, n)``, ``(3, n)``, ``(3, n)``).  When ``i_ion`` is
-    given, the ionic current ``i_Na + i_K + i_leak`` at ``state`` is
-    written into it.  Callers hold the ``np.errstate`` guard for the
-    (measure-zero) gating singularities patched by the ``np.where``.
+    The ``[m, n]`` view has a positive stride on purpose: over a
+    negative-stride view (``state[2:0:-1]`` of an ``(v, n, m, h)``
+    state) ``np.power`` takes another SIMD path at one neuron, whose
+    bits differ from ``m**3``.
+
+    When ``i_ion`` is given, the ionic current ``i_Na + i_K + i_leak``
+    at ``src`` is written into it.  Every buffer, view and parameter
+    column is bound here, once per call, so concurrent calls share
+    nothing.  Callers hold the ``np.errstate`` guard for the
+    (measure-zero) gating singularities patched by the ``np.copyto``.
     """
-    x, e, alpha, beta = scratch
-    v = state[0]
-    gates = state[1:]
-    np.add(v, _GATE_OFFSETS, out=x)
-    np.divide(x, _GATE_SCALES, out=e)
-    np.exp(e, out=e)
-    alpha[:2] = np.where(
-        np.abs(x[:2]) < 1e-7, _ALPHA_SINGULAR, _ALPHA_GAINS * x[:2] / (1.0 - e[:2])
-    )
-    np.multiply(e[4], 0.07, out=alpha[2])
-    np.multiply(e[2:4], _BETA_GAINS, out=beta[:2])
-    np.add(e[5], 1.0, out=beta[2])
-    np.divide(1.0, beta[2], out=beta[2])
-    n, m, h = gates
-    i_na = p.g_na * m**3 * h * (v - p.e_na)
-    i_k = p.g_k * n**4 * (v - p.e_k)
-    i_leak = p.g_leak * (v - p.e_leak)
-    if i_ion is not None:
-        np.add(i_na + i_k, i_leak, out=i_ion)
-    out[0] = (i_stim - i_na - i_k - i_leak) / p.c_m
-    np.subtract(alpha * (1.0 - gates), beta * gates, out=out[1:])
-    return out
+    x, e, rates = np.empty((3, 6, count))
+    x_alpha, e_alpha, r_alpha = x[:2], e[:2], rates[:2]
+    e_exp, r_exp = e[2:5], rates[2:5]
+    e_beta_h, beta_h = e[5], rates[5]
+    alpha, beta = rates[:3], rates[3:]
+    conductance, current = np.empty((2, 3, count))
+    conductance[2] = p.g_leak
+    g_mn, g_na = conductance[:2], conductance[0]
+    i_na, i_k, i_leak = current
+    gains = np.array([p.g_na, p.g_k])[:, None]
+    reversal = np.array([p.e_na, p.e_k, p.e_leak])[:, None]
+    decay = np.empty((3, count))
+
+    def derivatives(src, i_stim, out, i_ion=None):
+        v, gates, m_n, h = src
+        dv, dgates = out
+        np.add(v, _GATE_OFFSETS, x)
+        np.divide(x, _GATE_SCALES, e)
+        np.exp(e, e)
+        np.multiply(x_alpha, _ALPHA_GAINS, r_alpha)
+        np.subtract(1.0, e_alpha, e_alpha)
+        np.divide(r_alpha, e_alpha, r_alpha)
+        np.copyto(r_alpha, _ALPHA_SINGULAR, where=np.abs(x_alpha) < 1e-7)
+        np.multiply(e_exp, _EXP_GAINS, r_exp)
+        np.add(e_beta_h, 1.0, beta_h)
+        np.divide(1.0, beta_h, beta_h)
+        np.power(m_n, _POWERS, g_mn)
+        np.multiply(g_mn, gains, g_mn)
+        np.multiply(g_na, h, g_na)
+        np.subtract(v, reversal, current)
+        np.multiply(conductance, current, current)
+        if i_ion is not None:
+            np.add(i_na, i_k, i_ion)
+            np.add(i_ion, i_leak, i_ion)
+        np.subtract(i_stim, i_na, dv)
+        np.subtract(dv, i_k, dv)
+        np.subtract(dv, i_leak, dv)
+        np.divide(dv, p.c_m, dv)
+        np.subtract(1.0, gates, dgates)
+        np.multiply(alpha, dgates, dgates)
+        np.multiply(beta, gates, decay)
+        np.subtract(dgates, decay, dgates)
+
+    return derivatives
 
 
 def refractory_prune(times: np.ndarray, refractory_s: float) -> np.ndarray:
@@ -201,6 +237,13 @@ def hh_batch(
     ``membrane_v``, ``ionic_a_m2``, ``capacitive_a_m2`` and the spike
     times — is bit-identical.
 
+    The state is one ``(4, n_neurons)`` block in ``(v, m, n, h)`` row
+    order, integrated in place.  Every buffer and view the step loop
+    touches is bound before it: each RK4 stage is one
+    :func:`_derivatives` call (25 NumPy calls) plus two to form the
+    next stage state.  ``k1`` is evaluated at the previous step's end
+    state, so it also yields that step's post-step ionic current.
+
     Raises :class:`FloatingPointError` naming the first neuron whose
     membrane voltage or ionic current went non-finite (a stimulus too
     strong for ``dt_s``); the ``np.errstate`` guard only covers the
@@ -221,49 +264,43 @@ def hh_batch(
     from ..neuro.action_potential import HodgkinHuxleyNeuron
 
     n0, m0, h0 = HodgkinHuxleyNeuron(p).steady_state(p.v_rest)
-    state = np.empty((4, count))
-    state[0] = float(p.v_rest)
-    state[1] = float(n0)
-    state[2] = float(m0)
-    state[3] = float(h0)
+    state = np.array([[p.v_rest], [m0], [n0], [h0]], dtype=float).repeat(count, axis=1)
 
     stim = stimulus_matrix(stimuli, steps, dt_s)
     v_out = np.empty((steps, count))
-    i_ion = np.empty((steps, count))
+    # Row s + 1 holds the post-step ionic current of step s; row 0 (the
+    # current at the seed state) is computed and dropped.
+    i_ion = np.empty((steps + 1, count))
     half = 0.5 * dt_ms
     sixth = dt_ms / 6.0
     k1, k2, k3, k4, stage, acc = np.empty((6, 4, count))
-    scratch = (
-        np.empty((6, count)),
-        np.empty((6, count)),
-        np.empty((3, count)),
-        np.empty((3, count)),
-    )
+    at_state = (state[0], state[1:], state[1:3], state[3])
+    at_stage = (stage[0], stage[1:], stage[1:3], stage[3])
+    d1, d2, d3, d4 = ((k[0], k[1:]) for k in (k1, k2, k3, k4))
+    derivatives = _derivatives(p, count)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for step in range(steps):
-            i_stim = stim[step]
-            # k1 is evaluated at the previous step's end state, so it
-            # also yields that step's post-step ionic current.
-            _derivatives(state, i_stim, p, k1, scratch, i_ion[step - 1] if step else None)
-            np.multiply(k1, half, out=stage)
-            np.add(state, stage, out=stage)
-            _derivatives(stage, i_stim, p, k2, scratch)
-            np.multiply(k2, half, out=stage)
-            np.add(state, stage, out=stage)
-            _derivatives(stage, i_stim, p, k3, scratch)
-            np.multiply(k3, dt_ms, out=stage)
-            np.add(state, stage, out=stage)
-            _derivatives(stage, i_stim, p, k4, scratch)
-            np.multiply(k2, 2, out=stage)
-            np.add(k1, stage, out=acc)
-            np.multiply(k3, 2, out=stage)
-            np.add(acc, stage, out=acc)
-            np.add(acc, k4, out=acc)
-            np.multiply(acc, sixth, out=acc)
-            np.add(state, acc, out=state)
-            v_out[step] = state[0]
+        for i_stim, ion_before, v_row in zip(stim, i_ion, v_out):
+            derivatives(at_state, i_stim, d1, ion_before)
+            np.multiply(k1, half, stage)
+            np.add(state, stage, stage)
+            derivatives(at_stage, i_stim, d2)
+            np.multiply(k2, half, stage)
+            np.add(state, stage, stage)
+            derivatives(at_stage, i_stim, d3)
+            np.multiply(k3, dt_ms, stage)
+            np.add(state, stage, stage)
+            derivatives(at_stage, i_stim, d4)
+            np.multiply(k2, 2, stage)
+            np.add(k1, stage, acc)
+            np.multiply(k3, 2, stage)
+            np.add(acc, stage, acc)
+            np.add(acc, k4, acc)
+            np.multiply(acc, sixth, acc)
+            np.add(state, acc, state)
+            v_row[...] = at_state[0]
         if steps:
-            _derivatives(state, stim[-1], p, k1, scratch, i_ion[-1])
+            derivatives(at_state, stim[-1], d1, i_ion[-1])
+    i_ion = i_ion[1:]
 
     finite = np.isfinite(v_out).all(axis=0) & np.isfinite(i_ion).all(axis=0)
     if not finite.all():
@@ -474,7 +511,11 @@ def apply_chain_transfer(
         raise ValueError(
             f"{len(gain_cols)} channel columns do not cover {frames.shape[2]} array columns"
         )
-    return np.clip(frames * gain_cols, -rail_cols, rail_cols)
+    # Two in-place bounds instead of ``np.clip``, which is slow against
+    # per-column array bounds; both propagate NaN, so the bits match.
+    out = frames * gain_cols
+    np.maximum(out, -rail_cols, out=out)
+    return np.minimum(out, rail_cols, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ from ..chip.registers import RegisterFile, dna_chip_registers
 from ..chip.sequencer import SiteSequence
 from ..chip.serial_interface import SerialLink
 from ..core.rng import RngLike, ensure_rng, spawn_children
-from ..core.units import FARADAY
 from ..devices.bandgap import BandgapReference
 from ..devices.current_mirror import ReferenceCurrentFanout
 from ..devices.dac import ResistorStringDac
@@ -384,13 +383,8 @@ class VectorizedDnaChip:
         """Full transduction: surface concentration -> redox current ->
         count, vectorised."""
         concentration = self._to_batch(surface_concentration, "concentrations")
-        species = self.sensor.species
         currents = kernels.sensor_currents(
-            concentration,
-            species.electrons_transferred * FARADAY * species.diffusion_coefficient,
-            self.sensor.electrode.geometry_factor(),
-            self.sensor.background_current,
-            bias_ok=self.bias_ok_chips[:, None, None],
+            self.sensor, concentration, bias_ok=self.bias_ok_chips[:, None, None]
         )
         return self._count(currents, frame_s, rng)
 

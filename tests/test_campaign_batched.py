@@ -152,6 +152,28 @@ class TestNeuralBatch:
         chunked = run_campaign(NEURAL_CAMPAIGN, seed=11, executor="batched")
         assert_results_identical(serial, chunked)
 
+    def test_hh_campaign_is_one_union_batch(self, monkeypatch):
+        """The HH work of the end-to-end benchmark's ``tiny`` neural
+        size: both replicates' neurons go through one ``hh_batch`` call,
+        so a change that splits the union batch fails here."""
+        from repro.engine import neuro_kernels
+
+        original = neuro_kernels.hh_batch
+        calls = []
+
+        def counted(stimuli, duration_s, dt_s=10e-6, params=None):
+            calls.append((len(stimuli), int(round(duration_s / dt_s))))
+            return original(stimuli, duration_s, dt_s, params)
+
+        monkeypatch.setattr(neuro_kernels, "hh_batch", counted)
+        campaign = CampaignSpec(
+            base=NeuralRecordingSpec(rows=16, cols=16, n_neurons=3, duration_s=0.1),
+            replicates=2,
+            backend="vectorized",
+        )
+        run_campaign(campaign, seed=0, executor="batched")
+        assert calls == [(6, 5000)]
+
     def test_without_backend_flag_neural_falls_back_to_object(self):
         campaign = CampaignSpec(
             base=NeuralRecordingSpec(

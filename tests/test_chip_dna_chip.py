@@ -1,5 +1,7 @@
 """The integrated 16x8 DNA microarray chip (Fig. 4)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,30 @@ class TestCalibrationAndMeasurement:
         result = MicroarrayAssay(layout).run(sample)
         with pytest.raises(ValueError):
             dna_chip.measure_assay(result)
+
+    def test_assay_transduction_matches_the_scalar_sensor(self):
+        chip = DnaMicroarrayChip(rng=24)
+        layout = ProbeLayout.random_panel(4, rows=16, cols=8, rng=2)
+        result = MicroarrayAssay(layout).run(Sample.for_probes(layout.probes(), 1e-6))
+        currents = np.zeros((16, 8))
+        for site in result.sites:
+            currents[site.row, site.col] = chip.sensor.current(site.surface_concentration)
+        for bias_ok in (True, False):
+            chip.sensor.bias_ok = bias_ok
+            expected = chip.measure_currents(currents, frame_s=0.5, rng=7)
+            assert chip.measure_assay(result, frame_s=0.5, rng=7).tolist() == expected.tolist()
+            currents[:] = chip.sensor.background_current
+
+    @pytest.mark.parametrize(
+        "concentration, message",
+        [(-1e-9, "concentration must be non-negative"), (np.nan, "sensor current is NaN")],
+    )
+    def test_bad_site_concentration_is_rejected(self, concentration, message):
+        layout = ProbeLayout.random_panel(4, rows=16, cols=8, rng=3)
+        result = MicroarrayAssay(layout).run(Sample.for_probes(layout.probes(), 1e-6))
+        result.sites[9] = dataclasses.replace(result.sites[9], surface_concentration=concentration)
+        with pytest.raises(ValueError, match=message):
+            DnaMicroarrayChip(rng=25).measure_assay(result, frame_s=0.1, rng=4)
 
 
 class TestSerialReadout:

@@ -189,27 +189,14 @@ class TestHostSideKernels:
         assert mask.tolist() == expected
 
     def test_sensor_currents_bitwise(self):
-        from repro.core.units import FARADAY
         from repro.electrochem.redox_cycling import RedoxCyclingSensor
 
         sensor = RedoxCyclingSensor()
         conc = np.array([0.0, 1e-6, 5e-4, 2e-3])
-        species = sensor.species
-        currents = kernels.sensor_currents(
-            conc,
-            species.electrons_transferred * FARADAY * species.diffusion_coefficient,
-            sensor.electrode.geometry_factor(),
-            sensor.background_current,
-        )
+        currents = kernels.sensor_currents(sensor, conc)
         np.testing.assert_array_equal(currents, [sensor.current(float(c)) for c in conc])
         # Mis-biased chips read background only.
-        misbiased = kernels.sensor_currents(
-            conc,
-            species.electrons_transferred * FARADAY * species.diffusion_coefficient,
-            sensor.electrode.geometry_factor(),
-            sensor.background_current,
-            bias_ok=False,
-        )
+        misbiased = kernels.sensor_currents(sensor, conc, bias_ok=False)
         np.testing.assert_array_equal(misbiased, np.full_like(conc, sensor.background_current))
 
 
