@@ -230,7 +230,8 @@ class DnaMicroarrayChip:
     ) -> np.ndarray:
         """Digitise an assay outcome: every site's surface concentration
         is transduced by the sensor model and converted by that site's
-        own ADC.  Returns the (rows x cols) count matrix.
+        own ADC.  Returns the (rows x cols) count matrix.  The host opens
+        the counting frame with a RUN_FRAME over the serial link.
 
         The transduction is one :func:`repro.engine.kernels.sensor_currents`
         call, the formula :class:`~repro.engine.VectorizedDnaChip` uses
@@ -242,6 +243,7 @@ class DnaMicroarrayChip:
                 f"assay grid {assay.rows}x{assay.cols} does not match the "
                 f"{self.specs.rows}x{self.specs.cols} chip"
             )
+        self.link.transfer(Frame(Command.RUN_FRAME, 0x00))
         if self.recorder is not None:
             self.recorder.seq_state("measure", detail=f"assay frame {frame_s} s")
         sensor = self.sensor
@@ -257,10 +259,13 @@ class DnaMicroarrayChip:
     def measure_currents(
         self, currents: np.ndarray, frame_s: float = 1.0, rng: RngLike = None
     ) -> np.ndarray:
-        """Directly digitise a matrix of sensor currents (test mode)."""
+        """Directly digitise a matrix of sensor currents (test mode).
+        Like :meth:`measure_assay`, each call is one counting frame,
+        opened by a RUN_FRAME over the serial link."""
         currents = np.asarray(currents, dtype=float)
         if currents.shape != (self.specs.rows, self.specs.cols):
             raise ValueError(f"expected {self.specs.rows}x{self.specs.cols} currents")
+        self.link.transfer(Frame(Command.RUN_FRAME, 0x00))
         if self.recorder is not None:
             self.recorder.seq_state("measure", detail=f"current pattern frame {frame_s} s")
         counts = self._count_frame(range(self.specs.sites), currents.ravel().tolist(), frame_s, rng)

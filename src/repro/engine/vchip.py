@@ -44,7 +44,7 @@ from ..chip.dna_chip import ChipSpecs, write_dna_register
 from ..chip.readout import read_counters
 from ..chip.registers import RegisterFile, dna_chip_registers
 from ..chip.sequencer import SiteSequence
-from ..chip.serial_interface import SerialLink
+from ..chip.serial_interface import Command, Frame, SerialLink
 from ..core.rng import RngLike, ensure_rng, spawn_children
 from ..devices.bandgap import BandgapReference
 from ..devices.current_mirror import ReferenceCurrentFanout
@@ -395,6 +395,9 @@ class VectorizedDnaChip:
         return self._count(self._to_batch(currents, "currents"), frame_s, rng)
 
     def _count(self, currents: np.ndarray, frame_s: float, rng: RngLike) -> np.ndarray:
+        # One RUN_FRAME opens the counting frame on every chip in the
+        # batch (the host sends identical commands, as configure_bias).
+        self.link.transfer(Frame(Command.RUN_FRAME, 0x00))
         counts = count_chips(self.params, currents, frame_s, [rng])
         self._last_counts = counts.reshape(self.n_chips, self.specs.sites)
         return self._squeeze(counts)

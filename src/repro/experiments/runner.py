@@ -59,10 +59,17 @@ class Runner:
     seed:
         Root of the seed tree.  Two Runners with the same seed produce
         bit-identical results for the same specs.
+    recorder:
+        Optional :class:`~repro.trace.TraceRecorder` (duck-typed).  The
+        object DNA chips this Runner builds carry it, so their register
+        traffic, sequencer states and serial frames land on its
+        simulated clock, and every result is stamped with its capture
+        (``ResultSet.trace``).  Vectorized chips are never traced.
     """
 
-    def __init__(self, seed: int = 0) -> None:
+    def __init__(self, seed: int = 0, recorder: Any = None) -> None:
         self.seed_tree = SeedTree(seed)
+        self.recorder = recorder
         self.stats = RunnerStats()
         self._caches: dict[str, dict[str, Any]] = {}
         # Per-run context (single-threaded): the active compute backend
@@ -88,7 +95,6 @@ class Runner:
         spec: ExperimentSpec | str,
         *,
         backend: Optional[str] = None,
-        inputs: Optional[dict[str, Any]] = None,
         **params: Any,
     ) -> ResultSet:
         """Execute one spec and return its :class:`ResultSet`.
@@ -103,13 +109,6 @@ class Runner:
         and otherwise means ``"object"``.  Random streams are backend-
         independent, but the two backends *consume* them differently, so
         equality across backends is to documented tolerance, not bitwise.
-
-        ``inputs`` injects pre-built substrates (e.g. ``{"library":
-        lib}``); injected resources bypass the caches.  The mapping
-        itself is copied per run — a workload can never mutate the
-        caller's dict, and batched runs cannot leak entries into each
-        other — while the injected *values* are intentionally shared by
-        reference.
         """
         spec = self._coerce_spec(spec, params)
         resolved_backend = resolve_backend(spec, backend)
@@ -122,8 +121,7 @@ class Runner:
         previous_backend = self._active_backend
         self._active_backend = resolved_backend
         try:
-            # Shallow copy: per-run input isolation (values shared).
-            result = workload.execute(self, spec, rngs, dict(inputs or {}))
+            result = workload.execute(self, spec, rngs)
         finally:
             self._current_seeds = {}
             self._active_backend = previous_backend
@@ -135,14 +133,11 @@ class Runner:
         specs: Iterable[ExperimentSpec],
         *,
         backend: Optional[str] = None,
-        inputs: Optional[dict[str, Any]] = None,
     ) -> list[ResultSet]:
         """Execute many specs, sharing chips/layouts/libraries via the
         caches.  Results come back in input order and are identical to
-        running each spec alone (streams are position-independent).
-        Each spec sees its own shallow copy of ``inputs`` (see
-        :meth:`run`)."""
-        return [self.run(spec, backend=backend, inputs=inputs) for spec in specs]
+        running each spec alone (streams are position-independent)."""
+        return [self.run(spec, backend=backend) for spec in specs]
 
     def clear_caches(self) -> None:
         self._caches.clear()
@@ -183,7 +178,6 @@ class Runner:
         records: dict[str, Any],
         metrics: dict[str, Any],
         artifacts: dict[str, Any],
-        trace: Optional[Any] = None,
     ) -> ResultSet:
         from .. import __version__
 
@@ -196,5 +190,5 @@ class Runner:
             records=records,
             metrics=metrics,
             artifacts=artifacts,
-            trace=trace,
+            trace=self.recorder.trace() if self.recorder is not None else None,
         )

@@ -9,8 +9,16 @@ Each experiment kind contributes two functions:
   design (so concentration sweeps keep the same spotted array), and
   measurement streams the full spec (so distinct experiments get
   independent noise).
-* ``execute(runner, spec, rngs, inputs)`` — run the physics and fold
-  the outcome into a :class:`~repro.experiments.results.ResultSet`.
+* ``execute(runner, spec, rngs)`` — provision the substrates it needs
+  through ``runner._provision`` (chips, layouts, libraries; cached per
+  facet), run the physics and fold the outcome into a
+  :class:`~repro.experiments.results.ResultSet`.
+
+Each chip kind has one builder that takes the backend
+(``_build_dna_chip``, ``_build_neuro_chip``, ``_build_array_scale_chips``),
+cached under a backend-named cache.  The object DNA builders attach the
+Runner's trace recorder, which is how a traced replay
+(:func:`repro.trace.replay_readout`) runs the normal workload.
 
 ``register_workload`` adds a new kind at runtime; the built-in three
 (plus the ADC sweep) register at import.
@@ -58,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .runner import Runner
 
 StreamsFn = Callable[[ExperimentSpec], dict[str, tuple]]
-ExecuteFn = Callable[["Runner", ExperimentSpec, dict, dict], ResultSet]
+ExecuteFn = Callable[["Runner", ExperimentSpec, dict], ResultSet]
 
 
 @dataclass(frozen=True)
@@ -91,15 +99,6 @@ def register_workload(
     if kind in WORKLOADS:
         raise ValueError(f"workload {kind!r} already registered")
     WORKLOADS[kind] = Workload(kind=kind, streams=streams, execute=execute, backends=backends)
-
-
-def _chip_trace(chip: Any) -> Any:
-    """The digital-path capture of a recorder-carrying chip (or None).
-
-    Duck-typed so workloads work with object chips, vectorized twins
-    and caller-injected substrates alike."""
-    recorder = getattr(chip, "recorder", None)
-    return recorder.trace() if recorder is not None else None
 
 
 def workload_for(kind: str) -> Workload:
@@ -167,8 +166,18 @@ def _dna_streams(spec: DnaAssaySpec) -> dict[str, tuple]:
     return streams
 
 
-def _build_dna_chip(spec: DnaAssaySpec, chip_rng, calibration_rng) -> DnaMicroarrayChip:
-    chip = DnaMicroarrayChip(ChipSpecs(rows=spec.rows, cols=spec.cols), rng=chip_rng)
+def _build_dna_chip(
+    spec: DnaAssaySpec, backend: str, chip_rng, calibration_rng, recorder: Any
+) -> "DnaMicroarrayChip | VectorizedDnaChip":
+    """Build, bias and calibrate one assay chip on ``backend``.  The
+    vectorized chip draws ``"paired"`` mismatch, so its pixel parameters
+    are bit-identical to the object chip's on the same streams; only the
+    object chip carries ``recorder``."""
+    chip_specs = ChipSpecs(rows=spec.rows, cols=spec.cols)
+    if backend == "vectorized":
+        chip = VectorizedDnaChip(chip_specs, rng=chip_rng, mismatch="paired")
+    else:
+        chip = DnaMicroarrayChip(chip_specs, rng=chip_rng, recorder=recorder)
     bias_ok = chip.configure_bias(spec.v_generator, spec.v_collector)
     if spec.calibrate:
         chip.auto_calibrate(frame_s=spec.calibration_frame_s, rng=calibration_rng)
@@ -215,22 +224,6 @@ def _build_dna_sample(spec: DnaAssaySpec, layout: ProbeLayout, region: DnaSequen
     return Sample.for_probes(
         probes, spec.concentration, target_length=spec.target_length, subset=subset
     )
-
-
-def _build_dna_chip_vectorized(
-    spec: DnaAssaySpec, chip_rng, calibration_rng
-) -> VectorizedDnaChip:
-    """The engine-backed twin of :func:`_build_dna_chip`: same chip and
-    calibration streams, ``"paired"`` mismatch draws so the pixel
-    parameters are bit-identical to the object chip's."""
-    chip = VectorizedDnaChip(
-        ChipSpecs(rows=spec.rows, cols=spec.cols), rng=chip_rng, mismatch="paired"
-    )
-    bias_ok = chip.configure_bias(spec.v_generator, spec.v_collector)
-    if spec.calibrate:
-        chip.auto_calibrate(frame_s=spec.calibration_frame_s, rng=calibration_rng)
-    chip.bias_ok = bias_ok
-    return chip
 
 
 def _faulted_readout(
@@ -309,16 +302,15 @@ def _fault_metrics(info: dict[str, Any], n_sites: int) -> dict[str, Any]:
     }
 
 
-def _execute_dna(runner: "Runner", spec: DnaAssaySpec, rngs: dict, inputs: dict) -> ResultSet:
-    vectorized = runner.backend == "vectorized"
-    chip = inputs.get("chip")
-    if chip is None:
-        build = _build_dna_chip_vectorized if vectorized else _build_dna_chip
-        chip = runner._provision(
-            "dna_chip_vectorized" if vectorized else "dna_chip",
-            spec.chip_key(),
-            lambda: build(spec, rngs["chip"], rngs["calibration"]),
-        )
+def _execute_dna(runner: "Runner", spec: DnaAssaySpec, rngs: dict) -> ResultSet:
+    backend = runner.backend
+    chip = runner._provision(
+        f"dna_chip_{backend}",
+        spec.chip_key(),
+        lambda: _build_dna_chip(
+            spec, backend, rngs["chip"], rngs["calibration"], runner.recorder
+        ),
+    )
     cached_layout = runner._provision(
         "dna_layout",
         spec.layout_key(),
@@ -360,10 +352,8 @@ def _execute_dna(runner: "Runner", spec: DnaAssaySpec, rngs: dict, inputs: dict)
             [fault_info["silent"][s.row, s.col] for s in sites], dtype=bool
         )
     metrics: dict[str, Any] = {
-        # bias_ok is stamped by the chip builders; an injected chip
-        # (inputs={"chip": ...}) was configured by the caller.
-        "bias_ok": bool(getattr(chip, "bias_ok", True)),
-        "backend": runner.backend,
+        "bias_ok": bool(chip.bias_ok),
+        "backend": backend,
         "n_sites": len(sites),
         "n_match_sites": int(records["is_match"].sum()),
         "n_probe_sites": int(sum(1 for s in sites if s.probe_name)),
@@ -412,7 +402,6 @@ def _execute_dna(runner: "Runner", spec: DnaAssaySpec, rngs: dict, inputs: dict)
         records=records,
         metrics=metrics,
         artifacts=artifacts,
-        trace=_chip_trace(chip),
     )
 
 
@@ -431,21 +420,14 @@ def _neural_streams(spec: NeuralRecordingSpec) -> dict[str, tuple]:
     }
 
 
-def _build_neuro_chip(spec: NeuralRecordingSpec, chip_rng) -> NeuralRecordingChip:
-    chip = NeuralRecordingChip(
-        geometry=ArrayGeometry(spec.rows, spec.cols, spec.pitch_m), rng=chip_rng
-    )
-    chip.calibrate()
-    return chip
-
-
-def _build_neuro_chip_vectorized(spec: NeuralRecordingSpec, chip_rng) -> VectorizedNeuroChip:
-    """The engine-backed twin of :func:`_build_neuro_chip`: consumes the
-    chip stream identically, so pixel planes and channel draws are
-    bit-identical to the object chip's."""
-    chip = VectorizedNeuroChip(
-        geometry=ArrayGeometry(spec.rows, spec.cols, spec.pitch_m), rng=chip_rng
-    )
+def _build_neuro_chip(
+    spec: NeuralRecordingSpec, backend: str, chip_rng
+) -> "NeuralRecordingChip | VectorizedNeuroChip":
+    """Build and calibrate one recording chip on ``backend``.  Both
+    chips consume the chip stream identically, so pixel planes and
+    channel draws are bit-identical across backends."""
+    chip_type = VectorizedNeuroChip if backend == "vectorized" else NeuralRecordingChip
+    chip = chip_type(geometry=ArrayGeometry(spec.rows, spec.cols, spec.pitch_m), rng=chip_rng)
     chip.calibrate()
     return chip
 
@@ -599,27 +581,19 @@ def neural_records_and_metrics(
     return records, metrics
 
 
-def _execute_neural(
-    runner: "Runner", spec: NeuralRecordingSpec, rngs: dict, inputs: dict
-) -> ResultSet:
+def _execute_neural(runner: "Runner", spec: NeuralRecordingSpec, rngs: dict) -> ResultSet:
     backend = runner.backend
-    vectorized = backend == "vectorized"
-    chip = inputs.get("chip")
-    if chip is None:
-        build = _build_neuro_chip_vectorized if vectorized else _build_neuro_chip
-        chip = runner._provision(
-            "neuro_chip_vectorized" if vectorized else "neuro_chip",
-            spec.chip_key(),
-            lambda: build(spec, rngs["chip"]),
-        )
-    culture = inputs.get("culture")
-    if culture is None:
-        culture = Culture.random(
-            spec.n_neurons,
-            chip.geometry,
-            diameter_range=spec.diameter_range_m,
-            rng=rngs["culture"],
-        )
+    chip = runner._provision(
+        f"neuro_chip_{backend}",
+        spec.chip_key(),
+        lambda: _build_neuro_chip(spec, backend, rngs["chip"]),
+    )
+    culture = Culture.random(
+        spec.n_neurons,
+        chip.geometry,
+        diameter_range=spec.diameter_range_m,
+        rng=rngs["culture"],
+    )
     recording = chip.record_culture(
         culture,
         duration_s=spec.duration_s,
@@ -634,7 +608,6 @@ def _execute_neural(
         records=records,
         metrics=metrics,
         artifacts={"chip": chip, "culture": culture, "recording": recording},
-        trace=_chip_trace(chip),
     )
 
 
@@ -650,21 +623,17 @@ def _screening_streams(spec: ScreeningSpec) -> dict[str, tuple]:
     }
 
 
-def _execute_screening(
-    runner: "Runner", spec: ScreeningSpec, rngs: dict, inputs: dict
-) -> ResultSet:
+def _execute_screening(runner: "Runner", spec: ScreeningSpec, rngs: dict) -> ResultSet:
     from ..screening.funnel import ScreeningFunnel
 
-    library = inputs.get("library")
-    if library is None:
-        library = runner._provision(
-            "library",
-            spec.library_key(),
-            lambda: CompoundLibrary.generate(
-                size=spec.library_size, viable_rate=spec.viable_rate, rng=rngs["library"]
-            ),
-            counter="libraries",
-        )
+    library = runner._provision(
+        "library",
+        spec.library_key(),
+        lambda: CompoundLibrary.generate(
+            size=spec.library_size, viable_rate=spec.viable_rate, rng=rngs["library"]
+        ),
+        counter="libraries",
+    )
     funnel = ScreeningFunnel(default_funnel_stages(cmos=spec.cmos))
     result = funnel.run(library, rng=rngs["funnel"])
 
@@ -708,8 +677,8 @@ def _adc_streams(spec: AdcTransferSpec) -> dict[str, tuple]:
     return {"measure": ("adc", "measure", spec.sweep_key())}
 
 
-def _execute_adc(runner: "Runner", spec: AdcTransferSpec, rngs: dict, inputs: dict) -> ResultSet:
-    adc = inputs.get("adc") or SawtoothAdc()
+def _execute_adc(runner: "Runner", spec: AdcTransferSpec, rngs: dict) -> ResultSet:
+    adc = SawtoothAdc()
     analysis = characterize_adc(
         adc,
         i_low=spec.i_low_a,
@@ -759,8 +728,11 @@ def _array_scale_streams(spec: ArrayScaleSpec) -> dict[str, tuple]:
     }
 
 
-def _build_array_scale_chips(spec: ArrayScaleSpec, backend: str, chip_rng, calibration_rng):
-    """Either one VectorizedDnaChip batch or a list of object chips."""
+def _build_array_scale_chips(
+    spec: ArrayScaleSpec, backend: str, chip_rng, calibration_rng, recorder: Any
+):
+    """Either one VectorizedDnaChip batch or a list of object chips
+    (which carry ``recorder``)."""
     chip_specs = ChipSpecs(rows=spec.rows, cols=spec.cols)
     if backend == "vectorized":
         chip = VectorizedDnaChip(
@@ -776,7 +748,7 @@ def _build_array_scale_chips(spec: ArrayScaleSpec, backend: str, chip_rng, calib
     calibration = ensure_rng(calibration_rng)
     chips = []
     for rng in chip_rngs:
-        chip = DnaMicroarrayChip(chip_specs, rng=rng)
+        chip = DnaMicroarrayChip(chip_specs, rng=rng, recorder=recorder)
         if spec.calibrate:
             chip.auto_calibrate(frame_s=spec.calibration_frame_s, rng=calibration)
         chips.append(chip)
@@ -852,18 +824,16 @@ def array_scale_unit_results(
     ]
 
 
-def _execute_array_scale(
-    runner: "Runner", spec: ArrayScaleSpec, rngs: dict, inputs: dict
-) -> ResultSet:
+def _execute_array_scale(runner: "Runner", spec: ArrayScaleSpec, rngs: dict) -> ResultSet:
     # run() already resolved the spec's backend field vs its override.
     backend = runner.backend
-    chips = inputs.get("chip")
-    if chips is None:
-        chips = runner._provision(
-            f"array_scale_chip_{backend}",
-            spec.chip_key(),
-            lambda: _build_array_scale_chips(spec, backend, rngs["chip"], rngs["calibration"]),
-        )
+    chips = runner._provision(
+        f"array_scale_chip_{backend}",
+        spec.chip_key(),
+        lambda: _build_array_scale_chips(
+            spec, backend, rngs["chip"], rngs["calibration"], runner.recorder
+        ),
+    )
     currents = spec.site_currents()
     if backend == "vectorized":
         counts = chips.measure_currents(currents, frame_s=spec.frame_s, rng=rngs["measure"])
@@ -894,7 +864,6 @@ def _execute_array_scale(
         records=records,
         metrics=metrics,
         artifacts={"chip": chips, "counts": counts, "currents": currents},
-        trace=_chip_trace(chips[0] if isinstance(chips, list) else chips),
     )
 
 

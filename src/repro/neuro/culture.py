@@ -67,11 +67,14 @@ class ArrayGeometry:
         col_hi = min(self.cols - 1, int((x + radius) / self.pitch + 1))
         row_lo = max(0, int((y - radius) / self.pitch - 1))
         row_hi = min(self.rows - 1, int((y + radius) / self.pitch + 1))
+        # The clamps keep every candidate on the array, so the centres
+        # are pixel_center's expressions without its bounds check.
+        pitch, radius_sq = self.pitch, radius**2
         covered = []
         for row in range(row_lo, row_hi + 1):
+            dy_sq = ((row + 0.5) * pitch - y) ** 2
             for col in range(col_lo, col_hi + 1):
-                cx, cy = self.pixel_center(row, col)
-                if (cx - x) ** 2 + (cy - y) ** 2 <= radius**2:
+                if ((col + 0.5) * pitch - x) ** 2 + dy_sq <= radius_sq:
                     covered.append((row, col))
         return covered
 

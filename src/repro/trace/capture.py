@@ -1,13 +1,13 @@
 """Replay a spec's digital readout sequence under a trace recorder.
 
-:func:`replay_readout` rebuilds the exact chip a workload would build —
-same :class:`~repro.core.rng.SeedTree` stream paths, same construction
-order — but with a :class:`~repro.trace.recorder.TraceRecorder`
-attached, runs the spec through the Runner, then drives the serial
-counter readout (optionally with injected bit corruption).  Because
-streams depend only on ``(root, path)``, the replayed chip is
-bit-identical to the one the plain workload builds, and the captured
-trace is a pure function of ``(spec, seed)``.
+:func:`replay_readout` is the normal run under a Runner recorder:
+``Runner(seed, recorder=...).run(spec, backend="object")`` builds the
+workload's own chip with the :class:`~repro.trace.recorder.TraceRecorder`
+attached, so the capture covers its configuration, calibration, the
+RUN_FRAME that opens the counting frame and the measurement.  It then
+drives the serial counter readout of that chip (optionally with
+injected bit corruption).  Streams depend only on ``(root, path)``, so
+the captured trace is a pure function of ``(spec, seed)``.
 
 This module imports the chip and experiment layers, so it loads lazily
 behind ``repro.trace.__getattr__`` — the trace core never depends on
@@ -19,12 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..chip.dna_chip import ChipSpecs, DnaMicroarrayChip
 from ..chip.sequencer import NEURO_SCAN, ScanTiming
-from ..chip.serial_interface import Command, Frame, FrameError
+from ..chip.serial_interface import FrameError
 from ..experiments.runner import Runner
 from ..experiments.specs import ArrayScaleSpec, DnaAssaySpec, ExperimentSpec
-from ..experiments.workloads import workload_for
 from .recorder import TraceRecorder
 from .table import TraceTable
 
@@ -47,25 +45,6 @@ class ReplayResult:
         return self.readout_error is None
 
 
-def _traced_dna_chip(
-    spec: "DnaAssaySpec | ArrayScaleSpec", runner: Runner, recorder: TraceRecorder
-) -> DnaMicroarrayChip:
-    """Build-and-configure the DNA chip exactly as the workload's
-    ``_build_dna_chip``/``_build_array_scale_chips`` would (same stream
-    paths, same call order), with the recorder attached."""
-    paths = workload_for(spec.kind).streams(spec)
-    chip_rng = runner.seed_tree.generator(*paths["chip"])
-    calibration_rng = runner.seed_tree.generator(*paths["calibration"])
-    chip = DnaMicroarrayChip(
-        ChipSpecs(rows=spec.rows, cols=spec.cols), rng=chip_rng, recorder=recorder
-    )
-    if isinstance(spec, DnaAssaySpec):
-        chip.bias_ok = chip.configure_bias(spec.v_generator, spec.v_collector)
-    if spec.calibrate:
-        chip.auto_calibrate(frame_s=spec.calibration_frame_s, rng=calibration_rng)
-    return chip
-
-
 def replay_readout(
     spec: Optional[ExperimentSpec] = None,
     seed: int = 0,
@@ -75,12 +54,13 @@ def replay_readout(
     """Run ``spec``'s full measurement under a trace recorder and return
     the capture.
 
-    Sequence: register configuration and calibration over the serial
-    link, a RUN_FRAME trigger, the workload's measurement (through the
-    Runner, so records/metrics match a plain run), then the serial
-    counter shift-out.  ``flip_frames`` (a chunk-index → bit-positions
-    mapping) corrupts those response chunks of the shift-out; a chunk
-    index the shift-out does not have raises ``ValueError``.  The first
+    Sequence: the workload's run on the object backend — register
+    configuration and calibration over the serial link, the RUN_FRAME
+    trigger and the measurement, so records/metrics match a plain run —
+    then the serial counter shift-out of the chip it measured.
+    ``flip_frames`` (a chunk-index → bit-positions mapping) corrupts
+    those response chunks of the shift-out; a chunk index the shift-out
+    does not have raises ``ValueError``.  The first
     checksum failure is recorded as a corrupt serial-frame event and
     reported as ``readout_error`` — naming the failing chunk, also
     exposed as ``failed_frame`` — instead of raising.
@@ -97,12 +77,10 @@ def replay_readout(
         raise ValueError("replay_readout traces a single chip; use n_chips=1")
     if recorder is None:
         recorder = TraceRecorder()
-    runner = Runner(seed=seed)
-    chip = _traced_dna_chip(spec, runner, recorder)
-    # The host triggers the counting frame over the wire.
-    chip.link.transfer(Frame(Command.RUN_FRAME, 0x00))
-    inputs = {"chip": chip if isinstance(spec, DnaAssaySpec) else [chip]}
-    result = runner.run(spec, backend="object", inputs=inputs)
+    result = Runner(seed=seed, recorder=recorder).run(spec, backend="object")
+    chip = result.artifacts["chip"]
+    if isinstance(chip, list):  # array_scale keeps its n_chips=1 chip in a list
+        (chip,) = chip
     counters: Optional[list] = None
     readout_error: Optional[str] = None
     failed_frame: Optional[int] = None

@@ -26,10 +26,8 @@ def _wafer_streams(spec: WaferSpec) -> dict[str, tuple]:
     return {"field": ("wafer", "field", spec.field_key())}
 
 
-def _execute_wafer(runner: "Runner", spec: WaferSpec, rngs: dict, inputs: dict) -> ResultSet:
-    field = inputs.get("field")
-    if field is None:
-        field = sample_field(spec, rngs["field"])
+def _execute_wafer(runner: "Runner", spec: WaferSpec, rngs: dict) -> ResultSet:
+    field = sample_field(spec, rngs["field"])
     records, metrics = wafer_records_and_metrics(spec, runner.seed, field=field)
     return runner._result(
         spec,

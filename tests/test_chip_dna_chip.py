@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.chip.dna_chip import ChipSpecs, DnaMicroarrayChip
+from repro.chip.serial_interface import HOST_TO_CHIP, Command, Frame, decode_frame
 from repro.dna import MicroarrayAssay, ProbeLayout, Sample
+from repro.engine import VectorizedDnaChip
 
 
 class TestSpecs:
@@ -129,6 +131,29 @@ class TestSerialReadout:
         chip.measure_currents(np.full((16, 8), 1e-10), frame_s=0.1, rng=7)
         chip.read_counters_serial()
         assert len(chip.link.transcript) > n_before
+
+    @pytest.mark.parametrize("chip_type", [DnaMicroarrayChip, VectorizedDnaChip])
+    def test_each_measurement_opens_one_run_frame(self, chip_type):
+        """Every counting frame is started by the host: each measure call
+        puts exactly one host->chip RUN_FRAME on the link, traced or not."""
+        chip = chip_type(rng=26)
+        layout = ProbeLayout.random_panel(4, rows=16, cols=8, rng=2)
+        assay = MicroarrayAssay(layout).run(Sample.for_probes(layout.probes(), 1e-6))
+        measurements = (
+            lambda: chip.measure_currents(np.full((16, 8), 1e-9), frame_s=0.1, rng=1),
+            lambda: chip.measure_assay(assay, frame_s=0.1, rng=2),
+        )
+        for measure in measurements * 2:
+            before = len(chip.link.transcript)
+            measure()
+            added = chip.link.transcript[before:]
+            assert [(d, stage) for d, stage, _ in added] == [
+                (HOST_TO_CHIP, "sent"),
+                (HOST_TO_CHIP, "received"),
+            ]
+            assert {decode_frame(raw) for _, _, raw in added} == {
+                Frame(Command.RUN_FRAME, 0x00)
+            }
 
 
 class TestFailureInjection:

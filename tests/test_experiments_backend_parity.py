@@ -137,7 +137,7 @@ class TestRunnerMechanics:
         def streams(spec):
             return {}
 
-        def execute(runner, spec, rngs, inputs):
+        def execute(runner, spec, rngs):
             inner = ArrayScaleSpec(rows=4, cols=4, frame_s=0.01)
             runner.run(inner, backend="object")
             observed.append(runner.backend)

@@ -11,7 +11,12 @@ electrode-voltage epsilon, ground truth and detection columns equal).
 import numpy as np
 import pytest
 
-from repro.experiments import NeuralRecordingSpec, Runner
+from repro.experiments import NeuralRecordingSpec, ResultSet, Runner
+from repro.experiments.workloads import (
+    _build_neuro_chip,
+    neural_records_and_metrics,
+    workload_for,
+)
 from repro.neuro.culture import ArrayGeometry, Culture, PlacedNeuron
 from repro.neuro.junction import CellChipJunction
 
@@ -24,10 +29,36 @@ INT_COLUMNS = ("neuron", "best_row", "best_col", "true_spikes", "detected_spikes
 FLOAT_COLUMNS = ("diameter_m", "peak_v", "precision", "recall", "snr")
 
 
-def run_pair(spec, seed=17, **kwargs):
-    result_obj = Runner(seed=seed).run(spec, **kwargs)
-    result_vec = Runner(seed=seed).run(spec, backend="vectorized", **kwargs)
+def run_pair(spec, seed=17):
+    result_obj = Runner(seed=seed).run(spec)
+    result_vec = Runner(seed=seed).run(spec, backend="vectorized")
     return result_obj, result_vec
+
+
+def record_culture_pair(spec, culture, seed=17):
+    """A hand-placed culture (one no spec draws) recorded and scored on
+    each backend the way the workload does, on the chip and record
+    streams of ``(spec, seed)``: ``(object, vectorized)`` results."""
+    plan = workload_for(spec.kind).stream_plan(spec)
+    results = []
+    for backend in ("object", "vectorized"):
+        rngs = plan.generators(seed)
+        chip = _build_neuro_chip(spec, backend, rngs["chip"])
+        recording = chip.record_culture(
+            culture,
+            duration_s=spec.duration_s,
+            firing_rate_hz=spec.firing_rate_hz,
+            rng=rngs["record"],
+            use_hh=spec.use_hh,
+        )
+        records, metrics = neural_records_and_metrics(spec, chip, culture, recording, backend)
+        results.append(
+            ResultSet(
+                kind=spec.kind, spec=spec.to_dict(), seeds={}, version="0",
+                records=records, metrics=metrics, artifacts={"recording": recording},
+            )
+        )
+    return tuple(results)
 
 
 def assert_columns_match(result_obj, result_vec, float_atol=0.0):
@@ -150,7 +181,7 @@ class TestParityEdges:
     def test_zero_neuron_culture(self):
         spec = FIG5_TEMPLATE_SPEC.replace(duration_s=0.01)
         culture = Culture(geometry=_edge_geometry(spec), neurons=[])
-        result_obj, result_vec = run_pair(spec, inputs={"culture": culture})
+        result_obj, result_vec = record_culture_pair(spec, culture)
         for result in (result_obj, result_vec):
             assert result.n_records == 0
             assert result.metrics["n_neurons"] == 0
@@ -179,7 +210,7 @@ class TestParityEdges:
             junction=CellChipJunction(cell_diameter=40e-6),
         )
         culture = Culture(geometry=geometry, neurons=[on_chip, off_chip])
-        result_obj, result_vec = run_pair(spec, inputs={"culture": culture})
+        result_obj, result_vec = record_culture_pair(spec, culture)
         for result in (result_obj, result_vec):
             assert list(result.column("best_row")) == [
                 result.column("best_row")[0],

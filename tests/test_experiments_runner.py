@@ -128,14 +128,17 @@ def test_neural_analysis_knobs_rescore_the_same_recording():
     assert swept.metrics["total_detected_spikes"] <= base.metrics["total_detected_spikes"]
 
 
-def test_injected_prebuilt_chip_is_used():
-    from repro.chip import DnaMicroarrayChip
+def test_runner_recorder_traces_the_object_chip_it_builds():
+    from repro.trace import TraceRecorder
 
-    chip = DnaMicroarrayChip(rng=123)
-    chip.configure_bias(0.45, -0.25)
-    result = Runner(seed=1).run(SMALL_DNA.replace(calibrate=False), inputs={"chip": chip})
-    assert result.artifacts["chip"] is chip
-    assert result.metrics["bias_ok"] is True
+    recorder = TraceRecorder()
+    runner = Runner(seed=1, recorder=recorder)
+    result = runner.run(SMALL_DNA)
+    assert result.artifacts["chip"].recorder is recorder
+    assert result.trace == recorder.trace() and len(result.trace) > 0
+    # Vectorized chips are never traced: the capture does not grow.
+    runner.run(SMALL_DNA, backend="vectorized")
+    assert recorder.trace() == result.trace
 
 
 def test_different_chip_config_builds_new_chip():
@@ -218,54 +221,3 @@ def test_clear_caches_forces_rebuilds_but_not_different_results():
     assert second.artifacts["chip"] is not first.artifacts["chip"]
     # Streams derive from (root, path), so the rebuild is bit-identical.
     np.testing.assert_array_equal(first.column("count"), second.column("count"))
-
-
-# ---------------------------------------------------------------------------
-# Per-spec input isolation
-# ---------------------------------------------------------------------------
-def test_run_batch_isolates_inputs_per_spec(monkeypatch):
-    """A workload mutating its `inputs` dict must see a fresh copy per
-    run and never touch the caller's mapping."""
-    import dataclasses as _dc
-
-    from repro.experiments import workloads as _workloads
-
-    original = _workloads.WORKLOADS["adc_transfer"]
-    seen: list[int] = []
-
-    def mutating_execute(runner, spec, rngs, inputs):
-        inputs["leak"] = inputs.get("leak", 0) + 1
-        seen.append(inputs["leak"])
-        return original.execute(runner, spec, rngs, inputs)
-
-    monkeypatch.setitem(
-        _workloads.WORKLOADS,
-        "adc_transfer",
-        _dc.replace(original, execute=mutating_execute),
-    )
-    caller_inputs = {"frame": "shared"}
-    specs = [AdcTransferSpec(points_per_decade=2), AdcTransferSpec(points_per_decade=3)]
-    Runner(seed=1).run_batch(specs, inputs=caller_inputs)
-    assert caller_inputs == {"frame": "shared"}  # caller dict untouched
-    assert seen == [1, 1]  # each spec saw a clean copy, no cross-spec leak
-
-
-def test_run_copies_inputs_even_for_single_runs(monkeypatch):
-    import dataclasses as _dc
-
-    from repro.experiments import workloads as _workloads
-
-    original = _workloads.WORKLOADS["adc_transfer"]
-
-    def mutating_execute(runner, spec, rngs, inputs):
-        inputs.clear()
-        return original.execute(runner, spec, rngs, inputs)
-
-    monkeypatch.setitem(
-        _workloads.WORKLOADS,
-        "adc_transfer",
-        _dc.replace(original, execute=mutating_execute),
-    )
-    caller_inputs = {"keep": 1}
-    Runner(seed=1).run(AdcTransferSpec(points_per_decade=2), inputs=caller_inputs)
-    assert caller_inputs == {"keep": 1}

@@ -275,18 +275,21 @@ VECTORIZED_CAMPAIGN = CampaignSpec(
 class TestCrossBackendReadout:
     @pytest.mark.parametrize("faults", [FAULTS, EVERY_KIND])
     def test_same_counts_and_fault_stream_same_outcome(self, faults):
-        from repro.experiments.workloads import (
-            _build_dna_chip,
-            _build_dna_chip_vectorized,
-            _faulted_readout,
-        )
+        from repro.experiments.workloads import _build_dna_chip, _faulted_readout
 
         spec = BASE.replace(faults=faults)
         chips = [
-            build(spec, np.random.default_rng(21), np.random.default_rng(22))
-            for build in (_build_dna_chip, _build_dna_chip_vectorized)
+            _build_dna_chip(
+                spec, backend, np.random.default_rng(21), np.random.default_rng(22), None
+            )
+            for backend in ("object", "vectorized")
         ]
         assert chips[0].registers.dump() == chips[1].registers.dump()
+        # A measurement first, so the transcripts compared below cover
+        # build, counting frame and readout.
+        currents = np.full((spec.rows, spec.cols), 1e-9)
+        for chip in chips:
+            chip.measure_currents(currents, frame_s=0.1, rng=np.random.default_rng(25))
         counts = np.random.default_rng(23).integers(0, 5000, size=(spec.rows, spec.cols))
         results = [
             _faulted_readout(spec, chip, counts, np.random.default_rng(24)) for chip in chips

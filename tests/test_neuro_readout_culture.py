@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.signals import Trace
 from repro.neuro.culture import ArrayGeometry, Culture, coverage_vs_pitch
@@ -86,6 +88,31 @@ class TestCulture:
         assert pixels
         for row, col in pixels:
             assert 0 <= row < 16 and 0 <= col < 16
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(1, 12),
+        cols=st.integers(1, 12),
+        # A unit pitch with half-pitch centres and radii puts pixel
+        # centres exactly on the disk's rim.
+        pitch=st.one_of(st.floats(1e-6, 20e-6), st.just(1.0)),
+        # Centre and radius in pitches: on, at the edge of, and off the array.
+        x_pitches=st.one_of(st.floats(-6.0, 18.0), st.integers(-12, 36).map(lambda k: k / 2)),
+        y_pitches=st.one_of(st.floats(-6.0, 18.0), st.integers(-12, 36).map(lambda k: k / 2)),
+        r_pitches=st.one_of(st.floats(1e-3, 8.0), st.integers(1, 16).map(lambda k: k / 2)),
+    )
+    def test_pixels_under_disk_matches_full_grid_scan(
+        self, rows, cols, pitch, x_pitches, y_pitches, r_pitches
+    ):
+        geometry = ArrayGeometry(rows, cols, pitch)
+        x, y, radius = x_pitches * pitch, y_pitches * pitch, r_pitches * pitch
+        expected = []
+        for row in range(rows):
+            for col in range(cols):
+                cx, cy = geometry.pixel_center(row, col)
+                if (cx - x) ** 2 + (cy - y) ** 2 <= radius**2:
+                    expected.append((row, col))
+        assert geometry.pixels_under_disk(x, y, radius) == expected
 
     def test_overcrowded_culture_raises(self):
         with pytest.raises(RuntimeError):

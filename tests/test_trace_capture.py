@@ -1,6 +1,8 @@
 """End-to-end traced replays: determinism, corruption localization,
 result attachment."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.trace import (
 from repro.chip.sequencer import ScanTiming
 
 SMALL_SPEC = DnaAssaySpec(probe_count=4, replicates=4, target_subset=(0, 1))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +82,26 @@ class TestReplayClean:
 
 
 class TestReplayDeterminism:
+    @pytest.mark.parametrize(
+        "name, spec, seed, flip_frames",
+        [
+            ("replay_dna_seed3.jsonl", DnaAssaySpec(), 3, None),
+            ("replay_dna_seed3_flip0_42_43.jsonl", DnaAssaySpec(), 3, {0: [42, 43]}),
+            (
+                "replay_array_scale_16x8_seed1.jsonl",
+                ArrayScaleSpec(rows=16, cols=8, n_chips=1),
+                1,
+                None,
+            ),
+        ],
+    )
+    def test_matches_golden_capture(self, name, spec, seed, flip_frames):
+        """The serialized capture is a fixed reference: these files are
+        never regenerated to make a change pass."""
+        replay = replay_readout(spec, seed=seed, flip_frames=flip_frames)
+        golden = (GOLDEN / name).read_text(encoding="utf-8")
+        assert replay.trace.to_jsonl() == golden
+
     def test_same_spec_seed_is_byte_identical(self, clean_replay):
         again = replay_readout(SMALL_SPEC, seed=3)
         assert again.trace.to_jsonl() == clean_replay.trace.to_jsonl()
