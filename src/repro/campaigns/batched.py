@@ -7,7 +7,8 @@ workload is fully vectorizable.  :class:`BatchedExecutor` compiles
 groups of same-spec points into *chip-batched* engine calls instead:
 
 * ``array_scale`` points run the engine's stacked array-scale
-  evaluation (:func:`repro.engine.draw_array_scale` /
+  evaluation (:func:`repro.engine.draw_array_scale`, then
+  :func:`repro.engine.calibrate_array_scale` and
   :func:`repro.engine.count_array_scale`), chunked by
   :func:`repro.engine.stack_chunks`; this module only chunks points and
   folds records;
@@ -44,15 +45,16 @@ import numpy as np
 
 from .. import __version__
 from ..core.rng import ensure_rng
-from ..engine import VectorizedNeuroChip, draw_array_scale, neuro_kernels, stack_chunks
+from ..engine import draw_array_scale, neuro_kernels, stack_chunks
 from ..experiments.results import ResultSet
 from ..experiments.runner import Runner
 from ..experiments.workloads import (
+    _build_neuro_chip,
     array_scale_unit_results,
     neural_records_and_metrics,
     workload_for,
 )
-from ..neuro.culture import ArrayGeometry, Culture
+from ..neuro.culture import Culture
 from .executors import Executor, PointOutcome, _run_point
 from .plan import Plan, PlanPoint
 
@@ -107,14 +109,12 @@ def _compile_neural(points: list) -> Iterator[list]:
     point's frames synthesised and scored on its own streams."""
     spec = points[0].spec
     plan = workload_for(spec.kind).stream_plan(spec)
-    geometry_args = (spec.rows, spec.cols, spec.pitch_m)
     chunk_points = max(1, NEURAL_CHUNK_NEURONS // max(1, spec.n_neurons))
     for start in range(0, len(points), chunk_points):
         prepared: list = []
         for point in points[start : start + chunk_points]:
             rngs = plan.generators(point.seed)
-            chip = VectorizedNeuroChip(geometry=ArrayGeometry(*geometry_args), rng=rngs["chip"])
-            chip.calibrate()
+            chip = _build_neuro_chip(spec, "vectorized", rngs["chip"])
             culture = Culture.random(
                 spec.n_neurons,
                 chip.geometry,

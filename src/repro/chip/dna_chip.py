@@ -16,7 +16,7 @@ The model wires together:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,8 +34,7 @@ from .sequencer import SiteSequence
 from .serial_interface import Command, Frame, SerialLink
 
 
-#: Register address map of the DNA chip's serial protocol — the single
-#: source of truth shared with the vectorized backend's chip model.
+#: Register address map of the DNA chip's serial protocol.
 DNA_REGISTER_ADDRESSES = {
     "generator_dac": 0x00,
     "collector_dac": 0x01,
@@ -52,12 +51,28 @@ def counter_chunk_bytes(counter_bits: int) -> int:
     return 252 - (252 % (counter_bits // 8))
 
 
-def write_dna_register(link: SerialLink, registers: RegisterFile, name: str, value: int) -> None:
-    """One register write through the full serial stack — the protocol
-    shared by the object chip and its vectorized twin."""
-    frame = Frame(Command.WRITE_REG, DNA_REGISTER_ADDRESSES[name], bytes([value & 0xFF]))
-    received = link.transfer(frame)
-    registers.write(received.address, received.payload[0])
+class ChipPeriphery(NamedTuple):
+    """The Fig. 4 periphery of one chip, in the order it is drawn."""
+
+    bandgap: BandgapReference
+    generator_dac: ResistorStringDac
+    collector_dac: ResistorStringDac
+    reference_tree: ReferenceCurrentFanout
+
+
+def draw_periphery(rng: RngLike) -> ChipPeriphery:
+    """Draw one chip's periphery: the bandgap, the two electrode DACs and
+    the reference tree fed from the bandgap, in that order."""
+    generator = ensure_rng(rng)
+    bandgap = BandgapReference.sample(generator)
+    return ChipPeriphery(
+        bandgap,
+        ResistorStringDac.sample(generator, bits=8, v_low=0.0, v_high=2.0),
+        ResistorStringDac.sample(generator, bits=8, v_low=-1.0, v_high=1.0),
+        ReferenceCurrentFanout.build(
+            master_current=bandgap.reference_current(1.2e6), count=8, rng=generator
+        ),
+    )
 
 
 @dataclass
@@ -95,6 +110,14 @@ class DnaMicroarrayChip:
     drawn ``cint_relative_error`` arrays, and the counters' saturating
     ``full_scale``.
 
+    This class is the chip's one host half: periphery, bias programming,
+    register writes, calibration, RUN_FRAME framing, host estimates and
+    the serial readout.  :class:`~repro.engine.VectorizedDnaChip`
+    inherits all of it and overrides only how pixels are drawn
+    (``_draw_pixels``), how a frame is counted (``_count_frame``) and
+    the pixel-state reads (``cint_host_nominal_f``, ``dead_time_s``,
+    ``dead_pixel_map``, ``inject_dead_pixel``).
+
     Parameters
     ----------
     specs:
@@ -115,19 +138,12 @@ class DnaMicroarrayChip:
         # digital path: register traffic, serial frames, sample slots.
         self.recorder = recorder
         generator = ensure_rng(rng)
-        variations = draw_variations(generator, self.specs.sites)
-        self.adcs: list[SawtoothAdc] = [pixel_adc(*row) for row in variations.tolist()]
-        self.cint_relative_error: np.ndarray = variations[:, 1].copy()
+        self._draw_pixels(generator)
         self.sensor = RedoxCyclingSensor()
         self.gain_correction: np.ndarray = np.ones(self.specs.sites)
         self.full_scale = (1 << self.specs.counter_bits) - 1
-        self.bandgap = BandgapReference.sample(generator)
-        self.generator_dac = ResistorStringDac.sample(generator, bits=8, v_low=0.0, v_high=2.0)
-        self.collector_dac = ResistorStringDac.sample(generator, bits=8, v_low=-1.0, v_high=1.0)
-        self.reference_tree = ReferenceCurrentFanout.build(
-            master_current=self.bandgap.reference_current(1.2e6),
-            count=8,
-            rng=generator,
+        self.bandgap, self.generator_dac, self.collector_dac, self.reference_tree = (
+            draw_periphery(generator)
         )
         self.registers: RegisterFile = dna_chip_registers(recorder=recorder)
         self.link = SerialLink(recorder=recorder)
@@ -140,6 +156,12 @@ class DnaMicroarrayChip:
         # readout/serial paths index it instead of rebuilding list[int]
         # copies of the rows x cols loop.
         self._last_counts: np.ndarray = np.zeros(self.specs.sites, dtype=np.int64)
+
+    def _draw_pixels(self, generator: np.random.Generator) -> None:
+        """Each site's converter from its own drawn variation."""
+        variations = draw_variations(generator, self.specs.sites)
+        self.adcs: list[SawtoothAdc] = [pixel_adc(*row) for row in variations.tolist()]
+        self.cint_relative_error: np.ndarray = variations[:, 1].copy()
 
     # ------------------------------------------------------------------
     # Indexing
@@ -185,7 +207,10 @@ class DnaMicroarrayChip:
         return self.sensor.check_bias(v_gen_actual, v_col_actual)
 
     def _write_register(self, name: str, value: int) -> None:
-        write_dna_register(self.link, self.registers, name, value)
+        """One register write through the full serial stack."""
+        frame = Frame(Command.WRITE_REG, DNA_REGISTER_ADDRESSES[name], bytes([value & 0xFF]))
+        received = self.link.transfer(frame)
+        self.registers.write(received.address, received.payload[0])
 
     def _count_frame(
         self, sites: Sequence[int], currents: Sequence[float], frame_s: float, rng: RngLike
@@ -214,8 +239,7 @@ class DnaMicroarrayChip:
         sites = range(self.specs.sites)
         references = [branch_currents[index % len(branch_currents)] for index in sites]
         counts = self._count_frame(sites, references, frame_s, rng)
-        dead_time_s = np.array([adc.dead_time() for adc in self.adcs])
-        corrections = kernels.calibration_corrections(counts, references, frame_s, dead_time_s)
+        corrections = kernels.calibration_corrections(counts, references, frame_s, self.dead_time_s)
         self.gain_correction = corrections.copy()
         self._write_register("calibration_enable", 1)
         if self.recorder is not None:
@@ -234,8 +258,8 @@ class DnaMicroarrayChip:
         the counting frame with a RUN_FRAME over the serial link.
 
         The transduction is one :func:`repro.engine.kernels.sensor_currents`
-        call, the formula :class:`~repro.engine.VectorizedDnaChip` uses
-        (bit-identical to :meth:`RedoxCyclingSensor.current` per site)."""
+        call (bit-identical to :meth:`RedoxCyclingSensor.current` per
+        site)."""
         from ..engine import kernels
 
         if assay.rows != self.specs.rows or assay.cols != self.specs.cols:
@@ -280,6 +304,12 @@ class DnaMicroarrayChip:
         (1 + drawn error)``, as :meth:`DnaSensorPixel.current_estimate`."""
         cint_f = np.array([adc.cint.capacitance_f for adc in self.adcs])
         return cint_f / (1.0 + self.cint_relative_error)
+
+    @property
+    def dead_time_s(self) -> np.ndarray:
+        """Each site's fixed per-cycle time (comparator delay + reset),
+        which calibration adds to the nominal ramp period."""
+        return np.array([adc.dead_time() for adc in self.adcs])
 
     def current_estimates(self, counts: np.ndarray, frame_s: float) -> np.ndarray:
         """Host-side conversion of counts to amperes with stored
@@ -336,15 +366,3 @@ class DnaMicroarrayChip:
 
         leakage = np.array([adc.leakage_a for adc in self.adcs])
         return kernels.dead_pixel_mask(leakage).reshape(self.specs.rows, self.specs.cols)
-
-    # ------------------------------------------------------------------
-    # Vectorized-backend bridge
-    # ------------------------------------------------------------------
-    def vectorized(self) -> "object":
-        """This chip's drawn state wrapped as a
-        :class:`~repro.engine.vchip.VectorizedDnaChip` twin — same pixel
-        parameters, periphery and calibration, evaluated as array
-        kernels (see :mod:`repro.engine` for the parity contract)."""
-        from ..engine import VectorizedDnaChip
-
-        return VectorizedDnaChip.from_object_chip(self)

@@ -28,6 +28,11 @@ PINS = ("VDD", "GND", "CLK", "DIN", "DOUT", "CS")
 HOST_TO_CHIP = "->"
 CHIP_TO_HOST = "<-"
 
+#: Most recent transcript entries a link keeps.  A cached chip's link
+#: lives as long as its Runner, so an unbounded transcript would hold
+#: every frame of every point; a full 16x8 readout is ~10 entries.
+TRANSCRIPT_ENTRIES = 1024
+
 
 class Command(IntEnum):
     """Host-to-chip command opcodes."""
@@ -126,6 +131,7 @@ class SerialLink:
     ``(direction, stage, bytes)`` triples: ``stage`` is ``"sent"`` (what
     the transmitter drove) or ``"received"`` (what arrived after any
     injected corruption), so flipped bits are visible as a byte diff.
+    Only the latest :data:`TRANSCRIPT_ENTRIES` entries are kept.
     An optional ``recorder`` (:class:`~repro.trace.TraceRecorder`,
     duck-typed — this module never imports the trace package) gets one
     serial-frame event per transfer and its simulated clock advanced by
@@ -168,6 +174,8 @@ class SerialLink:
         received = bits_to_bytes(bits)
         self.transcript.append((direction, "sent", raw))
         self.transcript.append((direction, "received", received))
+        if len(self.transcript) > TRANSCRIPT_ENTRIES:
+            del self.transcript[:-TRANSCRIPT_ENTRIES]
         duration_s = len(bits) / self.clock_hz
         try:
             decoded = decode_frame(received)

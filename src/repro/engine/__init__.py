@@ -4,10 +4,15 @@ Evaluates both flagship workloads' pixel physics as closed-form NumPy
 kernels over ``(n_chips, rows, cols)`` arrays:
 
 * the Fig. 3 sawtooth-ADC physics (ramp time, comparator delay, reset
-  dead time, leakage, counting quantisation, per-pixel mismatch),
-  packaged as :class:`VectorizedDnaChip` — a drop-in, any-geometry,
-  batched replacement for the per-object :class:`DnaMicroarrayChip`
-  hot path;
+  dead time, leakage, counting quantisation, per-pixel mismatch).  The
+  DNA chip has one host half, :class:`~repro.chip.DnaMicroarrayChip`;
+  :class:`VectorizedDnaChip` is a single-chip subclass of it that holds
+  its pixels as parameter planes and counts each frame in one kernel
+  call.  Batches of chips run only through the stacked evaluator
+  (:func:`draw_array_scale`, :func:`calibrate_array_scale`,
+  :func:`count_array_scale`, chunked by :func:`stack_chunks`), which
+  the Runner's vectorized ``array_scale``, the batched campaign
+  executor and the wafer tiler share;
 * the Fig. 5/6 neural-recording pipeline (M1/M2 calibration planes,
   batched Hodgkin-Huxley integration, interp-free frame synthesis,
   broadcast chain transfer, array-wide spike detection), packaged as
@@ -42,6 +47,7 @@ from .params import DRAW_MODES, PixelArrayParams
 from .vchip import (
     STACK_SITES,
     VectorizedDnaChip,
+    calibrate_array_scale,
     count_array_scale,
     draw_array_scale,
     stack_chunks,
@@ -55,6 +61,7 @@ __all__ = [
     "PixelArrayParams",
     "VectorizedDnaChip",
     "VectorizedNeuroChip",
+    "calibrate_array_scale",
     "count_array_scale",
     "draw_array_scale",
     "kernels",

@@ -15,9 +15,11 @@ Each experiment kind contributes two functions:
   :class:`~repro.experiments.results.ResultSet`.
 
 Each chip kind has one builder that takes the backend
-(``_build_dna_chip``, ``_build_neuro_chip``, ``_build_array_scale_chips``),
-cached under a backend-named cache.  The object DNA builders attach the
-Runner's trace recorder, which is how a traced replay
+(``_build_dna_chip``, ``_build_neuro_chip``), cached under a
+backend-named cache; ``array_scale`` builds object chips
+(``_build_array_scale_chips``) or, on the vectorized backend, a chip
+stack drawn by the engine's stacked evaluator.  The object DNA builders
+attach the Runner's trace recorder, which is how a traced replay
 (:func:`repro.trace.replay_readout`) runs the normal workload.
 
 ``register_workload`` adds a new kind at runtime; the built-in three
@@ -43,12 +45,14 @@ from ..core.signals import Trace
 from ..engine import (
     VectorizedDnaChip,
     VectorizedNeuroChip,
+    calibrate_array_scale,
     count_array_scale,
+    draw_array_scale,
     kernels,
     neuro_kernels,
 )
 from ..neuro.culture import ArrayGeometry, Culture
-from ..neuro.spike_detection import detect_spikes, score_detection, spike_snr
+from ..neuro.spike_detection import score_detection, spike_snr
 from ..pixel.sawtooth_adc import SawtoothAdc
 from ..screening.compounds import CompoundLibrary
 from ..screening.stages import default_funnel_stages
@@ -168,14 +172,14 @@ def _dna_streams(spec: DnaAssaySpec) -> dict[str, tuple]:
 
 def _build_dna_chip(
     spec: DnaAssaySpec, backend: str, chip_rng, calibration_rng, recorder: Any
-) -> "DnaMicroarrayChip | VectorizedDnaChip":
+) -> DnaMicroarrayChip:
     """Build, bias and calibrate one assay chip on ``backend``.  The
     vectorized chip draws ``"paired"`` mismatch, so its pixel parameters
     are bit-identical to the object chip's on the same streams; only the
     object chip carries ``recorder``."""
     chip_specs = ChipSpecs(rows=spec.rows, cols=spec.cols)
     if backend == "vectorized":
-        chip = VectorizedDnaChip(chip_specs, rng=chip_rng, mismatch="paired")
+        chip = VectorizedDnaChip(chip_specs, rng=chip_rng)
     else:
         chip = DnaMicroarrayChip(chip_specs, rng=chip_rng, recorder=recorder)
     bias_ok = chip.configure_bias(spec.v_generator, spec.v_collector)
@@ -227,7 +231,7 @@ def _build_dna_sample(spec: DnaAssaySpec, layout: ProbeLayout, region: DnaSequen
 
 
 def _faulted_readout(
-    spec: DnaAssaySpec, chip: "DnaMicroarrayChip | VectorizedDnaChip", counts: np.ndarray, rng
+    spec: DnaAssaySpec, chip: DnaMicroarrayChip, counts: np.ndarray, rng
 ) -> tuple[np.ndarray, dict[str, Any]]:
     """Run the serial readout under fault injection + resilient recovery.
 
@@ -244,7 +248,7 @@ def _faulted_readout(
     from ..chip.readout import read_counters_resilient
     from ..faults import FaultInjector
 
-    recorder = getattr(chip, "recorder", None)
+    recorder = chip.recorder
     injector = FaultInjector(spec.faults, rng=rng, recorder=recorder)
     shadow = chip.registers.dump()
     chip.link.injector = injector
@@ -458,32 +462,6 @@ def _neural_offgrid_row(columns: dict, neuron, truth) -> None:
     columns["snr"].append(float("nan"))
 
 
-def _score_neurons_object(spec: NeuralRecordingSpec, recording, culture) -> dict:
-    """Per-neuron spike scoring on the object path: one trace, one
-    detector call per neuron."""
-    columns: dict[str, list] = {name: [] for name in _NEURAL_COLUMN_NAMES}
-    for neuron in culture.neurons:
-        truth = recording.ground_truth[neuron.index]
-        columns["neuron"].append(neuron.index)
-        columns["diameter_m"].append(neuron.diameter)
-        if not culture.pixels_for_neuron(neuron):
-            _neural_offgrid_row(columns, neuron, truth)
-            continue
-        row, col = recording.best_pixel_for(neuron.index)
-        trace = recording.electrode_movie.pixel_trace(row, col)
-        detected = detect_spikes(trace, threshold_sigma=spec.threshold_sigma)
-        score = score_detection(detected, truth, tolerance_s=spec.tolerance_s)
-        columns["best_row"].append(row)
-        columns["best_col"].append(col)
-        columns["peak_v"].append(trace.peak_abs())
-        columns["true_spikes"].append(len(truth))
-        columns["detected_spikes"].append(len(detected))
-        columns["precision"].append(score.precision)
-        columns["recall"].append(score.recall)
-        columns["snr"].append(spike_snr(trace, truth) if len(truth) else float("nan"))
-    return columns
-
-
 def _score_neurons_vectorized(spec: NeuralRecordingSpec, recording, culture) -> dict:
     """Array-wide scoring: best pixels from one peak plane, every
     best-pixel trace detected in one matrix pass
@@ -541,11 +519,9 @@ def neural_records_and_metrics(
     spec: NeuralRecordingSpec, chip, culture, recording, backend: str
 ) -> tuple[dict, dict]:
     """Fold a recording into the workload's records/metrics — shared by
-    the Runner path and the batched campaign fast path."""
-    if backend == "vectorized":
-        columns = _score_neurons_vectorized(spec, recording, culture)
-    else:
-        columns = _score_neurons_object(spec, recording, culture)
+    the Runner path (either backend) and the batched campaign fast
+    path."""
+    columns = _score_neurons_vectorized(spec, recording, culture)
     records = {
         "neuron": np.asarray(columns["neuron"], dtype=int),
         "diameter_m": np.asarray(columns["diameter_m"], dtype=float),
@@ -728,24 +704,15 @@ def _array_scale_streams(spec: ArrayScaleSpec) -> dict[str, tuple]:
     }
 
 
-def _build_array_scale_chips(
-    spec: ArrayScaleSpec, backend: str, chip_rng, calibration_rng, recorder: Any
-):
-    """Either one VectorizedDnaChip batch or a list of object chips
-    (which carry ``recorder``)."""
-    chip_specs = ChipSpecs(rows=spec.rows, cols=spec.cols)
-    if backend == "vectorized":
-        chip = VectorizedDnaChip(
-            chip_specs, n_chips=spec.n_chips, rng=chip_rng, mismatch=spec.mismatch
-        )
-        if spec.calibrate:
-            chip.auto_calibrate(frame_s=spec.calibration_frame_s, rng=calibration_rng)
-        return chip
+def _build_array_scale_chips(spec: ArrayScaleSpec, chip_rng, calibration_rng, recorder: Any):
+    """The object backend's ``spec.n_chips`` chips (which carry
+    ``recorder``), each calibrated when the spec asks."""
     from ..core.rng import ensure_rng, spawn_children
 
     generator = ensure_rng(chip_rng)
     chip_rngs = [generator] if spec.n_chips == 1 else spawn_children(generator, spec.n_chips)
     calibration = ensure_rng(calibration_rng)
+    chip_specs = ChipSpecs(rows=spec.rows, cols=spec.cols)
     chips = []
     for rng in chip_rngs:
         chip = DnaMicroarrayChip(chip_specs, rng=rng, recorder=recorder)
@@ -753,6 +720,14 @@ def _build_array_scale_chips(
             chip.auto_calibrate(frame_s=spec.calibration_frame_s, rng=calibration)
         chips.append(chip)
     return chips
+
+
+def _draw_array_scale_stack(spec: ArrayScaleSpec, rngs: dict):
+    """The vectorized backend's chip stack, drawn and (when the spec
+    asks) calibrated by the engine's stacked evaluator as one unit:
+    ``(params, gain corrections or None)``."""
+    params, peripheries = draw_array_scale(spec, [rngs])
+    return params, calibrate_array_scale(spec, params, peripheries, [rngs])
 
 
 def array_scale_records_and_metrics(
@@ -801,12 +776,13 @@ def array_scale_records_and_metrics(
 def array_scale_unit_results(
     spec: ArrayScaleSpec, params, peripheries: list, unit_streams: list[dict]
 ) -> list[tuple[dict, dict]]:
-    """Calibrate and count chips drawn by ``engine.draw_array_scale``,
-    then fold each unit's ``spec.n_chips`` chips into its records and
-    metrics, units in stack order — the batched executor's and the
-    wafer tiler's shared tail, bit-identical per unit to a Runner run
-    on the unit's streams."""
-    counts, dead = count_array_scale(spec, params, peripheries, unit_streams)
+    """Calibrate (when the spec asks) and count chips drawn by
+    ``engine.draw_array_scale``, then fold each unit's ``spec.n_chips``
+    chips into its records and metrics, units in stack order — the
+    batched executor's and the wafer tiler's shared tail, bit-identical
+    per unit to a Runner run on the unit's streams."""
+    calibrate_array_scale(spec, params, peripheries, unit_streams)
+    counts, dead = count_array_scale(spec, params, unit_streams)
     currents = spec.site_currents()
     n = spec.n_chips
     return [
@@ -827,22 +803,26 @@ def array_scale_unit_results(
 def _execute_array_scale(runner: "Runner", spec: ArrayScaleSpec, rngs: dict) -> ResultSet:
     # run() already resolved the spec's backend field vs its override.
     backend = runner.backend
-    chips = runner._provision(
-        f"array_scale_chip_{backend}",
-        spec.chip_key(),
-        lambda: _build_array_scale_chips(
-            spec, backend, rngs["chip"], rngs["calibration"], runner.recorder
-        ),
-    )
     currents = spec.site_currents()
     if backend == "vectorized":
-        counts = chips.measure_currents(currents, frame_s=spec.frame_s, rng=rngs["measure"])
-        counts = counts.reshape(spec.n_chips, spec.rows, spec.cols)
-        dead = chips.dead_pixel_map().reshape(spec.n_chips, -1).sum(axis=1)
-        counter_bits = chips.specs.counter_bits
-        cint_nominal = chips.params.cint_nominal_f
-        swing_nominal = chips.params.swing_nominal_v
+        params, corrections = runner._provision(
+            f"array_scale_chip_{backend}",
+            spec.chip_key(),
+            lambda: _draw_array_scale_stack(spec, rngs),
+        )
+        counts, dead = count_array_scale(spec, params, [rngs])
+        counter_bits = params.counter_bits
+        cint_nominal = params.cint_nominal_f
+        swing_nominal = params.swing_nominal_v
+        artifacts = {"params": params, "gain_correction": corrections}
     else:
+        chips = runner._provision(
+            f"array_scale_chip_{backend}",
+            spec.chip_key(),
+            lambda: _build_array_scale_chips(
+                spec, rngs["chip"], rngs["calibration"], runner.recorder
+            ),
+        )
         measure_rng = rngs["measure"]
         counts = np.stack(
             [
@@ -854,6 +834,7 @@ def _execute_array_scale(runner: "Runner", spec: ArrayScaleSpec, rngs: dict) -> 
         counter_bits = chips[0].specs.counter_bits
         cint_nominal = float(chips[0].cint_host_nominal_f[0])
         swing_nominal = chips[0].adcs[0].comparator.threshold_v
+        artifacts = {"chip": chips}
 
     records, metrics = array_scale_records_and_metrics(
         spec, backend, counts, dead, counter_bits, cint_nominal, swing_nominal, currents
@@ -863,7 +844,7 @@ def _execute_array_scale(runner: "Runner", spec: ArrayScaleSpec, rngs: dict) -> 
         record_name="chip",
         records=records,
         metrics=metrics,
-        artifacts={"chip": chips, "counts": counts, "currents": currents},
+        artifacts={**artifacts, "counts": counts, "currents": currents},
     )
 
 

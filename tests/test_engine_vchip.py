@@ -1,9 +1,14 @@
 """VectorizedDnaChip vs DnaMicroarrayChip — the backend parity contract.
 
-Paired construction must be bit-identical; deterministic host-side math
+The vectorized chip is a single-chip subclass of the object chip: paired
+construction must be bit-identical; deterministic host-side math
 bit-identical; stochastic counting within the start-phase + jitter
-budget documented in repro.engine.
+budget documented in repro.engine.  Batches of chips exist only in the
+stacked evaluator (``draw_chips`` / ``calibrate_chips`` /
+``count_chips``), tested here against spawned object chips.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -12,6 +17,8 @@ from repro.chip.dna_chip import ChipSpecs, DnaMicroarrayChip
 from repro.core.rng import spawn_children
 from repro.dna import MicroarrayAssay, ProbeLayout, Sample
 from repro.engine import PixelArrayParams, VectorizedDnaChip, kernels
+from repro.engine.vchip import calibrate_chips, count_chips, draw_chips
+from repro.experiments import ArrayScaleSpec
 
 
 def count_budget(chip, currents, frame_s):
@@ -52,42 +59,64 @@ class TestPairedConstruction:
         obj = DnaMicroarrayChip(rng=43)
         vec = VectorizedDnaChip(rng=43)
         np.testing.assert_array_equal(
-            vec.reference_trees[0].branch_currents(), obj.reference_tree.branch_currents()
+            vec.reference_tree.branch_currents(), obj.reference_tree.branch_currents()
         )
-        assert vec.generator_dacs[0].code_for_voltage(0.45) == obj.generator_dac.code_for_voltage(0.45)
-        assert vec.collector_dacs[0].code_for_voltage(-0.25) == obj.collector_dac.code_for_voltage(-0.25)
+        assert vec.generator_dac.code_for_voltage(0.45) == obj.generator_dac.code_for_voltage(0.45)
+        assert vec.collector_dac.code_for_voltage(-0.25) == obj.collector_dac.code_for_voltage(-0.25)
 
     def test_batch_pairs_with_spawned_object_chips(self):
+        """A stacked draw of three chips from one stream pairs chip for
+        chip with object chips built from the spawned children."""
         specs = ChipSpecs(rows=8, cols=4)
         root = 77
-        vec = VectorizedDnaChip(specs, n_chips=3, rng=root)
+        params, peripheries = draw_chips(specs, [root], 3, "paired", periphery=True)
+        assert params.shape == (3, 8, 4)
         children = spawn_children(np.random.default_rng(root), 3)
         for index, child in enumerate(children):
             obj = DnaMicroarrayChip(specs, rng=child)
             np.testing.assert_array_equal(
-                vec.params.cint_f[index].reshape(-1),
+                params.cint_f[index].reshape(-1),
                 [p.adc.cint.capacitance_f for p in obj.pixels],
             )
             np.testing.assert_array_equal(
-                vec.reference_trees[index].branch_currents(),
+                peripheries[index].reference_tree.branch_currents(),
                 obj.reference_tree.branch_currents(),
             )
 
     def test_fast_mode_deterministic_with_spread(self):
-        a = VectorizedDnaChip(ChipSpecs(rows=32, cols=32), rng=5, mismatch="fast")
-        b = VectorizedDnaChip(ChipSpecs(rows=32, cols=32), rng=5, mismatch="fast")
-        np.testing.assert_array_equal(a.params.cint_f, b.params.cint_f)
-        rel = a.params.cint_relative_error
+        a, _ = draw_chips(ChipSpecs(rows=32, cols=32), [5], 1, "fast", periphery=False)
+        b, _ = draw_chips(ChipSpecs(rows=32, cols=32), [5], 1, "fast", periphery=False)
+        np.testing.assert_array_equal(a.cint_f, b.cint_f)
+        rel = a.cint_relative_error
         assert 0.010 < rel.std() < 0.020  # sigma_cint_rel = 0.015
-        assert np.all(a.params.leakage_a >= 0)
+        assert np.all(a.leakage_a >= 0)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            VectorizedDnaChip(n_chips=0)
+            draw_chips(ChipSpecs(), [1], 0, "paired", periphery=False)
         with pytest.raises(ValueError):
-            VectorizedDnaChip(mismatch="psychic")
+            ArrayScaleSpec(n_chips=0)
+        with pytest.raises(ValueError):
+            PixelArrayParams.draw(8, 8, rng=1, mode="psychic")
         with pytest.raises(ValueError):
             PixelArrayParams.draw(0, 8, rng=1)
+
+    def test_single_chip_subclass_of_the_object_chip(self):
+        """One host half: the vectorized chip takes the object chip's
+        constructor and overrides only its pixel side."""
+        assert issubclass(VectorizedDnaChip, DnaMicroarrayChip)
+        assert inspect.signature(VectorizedDnaChip) == inspect.signature(DnaMicroarrayChip)
+        overrides = {name for name in vars(VectorizedDnaChip) if not name.startswith("__")}
+        assert overrides == {
+            "_draw_pixels",
+            "_count_frame",
+            "cint_host_nominal_f",
+            "dead_time_s",
+            "dead_pixel_map",
+            "inject_dead_pixel",
+        }
+        chip = VectorizedDnaChip(rng=1)
+        assert chip.params.shape == (1, 16, 8)
 
 
 class TestConfigurationAndCalibration:
@@ -152,29 +181,33 @@ class TestMeasurement:
             chip.current_estimates(np.zeros((4, 4)), 1.0)
 
     def test_batched_measurement_shapes(self):
-        chip = VectorizedDnaChip(ChipSpecs(rows=8, cols=4), n_chips=3, rng=9, mismatch="fast")
+        """A stack of chips counts in one call, each chip with its own
+        mismatch; calibration corrections come back shaped like it."""
+        params, peripheries = draw_chips(ChipSpecs(rows=8, cols=4), [9], 3, "fast", True)
         currents = np.full((8, 4), 1e-9)
-        counts = chip.measure_currents(currents, frame_s=0.2, rng=1)
+        counts = count_chips(params, currents, 0.2, [1])
         assert counts.shape == (3, 8, 4)
         assert np.all(counts > 0)
-        estimates = chip.current_estimates(counts, 0.2)
-        assert estimates.shape == (3, 8, 4)
-        # A single grid against the batch uses every chip's calibration.
-        grid_estimates = chip.current_estimates(counts[0], 0.2)
-        assert grid_estimates.shape == (3, 8, 4)
-        np.testing.assert_array_equal(grid_estimates[0], estimates[0])
+        trees = [periphery.reference_tree for periphery in peripheries]
+        corrections = calibrate_chips(params, trees, 0.05, [2])
+        assert corrections.shape == (3, 8, 4)
         # Chip instances differ (independent mismatch), so their counts do.
         assert not np.array_equal(counts[0], counts[1])
 
     def test_misbiased_chip_reads_background_only(self):
+        layout = ProbeLayout.random_panel(4, rows=16, cols=8, rng=1)
+        assay = MicroarrayAssay(layout).run(Sample.for_probes(layout.probes(), 1e-3))
+        biased = VectorizedDnaChip(rng=6)
+        biased.configure_bias(0.45, -0.25)
+        assert biased.measure_assay(assay, frame_s=1.0, rng=2).max() > 100
         chip = VectorizedDnaChip(rng=6)
         chip.configure_bias(0.45, 0.45)  # invalid bias
-        counts = chip.measure_concentrations(np.full((16, 8), 1e-3), frame_s=1.0, rng=2)
+        counts = chip.measure_assay(assay, frame_s=1.0, rng=2)
         # Background (~0.5 pA) over 1 s: a handful of counts at most.
         assert counts.max() <= 10
 
     def test_arbitrary_geometry_128x128(self):
-        chip = VectorizedDnaChip(ChipSpecs(rows=128, cols=128), rng=3, mismatch="fast")
+        chip = VectorizedDnaChip(ChipSpecs(rows=128, cols=128), rng=3)
         currents = np.logspace(-12, -7, 128 * 128).reshape(128, 128)
         counts = chip.measure_currents(currents, frame_s=0.05, rng=4)
         assert counts.shape == (128, 128)
@@ -183,56 +216,43 @@ class TestMeasurement:
 
 
 class TestHostSideParity:
-    def test_current_estimates_bitwise_via_twin(self):
+    def test_current_estimates_bitwise_paired(self):
+        """Same drawn Cint and stored calibration, same estimates bit for
+        bit: the vectorized chip's nominal-Cint read is the object's."""
         obj = DnaMicroarrayChip(rng=30)
+        vec = VectorizedDnaChip(rng=30)
         obj.configure_bias(0.45, -0.25)
         obj.auto_calibrate(frame_s=0.05, rng=1)
+        vec.gain_correction = obj.gain_correction.copy()
         counts = obj.measure_currents(np.full((16, 8), 1e-9), frame_s=0.5, rng=2)
-        twin = obj.vectorized()
+        np.testing.assert_array_equal(vec.cint_host_nominal_f, obj.cint_host_nominal_f)
         np.testing.assert_array_equal(
-            twin.current_estimates(counts, 0.5), obj.current_estimates(counts, 0.5)
+            vec.current_estimates(counts, 0.5), obj.current_estimates(counts, 0.5)
         )
 
     def test_current_estimates_truncate_fractional_counts(self):
         """Counts are whole pulses: float inputs truncate exactly as the
         seed-era per-pixel loop's int() did."""
         obj = DnaMicroarrayChip(rng=33)
-        twin = obj.vectorized()
+        vec = VectorizedDnaChip(rng=33)
         fractional = np.full((16, 8), 3.7)
         whole = np.full((16, 8), 3.0)
         np.testing.assert_array_equal(
             obj.current_estimates(fractional, 0.1), obj.current_estimates(whole, 0.1)
         )
         np.testing.assert_array_equal(
-            twin.current_estimates(fractional, 0.1), twin.current_estimates(whole, 0.1)
+            vec.current_estimates(fractional, 0.1), vec.current_estimates(whole, 0.1)
         )
 
-    def test_twin_carries_state(self):
+    def test_dead_pixel_state_paired(self):
         obj = DnaMicroarrayChip(rng=31)
-        obj.configure_bias(0.45, -0.25)
-        obj.inject_dead_pixel(2, 5)
-        obj.measure_currents(np.full((16, 8), 1e-9), frame_s=0.2, rng=3)
-        twin = obj.vectorized()
-        np.testing.assert_array_equal(twin.dead_pixel_map(), obj.dead_pixel_map())
-        assert twin.read_counters_serial() == obj.read_counters_serial()
-
-    def test_twin_never_mutates_source_chip(self):
-        obj = DnaMicroarrayChip(rng=32)
-        obj.configure_bias(0.45, -0.25)
-        register_state = obj.registers.dump()
-        transcript_length = len(obj.link.transcript)
-        twin = obj.vectorized()
-        twin.configure_bias(0.45, 0.45)  # invalid bias on the twin only
-        assert obj.pixels[0].sensor.bias_ok  # source sensors untouched
-        twin.configure_bias(0.45, -0.25)
-        twin.auto_calibrate(frame_s=0.05, rng=1)
-        twin.measure_currents(np.full((16, 8), 1e-9), frame_s=0.2, rng=2)
-        twin.read_counters_serial()
-        twin.inject_dead_pixel(0, 0)
-        assert obj.registers.dump() == register_state
-        assert len(obj.link.transcript) == transcript_length
-        assert not obj.dead_pixel_map()[0, 0]
-        assert obj.pixels[0].gain_correction == 1.0
+        vec = VectorizedDnaChip(rng=31)
+        for chip in (obj, vec):
+            chip.inject_dead_pixel(2, 5)
+            with pytest.raises(IndexError):
+                chip.inject_dead_pixel(16, 0)
+        np.testing.assert_array_equal(vec.dead_pixel_map(), obj.dead_pixel_map())
+        assert vec.dead_pixel_map()[2, 5]
 
     def test_serial_roundtrip_single_chip(self):
         chip = VectorizedDnaChip(rng=23)
@@ -240,14 +260,6 @@ class TestHostSideParity:
         host = chip.read_counters_serial()
         assert host == [int(c) for c in counts.reshape(-1)]
         assert len(host) == 128
-
-    def test_serial_roundtrip_batch(self):
-        chip = VectorizedDnaChip(ChipSpecs(rows=8, cols=4), n_chips=2, rng=24, mismatch="fast")
-        counts = chip.measure_currents(np.full((8, 4), 1e-9), frame_s=0.2, rng=6)
-        host = chip.read_counters_serial()
-        assert isinstance(host, list) and len(host) == 2
-        for index in range(2):
-            assert host[index] == [int(c) for c in counts[index].reshape(-1)]
 
     def test_sub_byte_counter_width_raises_cleanly(self):
         from repro.chip.dna_chip import counter_chunk_bytes

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.chip import ChipSpecs
+from repro.engine import VectorizedDnaChip
 from repro.experiments import ArrayScaleSpec, Runner, spec_from_dict
+from repro.experiments.workloads import workload_for
 
 
 class TestSpec:
@@ -106,10 +109,20 @@ class TestWorkload:
         assert runner.stats.chips_built == 2  # separate cache slot
 
     def test_calibrated_run(self):
-        spec = ArrayScaleSpec(rows=8, cols=8, calibrate=True, frame_s=0.05)
+        """The stacked draw calibrates on the calibration stream, bit for
+        bit as a paired single chip built and calibrated on the same
+        streams; an uncalibrated run stores no corrections."""
+        spec = ArrayScaleSpec(rows=8, cols=8, calibrate=True, frame_s=0.05, mismatch="paired")
         result = Runner(seed=4).run(spec)
-        chip = result.artifacts["chip"]
-        assert not np.all(chip.gain_correction == 1.0)
+        corrections = result.artifacts["gain_correction"]
+        assert corrections.shape == (1, 8, 8)
+        assert not np.all(corrections == 1.0)
+        rngs = workload_for(spec.kind).stream_plan(spec).generators(4)
+        chip = VectorizedDnaChip(ChipSpecs(rows=8, cols=8), rng=rngs["chip"])
+        expected = chip.auto_calibrate(frame_s=spec.calibration_frame_s, rng=rngs["calibration"])
+        np.testing.assert_array_equal(corrections.reshape(-1), expected)
+        uncalibrated = Runner(seed=4).run(spec.replace(calibrate=False))
+        assert uncalibrated.artifacts["gain_correction"] is None
 
     def test_run_batch_backend_parameter(self):
         runner = Runner(seed=6)

@@ -19,7 +19,7 @@ from repro.campaigns import (
 )
 from repro.chip.dna_chip import ChipSpecs, DnaMicroarrayChip
 from repro.chip.readout import ReadoutPolicy, read_counters_resilient
-from repro.chip.serial_interface import CHIP_TO_HOST, HOST_TO_CHIP
+from repro.chip.serial_interface import CHIP_TO_HOST, HOST_TO_CHIP, TRANSCRIPT_ENTRIES
 from repro.experiments import DnaAssaySpec, Runner, spec_from_dict
 from repro.faults import (
     FaultInjector,
@@ -206,6 +206,19 @@ class TestFaultedRuns:
         assert "site_dead" in result.records and "site_silent" in result.records
         again = Runner(seed=9).run(BASE, backend="vectorized")
         assert again.to_json() == result.to_json()
+
+    def test_cached_chip_transcript_stays_bounded(self):
+        """A cached chip's link lives as long as its Runner: many faulted
+        points keep only the latest TRANSCRIPT_ENTRIES wire crossings."""
+        runner = Runner(seed=9)
+        specs = [BASE.replace(concentration=BASE.concentration * (1 + i)) for i in range(140)]
+        results = runner.run_batch(specs, backend="vectorized")
+        assert runner.stats.chips_built == 1
+        transcript = results[-1].artifacts["chip"].link.transcript
+        assert len(transcript) == TRANSCRIPT_ENTRIES
+        # The newest entries are kept: the last is the final response
+        # chunk of the last point's shift-out, as the host received it.
+        assert transcript[-1][:2] == (CHIP_TO_HOST, "received")
 
 
 # ---------------------------------------------------------------------------

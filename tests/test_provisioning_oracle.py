@@ -476,7 +476,7 @@ class TestChipLoopsOracle:
     def test_vectorized_paired_chip_matches_frozen_object_chip(self, monkeypatch, seed):
         specs = ChipSpecs()
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        chip = VectorizedDnaChip(specs, rng=ours, mismatch="paired")
+        chip = VectorizedDnaChip(specs, rng=ours)
         _, oracle_pixels = _oracle_chip(monkeypatch, specs, theirs)
         variations = [pixel.variation for pixel in oracle_pixels]
         assert chip.params.comparator_offset_v.ravel().tolist() == [

@@ -2,8 +2,9 @@
 
 The three loops below are test-local copies of the counter shift-out as
 it once existed in three places: the object chip's plain
-``read_counters_serial``, the vectorized chip's per-chip loop and the
-resilient controller.  They are frozen on purpose.  Hypothesis drives
+``read_counters_serial``, the vectorized chip's own loop (one chip
+per read since that chip became a single-chip subclass of the object
+chip) and the resilient controller.  They are frozen on purpose.  Hypothesis drives
 the library's public entry points and these oracles with the same
 counts, counter widths, geometries, bit flips, fault schedules and
 retry policies, and every observable must match exactly: the returned
@@ -88,20 +89,17 @@ def _oracle_plain(chip, flip_frames):
 
 
 def _oracle_vectorized(chip):
-    per_chip = []
     chunk = counter_chunk_bytes(chip.specs.counter_bits)
-    for index in range(chip.n_chips):
-        request = Frame(Command.READ_COUNTERS, 0x00)
-        chip.link.transfer(request)
-        payload = pack_counters(chip._last_counts[index].tolist(), chip.specs.counter_bits)
-        received = bytearray()
-        for start in range(0, len(payload), chunk):
-            part = payload[start : start + chunk]
-            response = chip.link.respond(part)
-            roundtrip = chip.link.transfer(response, direction=CHIP_TO_HOST)
-            received.extend(roundtrip.payload)
-        per_chip.append(unpack_counters(bytes(received), chip.specs.counter_bits))
-    return per_chip[0] if chip.n_chips == 1 else per_chip
+    request = Frame(Command.READ_COUNTERS, 0x00)
+    chip.link.transfer(request)
+    payload = pack_counters(chip._last_counts.tolist(), chip.specs.counter_bits)
+    received = bytearray()
+    for start in range(0, len(payload), chunk):
+        part = payload[start : start + chunk]
+        response = chip.link.respond(part)
+        roundtrip = chip.link.transfer(response, direction=CHIP_TO_HOST)
+        received.extend(roundtrip.payload)
+    return unpack_counters(bytes(received), chip.specs.counter_bits)
 
 
 def _oracle_verify_registers(chip, expected, outcome):
@@ -323,7 +321,7 @@ def _object_chip(specs, counts, faults, fault_seed, traced=True):
 
 
 def _vectorized_chip(specs, counts, faults, fault_seed):
-    chip = VectorizedDnaChip(specs, n_chips=counts.shape[0], rng=0, mismatch="fast")
+    chip = VectorizedDnaChip(specs, rng=0)
     chip._last_counts = counts.copy()
     if faults is not None:
         chip.link.injector = FaultInjector(faults, rng=np.random.default_rng(fault_seed))
@@ -388,15 +386,13 @@ class TestVectorizedReadout:
     @SETTINGS
     @given(
         layout=layouts(),
-        n_chips=st.integers(1, 3),
         faults=st.none() | fault_schedules,
         seed=st.integers(0, 99),
     )
-    def test_matches_oracle(self, layout, n_chips, faults, seed):
+    def test_matches_oracle(self, layout, faults, seed):
         specs, counts = layout
-        stack = np.stack([np.roll(counts, shift) for shift in range(n_chips)])
-        subject = _vectorized_chip(specs, stack, faults, seed)
-        oracle = _vectorized_chip(specs, stack, faults, seed)
+        subject = _vectorized_chip(specs, counts, faults, seed)
+        oracle = _vectorized_chip(specs, counts, faults, seed)
         got = _observe(subject, subject.read_counters_serial)
         want = _observe(oracle, lambda: _oracle_vectorized(oracle))
         if want["error"] is not None and want["error"][0] == "FrameError":
