@@ -114,7 +114,7 @@ def _compile_neural(points: list) -> Iterator[list]:
         prepared: list = []
         for point in points[start : start + chunk_points]:
             rngs = plan.generators(point.seed)
-            chip = _build_neuro_chip(spec, "vectorized", rngs["chip"])
+            chip = _build_neuro_chip(spec, "vectorized", rngs["chip"], None)
             culture = Culture.random(
                 spec.n_neurons,
                 chip.geometry,

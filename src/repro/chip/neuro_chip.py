@@ -13,6 +13,14 @@ The chip model combines:
   * the :class:`~repro.chip.sequencer.ScanTiming` arithmetic that locks
     frame rate, mux depth and bandwidths together,
   * registers + serial configuration like the DNA chip.
+
+It is the one neural host: a recording is drawn stimuli
+(:meth:`~NeuralRecordingChip.draw_spike_trains`), junction-voltage
+tables (:meth:`~NeuralRecordingChip.activity_tables`), noisy electrode
+frames (:meth:`~NeuralRecordingChip.movie_from_tables`) and the chain
+transfer (:meth:`~NeuralRecordingChip.output_movie`).
+:class:`~repro.engine.VectorizedNeuroChip` overrides only the activity
+and frame steps with batched kernels.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from ..core.signals import Trace
 from ..neuro.action_potential import (
     HodgkinHuxleyNeuron,
     StimulusProtocol,
+    template_action_potential,
 )
 from ..neuro.array import NeuralArrayModel, RecordedMovie
 from ..neuro.culture import ArrayGeometry, Culture, NEURO_GEOMETRY
@@ -149,23 +158,42 @@ class NeuralRecordingChip:
         if not self.calibrated:
             raise RuntimeError("calibrate() the chip before recording")
         generator = ensure_rng(rng)
-        junction_traces: dict[int, Trace] = {}
-        ground_truth: dict[int, np.ndarray] = {}
+        stimuli = self.draw_spike_trains(culture, duration_s, firing_rate_hz, generator)
+        activity = self.activity_tables(culture, stimuli, duration_s, use_hh)
+        return self.recording_from_tables(culture, activity, duration_s, generator)
+
+    def draw_spike_trains(
+        self, culture: Culture, duration_s: float, firing_rate_hz: float, generator
+    ) -> list[StimulusProtocol]:
+        """One Poisson stimulus per neuron, each from its own spawned
+        child of the record stream (at least one child even for an
+        empty culture)."""
         neuron_rngs = spawn_children(generator, max(1, len(culture.neurons)))
-        for neuron, neuron_rng in zip(culture.neurons, neuron_rngs):
-            stimulus = StimulusProtocol.spike_train(firing_rate_hz, duration_s, rng=neuron_rng)
+        return [
+            StimulusProtocol.spike_train(firing_rate_hz, duration_s, rng=neuron_rng)
+            for _, neuron_rng in zip(culture.neurons, neuron_rngs)
+        ]
+
+    def activity_tables(
+        self, culture: Culture, stimuli: list[StimulusProtocol], duration_s: float, use_hh: bool
+    ) -> tuple[list[np.ndarray], float, dict]:
+        """Junction-voltage waveform tables + ground truth for a set of
+        stimulated neurons, ``(tables, table_dt_s, ground_truth)``: one
+        table row per neuron, integrated neuron by neuron."""
+        dt_s = 20e-6
+        tables: list[np.ndarray] = []
+        ground_truth: dict[int, np.ndarray] = {}
+        for neuron, stimulus in zip(culture.neurons, stimuli):
             if use_hh:
-                hh = HodgkinHuxleyNeuron().simulate(duration_s, dt_s=20e-6, stimulus=stimulus)
+                hh = HodgkinHuxleyNeuron().simulate(duration_s, dt_s=dt_s, stimulus=stimulus)
                 vj = neuron.junction.junction_voltage(hh)
                 ground_truth[neuron.index] = hh.spike_times
             else:
-                from ..neuro.action_potential import template_action_potential
-
-                vj = Trace.zeros(duration_s, 20e-6)
+                vj = Trace.zeros(duration_s, dt_s)
                 spike_times = np.asarray([p[0] for p in stimulus.pulses])
                 for t_spike in spike_times:
                     ap = template_action_potential(
-                        duration_s=min(6e-3, duration_s), dt_s=20e-6, t_spike_s=1e-3
+                        duration_s=min(6e-3, duration_s), dt_s=dt_s, t_spike_s=1e-3
                     )
                     vj_one = neuron.junction.junction_voltage_from_template(ap)
                     offset = int((t_spike) / vj.dt)
@@ -173,39 +201,73 @@ class NeuralRecordingChip:
                     if end > offset:
                         vj.samples[offset:end] += vj_one.samples[: end - offset]
                 ground_truth[neuron.index] = spike_times + 1e-3
-            junction_traces[neuron.index] = vj
-        n_frames = int(duration_s * self.scan.frame_rate_hz)
-        electrode_movie = self.array.record(
-            culture,
-            junction_traces,
-            n_frames=n_frames,
-            frame_rate_hz=self.scan.frame_rate_hz,
-            noise_rms_v=self.input_referred_noise_v(),
-            rng=generator,
+            tables.append(vj.samples)
+        return tables, dt_s, ground_truth
+
+    def movie_from_tables(
+        self,
+        culture: Culture,
+        tables,
+        table_dt_s: float,
+        n_frames: int,
+        generator,
+    ) -> RecordedMovie:
+        """Sample the waveform tables onto electrode-referred frames
+        (one ``np.interp`` per covered pixel, via
+        :meth:`NeuralArrayModel.record`) plus the chain's noise."""
+        junction_traces = {
+            neuron.index: Trace(table, table_dt_s)
+            for neuron, table in zip(culture.neurons, tables)
+        }
+        movie = self.array.record(
+            culture, junction_traces, n_frames, frame_rate_hz=self.scan.frame_rate_hz
         )
-        output_movie = RecordedMovie(
-            frames=self._apply_chain_gain(electrode_movie.frames),
+        return self._add_noise(movie.frames, generator)
+
+    def _add_noise(self, frames: np.ndarray, generator) -> RecordedMovie:
+        """Add the chain's input-referred noise to noiseless electrode
+        frames, in place, as one draw from the record stream."""
+        noise_rms_v = self.input_referred_noise_v()
+        if noise_rms_v > 0:
+            frames += ensure_rng(generator).normal(0.0, noise_rms_v, size=frames.shape)
+        return RecordedMovie(frames=frames, frame_rate_hz=self.scan.frame_rate_hz)
+
+    def output_movie(self, electrode_movie: RecordedMovie) -> RecordedMovie:
+        """The off-chip view after the full x5600 chain: each column's
+        channel gain and rail clipping, as one broadcast."""
+        from ..engine import neuro_kernels
+
+        coupling = self.array.design.coupling_factor
+        gains = [channel.chain.actual_gain * coupling for channel in self.channels]
+        rails = [channel.chain.stages[-1].rail_high for channel in self.channels]
+        return RecordedMovie(
+            frames=neuro_kernels.apply_chain_transfer(
+                electrode_movie.frames, gains, rails, self.scan.mux_depth
+            ),
             frame_rate_hz=self.scan.frame_rate_hz,
+        )
+
+    def recording_from_tables(
+        self,
+        culture: Culture,
+        activity: tuple,
+        duration_s: float,
+        generator,
+    ) -> RecordingResult:
+        """Record precomputed activity — ``(tables, table_dt_s,
+        ground_truth)`` from :meth:`activity_tables` — as electrode
+        frames plus noise and the off-chip output movie."""
+        tables, table_dt_s, ground_truth = activity
+        n_frames = int(duration_s * self.scan.frame_rate_hz)
+        electrode_movie = self.movie_from_tables(
+            culture, tables, table_dt_s, n_frames, generator
         )
         return RecordingResult(
             electrode_movie=electrode_movie,
-            output_movie=output_movie,
+            output_movie=self.output_movie(electrode_movie),
             ground_truth=ground_truth,
             culture=culture,
         )
-
-    def _apply_chain_gain(self, frames: np.ndarray) -> np.ndarray:
-        """Static chain transfer per column's channel (gain + clipping)."""
-        out = np.empty_like(frames)
-        mux_depth = self.scan.mux_depth
-        for channel_index, channel in enumerate(self.channels):
-            col_lo = channel_index * mux_depth
-            col_hi = col_lo + mux_depth
-            gain = channel.chain.actual_gain * self.array.design.coupling_factor
-            block = frames[:, :, col_lo:col_hi] * gain
-            rail = channel.chain.stages[-1].rail_high
-            out[:, :, col_lo:col_hi] = np.clip(block, -rail, rail)
-        return out
 
     # ------------------------------------------------------------------
     # Reports

@@ -13,11 +13,14 @@ kernels over ``(n_chips, rows, cols)`` arrays:
   :func:`count_array_scale`, chunked by :func:`stack_chunks`), which
   the Runner's vectorized ``array_scale``, the batched campaign
   executor and the wafer tiler share;
-* the Fig. 5/6 neural-recording pipeline (M1/M2 calibration planes,
-  batched Hodgkin-Huxley integration, interp-free frame synthesis,
-  broadcast chain transfer, array-wide spike detection), packaged as
-  :class:`VectorizedNeuroChip` over :class:`NeuroArrayParams` +
-  :mod:`repro.engine.neuro_kernels`.
+* the Fig. 5/6 neural-recording pipeline (batched Hodgkin-Huxley
+  integration, interp-free frame synthesis, broadcast chain transfer,
+  array-wide spike detection) in :mod:`repro.engine.neuro_kernels`.
+  The neural chip has one host,
+  :class:`~repro.chip.NeuralRecordingChip`, whose M1/M2 planes are the
+  :class:`~repro.neuro.array.NeuralArrayModel`;
+  :class:`VectorizedNeuroChip` is a subclass of it that evaluates the
+  activity and the frames with these kernels.
 
 Select it through the experiment front door::
 
@@ -32,8 +35,8 @@ Select it through the experiment front door::
 
 Parity contract vs the object backend (documented tolerances, enforced
 by ``tests/test_engine_*``): deterministic math is bit-identical;
-mismatch draws are bit-identical in ``"paired"`` mode (the neural
-planes are plane-drawn and bit-identical by construction); stochastic
+mismatch draws are bit-identical in ``"paired"`` mode (both neural
+chips draw the same ``NeuralArrayModel`` planes); stochastic
 counts agree per site to within 1 count of start-phase quantisation
 plus the accumulated cycle jitter (``kernels.count_noise_sigma``); the
 neural template-AP recording is bit-identical end to end, and the HH
@@ -42,7 +45,6 @@ truth (see :mod:`repro.engine.neuro_kernels`).
 """
 
 from . import kernels, neuro_kernels
-from .neuro_params import NeuroArrayParams
 from .params import DRAW_MODES, PixelArrayParams
 from .vchip import (
     STACK_SITES,
@@ -57,7 +59,6 @@ from .vneuro import VectorizedNeuroChip
 __all__ = [
     "DRAW_MODES",
     "STACK_SITES",
-    "NeuroArrayParams",
     "PixelArrayParams",
     "VectorizedDnaChip",
     "VectorizedNeuroChip",

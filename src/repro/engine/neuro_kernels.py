@@ -25,8 +25,8 @@ evaluate the same physics as whole-array NumPy operations:
   interp-free pass (a table gather over precomputed waveform tables
   followed by one ``np.add.at`` accumulation).
 * :func:`apply_chain_transfer` — the per-channel readout gain +
-  clipping as one broadcast and two in-place bounds (bit-identical to
-  the object chip's per-channel ``np.clip`` loop).
+  clipping as one broadcast and two in-place bounds: the chain transfer
+  of both neural chips (``NeuralRecordingChip.output_movie``).
 * :func:`mad_sigma_matrix` / :func:`detect_spikes_matrix` — array-wide
   threshold spike detection over a matrix of traces.
 
@@ -352,7 +352,7 @@ def template_tables(
     """Per-neuron junction waveform tables for the analytic-AP path.
 
     Mirrors the ``use_hh=False`` branch of
-    :meth:`NeuralRecordingChip.record_culture` bit for bit — same
+    :meth:`NeuralRecordingChip.activity_tables` bit for bit — same
     template, same derivative, same per-spike scatter (in spike order)
     — but computes the shared template AP and its derivative once
     instead of once per spike.  Returns ``(tables, ground_truth)``
@@ -504,7 +504,7 @@ def apply_chain_transfer(
     """Static per-channel chain transfer (gain + rail clipping) as one
     broadcast.  ``gains``/``rails`` hold one value per readout channel;
     channel *k* serves columns ``[k * mux_depth, (k+1) * mux_depth)``.
-    Bit-identical to the object chip's per-channel block loop."""
+    Bit-identical to a per-channel ``np.clip`` of each column block."""
     gain_cols = np.repeat(np.asarray(gains, dtype=float), mux_depth)
     rail_cols = np.repeat(np.asarray(rails, dtype=float), mux_depth)
     if len(gain_cols) != frames.shape[2]:

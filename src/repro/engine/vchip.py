@@ -210,6 +210,13 @@ class VectorizedDnaChip(DnaMicroarrayChip):
     exist only on the object chip.
     """
 
+    def pixel_at(self, row: int, col: int):
+        raise NotImplementedError(
+            "per-site pixel views (pixels, pixel_at) exist only on the object "
+            'chip (backend="object"); this chip holds its pixels as planes '
+            "in chip.params"
+        )
+
     def _draw_pixels(self, generator: np.random.Generator) -> None:
         self.params = PixelArrayParams.draw(
             self.specs.rows,

@@ -19,7 +19,8 @@ Each chip kind has one builder that takes the backend
 backend-named cache; ``array_scale`` builds object chips
 (``_build_array_scale_chips``) or, on the vectorized backend, a chip
 stack drawn by the engine's stacked evaluator.  The object DNA builders
-attach the Runner's trace recorder, which is how a traced replay
+and the neural builder on either backend attach the Runner's trace
+recorder, which is how a traced replay
 (:func:`repro.trace.replay_readout`) runs the normal workload.
 
 ``register_workload`` adds a new kind at runtime; the built-in three
@@ -425,13 +426,18 @@ def _neural_streams(spec: NeuralRecordingSpec) -> dict[str, tuple]:
 
 
 def _build_neuro_chip(
-    spec: NeuralRecordingSpec, backend: str, chip_rng
-) -> "NeuralRecordingChip | VectorizedNeuroChip":
-    """Build and calibrate one recording chip on ``backend``.  Both
-    chips consume the chip stream identically, so pixel planes and
-    channel draws are bit-identical across backends."""
+    spec: NeuralRecordingSpec, backend: str, chip_rng, recorder: Any
+) -> NeuralRecordingChip:
+    """Build and calibrate one recording chip on ``backend``, carrying
+    ``recorder``.  The vectorized chip is a subclass with the object
+    chip's constructor, so pixel planes and channel draws are
+    bit-identical across backends."""
     chip_type = VectorizedNeuroChip if backend == "vectorized" else NeuralRecordingChip
-    chip = chip_type(geometry=ArrayGeometry(spec.rows, spec.cols, spec.pitch_m), rng=chip_rng)
+    chip = chip_type(
+        geometry=ArrayGeometry(spec.rows, spec.cols, spec.pitch_m),
+        rng=chip_rng,
+        recorder=recorder,
+    )
     chip.calibrate()
     return chip
 
@@ -562,7 +568,7 @@ def _execute_neural(runner: "Runner", spec: NeuralRecordingSpec, rngs: dict) -> 
     chip = runner._provision(
         f"neuro_chip_{backend}",
         spec.chip_key(),
-        lambda: _build_neuro_chip(spec, backend, rngs["chip"]),
+        lambda: _build_neuro_chip(spec, backend, rngs["chip"], runner.recorder),
     )
     culture = Culture.random(
         spec.n_neurons,

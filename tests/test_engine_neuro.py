@@ -1,4 +1,4 @@
-"""repro.engine neuro kernels/params/chip vs the object models.
+"""repro.engine neuro kernels and the vectorized chip vs the object models.
 
 Parity contract (see repro.engine.neuro_kernels): construction draws
 and the template-AP recording path are bit-identical; the batched HH
@@ -8,6 +8,7 @@ accumulation error with exact spike times; detection kernels are
 bit-identical on equal traces.
 """
 
+import inspect
 import sys
 import threading
 
@@ -15,90 +16,19 @@ import numpy as np
 import pytest
 
 from repro.chip.neuro_chip import NeuralRecordingChip
-from repro.core.rng import spawn_children
 from repro.core.signals import Trace
-from repro.engine import NeuroArrayParams, VectorizedNeuroChip, neuro_kernels
+from repro.engine import VectorizedNeuroChip, neuro_kernels
 from repro.neuro.action_potential import (
     HHParameters,
     HodgkinHuxleyNeuron,
     StimulusProtocol,
 )
-from repro.neuro.array import NeuralArrayModel
+from repro.neuro.array import NeuralArrayModel, RecordedMovie
 from repro.neuro.culture import ArrayGeometry, Culture
 from repro.neuro.spike_detection import detect_spikes, mad_noise_estimate
 
 
 GEOMETRY = ArrayGeometry(16, 16, 7.8e-6)
-
-
-class TestNeuroArrayParams:
-    def test_single_chip_draw_is_bit_identical_to_object_model(self):
-        model = NeuralArrayModel(GEOMETRY, rng=np.random.default_rng(5))
-        params = NeuroArrayParams.draw(16, 16, rng=np.random.default_rng(5))
-        np.testing.assert_array_equal(params.vth[0], model.vth)
-        np.testing.assert_array_equal(params.beta[0], model.beta)
-        np.testing.assert_array_equal(params.i_m2[0], model.i_m2)
-        np.testing.assert_array_equal(params.ktc_draws[0], model._ktc_draws)
-        np.testing.assert_array_equal(params.injection_draws[0], model._injection_draws)
-
-    def test_calibrate_droop_and_currents_match_object_model(self):
-        model = NeuralArrayModel(GEOMETRY, rng=np.random.default_rng(7))
-        params = NeuroArrayParams.draw(16, 16, rng=np.random.default_rng(7))
-        np.testing.assert_array_equal(params.calibrate()[0], model.calibrate())
-        model.droop(1e-3)
-        params.droop(1e-3)
-        np.testing.assert_array_equal(params.stored_vgs[0], model.stored_vgs)
-        np.testing.assert_array_equal(
-            params.pixel_currents(2e-4)[0], model.pixel_currents(2e-4)
-        )
-        np.testing.assert_array_equal(params.offset_currents()[0], model.offset_currents())
-        np.testing.assert_array_equal(
-            params.uncalibrated_offset_currents()[0], model.uncalibrated_offset_currents()
-        )
-        np.testing.assert_array_equal(
-            params.input_referred_offsets()[0], model.input_referred_offsets()
-        )
-
-    def test_batch_draw_matches_object_models_built_from_children(self):
-        params = NeuroArrayParams.draw(8, 8, rng=np.random.default_rng(3), n_chips=3)
-        children = spawn_children(np.random.default_rng(3), 3)
-        for chip, child in enumerate(children):
-            model = NeuralArrayModel(ArrayGeometry(8, 8, 7.8e-6), rng=child)
-            np.testing.assert_array_equal(params.vth[chip], model.vth)
-            np.testing.assert_array_equal(params.i_m2[chip], model.i_m2)
-
-    def test_batched_calibration_uses_each_chips_own_typical_voltage(self):
-        params = NeuroArrayParams.draw(8, 8, rng=np.random.default_rng(4), n_chips=2)
-        stored = params.calibrate()
-        children = spawn_children(np.random.default_rng(4), 2)
-        for chip, child in enumerate(children):
-            model = NeuralArrayModel(ArrayGeometry(8, 8, 7.8e-6), rng=child)
-            np.testing.assert_array_equal(stored[chip], model.calibrate())
-
-    def test_stack_and_from_array_model(self):
-        a = NeuroArrayParams.draw(8, 8, rng=1)
-        b = NeuroArrayParams.draw(8, 8, rng=2)
-        stacked = NeuroArrayParams.stack([a, b])
-        assert stacked.shape == (2, 8, 8)
-        np.testing.assert_array_equal(stacked.vth[1], b.vth[0])
-        model = NeuralArrayModel(ArrayGeometry(8, 8, 7.8e-6), rng=9)
-        model.calibrate()
-        wrapped = NeuroArrayParams.from_array_model(model)
-        np.testing.assert_array_equal(wrapped.stored_vgs[0], model.stored_vgs)
-        wrapped.droop(1.0)  # copies: must not touch the source model
-        assert not np.array_equal(wrapped.stored_vgs[0], model.stored_vgs)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError, match="n_chips, rows, cols"):
-            NeuroArrayParams(
-                vth=np.zeros((4, 4)),
-                beta=np.ones((4, 4)),
-                i_m2=np.ones((4, 4)),
-                ktc_draws=np.zeros((4, 4)),
-                injection_draws=np.zeros((4, 4)),
-            )
-        with pytest.raises(RuntimeError, match="calibrated"):
-            NeuroArrayParams.draw(4, 4, rng=1).droop(1.0)
 
 
 class TestHHBatch:
@@ -429,12 +359,19 @@ class TestChainAndDetection:
         chip = NeuralRecordingChip(geometry=GEOMETRY, rng=6)
         chip.calibrate()
         frames = np.random.default_rng(1).normal(scale=2e-3, size=(20, 16, 16))
-        expected = chip._apply_chain_gain(frames)
         coupling = chip.array.design.coupling_factor
         gains = [c.chain.actual_gain * coupling for c in chip.channels]
         rails = [c.chain.stages[-1].rail_high for c in chip.channels]
-        out = neuro_kernels.apply_chain_transfer(frames, gains, rails, chip.scan.mux_depth)
+        # Independent reference: one np.clip per channel's column block.
+        mux_depth = chip.scan.mux_depth
+        expected = np.empty_like(frames)
+        for k, (gain, rail) in enumerate(zip(gains, rails)):
+            block = slice(k * mux_depth, (k + 1) * mux_depth)
+            expected[:, :, block] = np.clip(frames[:, :, block] * gain, -rail, rail)
+        out = neuro_kernels.apply_chain_transfer(frames, gains, rails, mux_depth)
         np.testing.assert_array_equal(out, expected)
+        movie = RecordedMovie(frames=frames, frame_rate_hz=chip.scan.frame_rate_hz)
+        np.testing.assert_array_equal(chip.output_movie(movie).frames, expected)
         assert np.any(np.abs(out) == rails[0])  # mV-scale inputs do clip
 
     def test_chain_transfer_rejects_mismatched_columns(self):
@@ -470,11 +407,21 @@ class TestChainAndDetection:
 
 
 class TestVectorizedNeuroChip:
+    def test_single_chip_subclass_of_the_object_chip(self):
+        """One host: the vectorized chip takes the object chip's
+        constructor and overrides only activity and frame synthesis."""
+        assert issubclass(VectorizedNeuroChip, NeuralRecordingChip)
+        assert inspect.signature(VectorizedNeuroChip) == inspect.signature(
+            NeuralRecordingChip
+        )
+        overrides = {name for name in vars(VectorizedNeuroChip) if not name.startswith("__")}
+        assert overrides == {"activity_tables", "_hh_tables", "movie_from_tables"}
+
     def test_construction_parity_with_object_chip(self):
         chip = NeuralRecordingChip(geometry=GEOMETRY, rng=21)
         vchip = VectorizedNeuroChip(geometry=GEOMETRY, rng=21)
-        np.testing.assert_array_equal(vchip.params.vth[0], chip.array.vth)
-        np.testing.assert_array_equal(vchip.params.beta[0], chip.array.beta)
+        np.testing.assert_array_equal(vchip.array.vth, chip.array.vth)
+        np.testing.assert_array_equal(vchip.array.beta, chip.array.beta)
         assert vchip.input_referred_noise_v() == chip.input_referred_noise_v()
         assert [c.chain.actual_gain for c in vchip.channels] == [
             c.chain.actual_gain for c in chip.channels
@@ -482,7 +429,7 @@ class TestVectorizedNeuroChip:
         assert vchip.timing_report() == chip.timing_report()
         chip.calibrate()
         vchip.calibrate()
-        np.testing.assert_array_equal(vchip.params.stored_vgs[0], chip.array.stored_vgs)
+        np.testing.assert_array_equal(vchip.array.stored_vgs, chip.array.stored_vgs)
 
     def test_record_requires_calibration_and_positive_duration(self):
         vchip = VectorizedNeuroChip(geometry=GEOMETRY, rng=1)

@@ -114,9 +114,17 @@ class TestPairedConstruction:
             "dead_time_s",
             "dead_pixel_map",
             "inject_dead_pixel",
+            "pixel_at",
         }
         chip = VectorizedDnaChip(rng=1)
         assert chip.params.shape == (1, 16, 8)
+
+    def test_pixel_views_are_object_only(self):
+        chip = VectorizedDnaChip(rng=1)
+        with pytest.raises(NotImplementedError, match='backend="object"'):
+            chip.pixel_at(0, 0)
+        with pytest.raises(NotImplementedError, match="pixel views"):
+            chip.pixels
 
 
 class TestConfigurationAndCalibration:

@@ -8,6 +8,9 @@ matches to floating-point accumulation error (frames within an
 electrode-voltage epsilon, ground truth and detection columns equal).
 """
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from repro.experiments.workloads import (
 )
 from repro.neuro.culture import ArrayGeometry, Culture, PlacedNeuron
 from repro.neuro.junction import CellChipJunction
+from repro.trace import TraceRecorder
 
 FIG5_TEMPLATE_SPEC = NeuralRecordingSpec(
     rows=32, cols=32, n_neurons=8, duration_s=0.1, use_hh=False
@@ -27,6 +31,10 @@ FIG5_HH_SPEC = NeuralRecordingSpec(rows=32, cols=32, n_neurons=4, duration_s=0.0
 
 INT_COLUMNS = ("neuron", "best_row", "best_col", "true_spikes", "detected_spikes")
 FLOAT_COLUMNS = ("diameter_m", "peak_v", "precision", "recall", "snr")
+
+
+def _digest(result):
+    return hashlib.sha256(result.without_artifacts().to_json().encode("utf-8")).hexdigest()
 
 
 def run_pair(spec, seed=17):
@@ -43,7 +51,7 @@ def record_culture_pair(spec, culture, seed=17):
     results = []
     for backend in ("object", "vectorized"):
         rngs = plan.generators(seed)
-        chip = _build_neuro_chip(spec, backend, rngs["chip"])
+        chip = _build_neuro_chip(spec, backend, rngs["chip"], None)
         recording = chip.record_culture(
             culture,
             duration_s=spec.duration_s,
@@ -168,6 +176,20 @@ class TestRunnerMechanics:
         runner.run(spec.replace(threshold_sigma=8.0), backend="vectorized")
         assert runner.stats.chips_built == 1
         assert runner.stats.chips_reused == 1
+
+    def test_recorder_rides_on_both_backends(self):
+        """Both backends build the same host, so a Runner's recorder
+        sees the same events on each, and tracing leaves the result's
+        bytes alone."""
+        spec = NeuralRecordingSpec(rows=16, cols=16, n_neurons=3, duration_s=0.02, use_hh=False)
+        traces = []
+        for backend in ("object", "vectorized"):
+            traced = Runner(seed=3, recorder=TraceRecorder()).run(spec, backend=backend)
+            plain = Runner(seed=3).run(spec, backend=backend)
+            assert len(traced.trace) > 0
+            assert _digest(dataclasses.replace(traced, trace=None)) == _digest(plain)
+            traces.append(traced.trace)
+        assert traces[0] == traces[1]
 
 
 # ---------------------------------------------------------------------------
