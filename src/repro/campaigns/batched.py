@@ -38,7 +38,6 @@ the same executor, so ``executor="batched"`` is always safe to request.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -47,7 +46,6 @@ from .. import __version__
 from ..core.rng import ensure_rng
 from ..engine import draw_array_scale, neuro_kernels, stack_chunks
 from ..experiments.results import ResultSet
-from ..experiments.runner import Runner
 from ..experiments.workloads import (
     _build_neuro_chip,
     array_scale_unit_results,
@@ -55,7 +53,7 @@ from ..experiments.workloads import (
     workload_for,
 )
 from ..neuro.culture import Culture
-from .executors import Executor, PointOutcome, _run_point
+from .executors import Executor, PointOutcome, _run_in_order
 from .plan import Plan, PlanPoint
 
 #: A batch compiler turns a group of same-spec plan points into chunks
@@ -197,6 +195,4 @@ class BatchedExecutor(Executor):
                 for point, result in compiled:
                     yield PointOutcome(point=point, result=result, wall_s=wall_each)
                 start = time.perf_counter()  # repro: allow-wallclock
-        runners: "OrderedDict[int, Runner]" = OrderedDict()
-        for point in fallback:
-            yield _run_point(runners, point, capture_errors)
+        yield from _run_in_order(fallback, capture_errors)

@@ -18,8 +18,12 @@ are, so the executors are bit-identical per point (the parity tests in
   bound campaigns on multi-core hosts.
 
 Every per-point run, in any executor, goes through one timed body
-(:func:`_run_point`).  Executors build their Runners from point seeds
-alone; ``Runner.run_batch`` is a plain loop over ``Runner.run``.
+(:func:`_run_point`) and one plan-aware fetch-or-build
+(:func:`_fetch_runner`): a Runner is kept while its seed recurs later
+in the run order, at most :data:`MAX_CACHED_RUNNERS` of them, and the
+one needed furthest ahead is evicted first.  Executors build their
+Runners from point seeds alone; ``Runner.run_batch`` is a plain loop
+over ``Runner.run``.
 """
 
 from __future__ import annotations
@@ -27,11 +31,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, Executor as _PoolExecutor
 from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Union
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from ..experiments.results import ResultSet
 from ..experiments.runner import Runner
@@ -104,24 +107,49 @@ class Executor:
 #: numbers.
 MAX_CACHED_RUNNERS = 16
 
+#: A worker's Runner cache: point seed -> (position of that seed's next
+#: point, Runner).
+_RunnerCache = dict[int, tuple[int, Runner]]
 
-def _cached_runner(runners: "OrderedDict[int, Runner]", seed: int) -> Runner:
-    """LRU fetch-or-build bounded at :data:`MAX_CACHED_RUNNERS`."""
-    runner = runners.get(seed)
-    if runner is None:
-        runner = runners[seed] = Runner(seed)
-    else:
-        runners.move_to_end(seed)
-    while len(runners) > MAX_CACHED_RUNNERS:
-        runners.popitem(last=False)
+
+def _next_uses(points: Sequence[PlanPoint]) -> list[Optional[int]]:
+    """One backward scan: for each position in ``points``, the position
+    of the next point with the same seed, or ``None`` if it has none."""
+    uses: list[Optional[int]] = [None] * len(points)
+    following: dict[int, int] = {}
+    for position in range(len(points) - 1, -1, -1):
+        seed = points[position].seed
+        uses[position] = following.get(seed)
+        following[seed] = position
+    return uses
+
+
+def _fetch_runner(
+    runners: _RunnerCache, seed: int, position: int, next_use: Optional[int]
+) -> Runner:
+    """Plan-aware fetch-or-build, bounded at :data:`MAX_CACHED_RUNNERS`.
+
+    The Runner for the point at ``position`` is kept only while its seed
+    recurs (``next_use`` is its next position).  Above the bound the
+    Runner needed furthest ahead is evicted, which for a known sequence
+    rebuilds the fewest chips.  An entry whose next use has already
+    passed (a process worker whose peer ran that point) is dropped."""
+    entry = runners.pop(seed, None)
+    runner = Runner(seed) if entry is None else entry[1]
+    for stale in [key for key, (use, _) in runners.items() if use < position]:
+        del runners[stale]
+    if next_use is not None:
+        runners[seed] = (next_use, runner)
+        if len(runners) > MAX_CACHED_RUNNERS:
+            del runners[max(runners, key=lambda key: runners[key][0])]
     return runner
 
 
 def _stream_pool(
-    pool: _PoolExecutor, submit: Callable[[PlanPoint], Any], plan: Plan, workers: int
+    pool: _PoolExecutor, submit: Callable[[int, PlanPoint], Any], plan: Plan, workers: int
 ) -> Iterator[Any]:
-    """Submit plan points with a bounded in-flight window and yield
-    future results as they complete.
+    """Submit plan points (with their plan positions) under a bounded
+    in-flight window and yield future results as they complete.
 
     Submitting everything upfront would let completed-but-unconsumed
     Futures pin their ResultSets (workers outpacing the single store
@@ -130,14 +158,14 @@ def _stream_pool(
     backlog — and its memory — stays flat.
     """
     window = max(4, workers * 4)
-    points = iter(plan)
+    points = enumerate(plan)
     pending: set = set()
     while True:
         while len(pending) < window:
-            point = next(points, None)
-            if point is None:
+            task = next(points, None)
+            if task is None:
                 break
-            pending.add(submit(point))
+            pending.add(submit(*task))
         if not pending:
             break
         done, pending = wait(pending, return_when=FIRST_COMPLETED)
@@ -146,13 +174,17 @@ def _stream_pool(
 
 
 def _run_point(
-    runners: "OrderedDict[int, Runner]", point: PlanPoint, capture_errors: bool = False
+    runners: _RunnerCache,
+    point: PlanPoint,
+    position: int,
+    next_use: Optional[int],
+    capture_errors: bool = False,
 ) -> PointOutcome:
     """The one timed-run body of every executor: fetch-or-build the
     Runner for the point's seed, execute, time.  ``capture_errors``
     turns a per-point exception into a failed outcome instead of
     killing the whole stream."""
-    runner = _cached_runner(runners, point.seed)
+    runner = _fetch_runner(runners, point.seed, position, next_use)
     result, error = None, None
     start = time.perf_counter()  # repro: allow-wallclock
     try:
@@ -163,6 +195,16 @@ def _run_point(
         error = _error_text(exc)
     wall_s = time.perf_counter() - start  # repro: allow-wallclock
     return PointOutcome(point=point, result=result, wall_s=wall_s, error=error)
+
+
+def _run_in_order(
+    points: Sequence[PlanPoint], capture_errors: bool = False
+) -> Iterator[PointOutcome]:
+    """Run ``points`` one by one, in the order given, sharing one
+    plan-aware Runner cache."""
+    runners: _RunnerCache = {}
+    for position, (point, next_use) in enumerate(zip(points, _next_uses(points))):
+        yield _run_point(runners, point, position, next_use, capture_errors)
 
 
 class SerialExecutor(Executor):
@@ -176,25 +218,23 @@ class SerialExecutor(Executor):
         self.workers = 1
 
     def run(self, plan: Plan, *, capture_errors: bool = False) -> Iterator[PointOutcome]:
-        runners: "OrderedDict[int, Runner]" = OrderedDict()
-        for point in plan:
-            yield _run_point(runners, point, capture_errors)
+        return _run_in_order(plan.points, capture_errors)
 
 
 # Per-process Runners, keyed by point seed.  Module-level so the
 # cache survives across tasks dispatched to the same worker process;
 # bounded like the in-process caches.
-_WORKER_RUNNERS: "OrderedDict[int, Runner]" = OrderedDict()
+_WORKER_RUNNERS: _RunnerCache = {}
 
 
 def _process_worker(payload: tuple) -> tuple[int, float, Optional[ResultSet], Optional[str]]:
     """Top-level (picklable) task body for :class:`ProcessExecutor`."""
-    index, seed, spec_dict, backend, capture_errors = payload
+    index, seed, spec_dict, backend, position, next_use, capture_errors = payload
     # A worker-side stand-in: the parent maps the index back to its point.
     point = PlanPoint(
         index=index, spec=spec_from_dict(spec_dict), replicate=0, seed=seed, backend=backend
     )
-    outcome = _run_point(_WORKER_RUNNERS, point, capture_errors)
+    outcome = _run_point(_WORKER_RUNNERS, point, position, next_use, capture_errors)
     # Artifacts (chips, cultures, ...) stay in the worker: only the
     # columnar result crosses the process boundary.
     result = None if outcome.result is None else outcome.result.without_artifacts()
@@ -214,12 +254,20 @@ class ProcessExecutor(Executor):
 
     def run(self, plan: Plan, *, capture_errors: bool = False) -> Iterator[PointOutcome]:
         by_index = {point.index: point for point in plan}
+        next_uses = _next_uses(plan.points)
         context = multiprocessing.get_context(self.start_method)
         with ProcessPoolExecutor(max_workers=self.workers, mp_context=context) as pool:
 
-            def submit(point: PlanPoint):
-                spec_dict = point.spec.to_dict()
-                payload = (point.index, point.seed, spec_dict, point.backend, capture_errors)
+            def submit(position: int, point: PlanPoint):
+                payload = (
+                    point.index,
+                    point.seed,
+                    point.spec.to_dict(),
+                    point.backend,
+                    position,
+                    next_uses[position],
+                    capture_errors,
+                )
                 return pool.submit(_process_worker, payload)
 
             for index, wall_s, result, error in _stream_pool(pool, submit, plan, self.workers):

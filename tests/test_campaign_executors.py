@@ -16,6 +16,7 @@ from repro.campaigns import (
     make_executor,
     run_campaign,
 )
+from repro.campaigns.executors import MAX_CACHED_RUNNERS, _fetch_runner, _next_uses
 from repro.experiments import DnaAssaySpec, Runner, ScreeningSpec
 
 BASE = DnaAssaySpec(probe_count=4, replicates=4, target_subset=(0, 1))
@@ -104,18 +105,124 @@ def test_serial_executor_rejects_multiple_workers():
             make_executor(removed)
 
 
+def _walk_cache(plan):
+    """Fetch every point's Runner through one plan-aware cache, yielding
+    the cache after each fetch."""
+    runners = {}
+    points = plan.points
+    for position, (point, next_use) in enumerate(zip(points, _next_uses(points))):
+        assert _fetch_runner(runners, point.seed, position, next_use).seed == point.seed
+        yield runners
+
+
+def test_next_uses_is_the_next_position_of_the_same_seed():
+    plan = CampaignSpec(base=BASE, grid={"concentration": (1e-8, 1e-7)}, replicates=3).compile(0)
+    # Replicates innermost: seeds recur 3 positions apart.
+    assert _next_uses(plan.points) == [3, 4, 5, None, None, None]
+
+
 def test_runner_cache_is_bounded():
-    from collections import OrderedDict
+    replicates = MAX_CACHED_RUNNERS * 3
+    campaign = CampaignSpec(
+        base=BASE, grid={"concentration": (1e-8, 1e-7, 1e-6)}, replicates=replicates
+    )
+    sizes = [len(runners) for runners in _walk_cache(campaign.compile(seed=5))]
+    assert max(sizes) == MAX_CACHED_RUNNERS
+    # Nothing recurs after the last round, so nothing stays cached.
+    assert sizes[-1] == 0
 
-    from repro.campaigns.executors import MAX_CACHED_RUNNERS, _cached_runner
 
-    runners = OrderedDict()
-    for seed in range(MAX_CACHED_RUNNERS * 3):
-        _cached_runner(runners, seed)
-        assert len(runners) <= MAX_CACHED_RUNNERS
-    # Most-recent seeds survive; refetching an evicted one just rebuilds.
-    assert max(runners) == MAX_CACHED_RUNNERS * 3 - 1
-    assert _cached_runner(runners, 0).seed == 0
+def test_runner_cache_keeps_a_runner_only_while_its_seed_recurs():
+    runners = {}
+    once = _fetch_runner(runners, 7, position=0, next_use=None)
+    assert once.seed == 7 and runners == {}
+    again = _fetch_runner(runners, 8, position=1, next_use=4)
+    assert runners == {8: (4, again)}
+    assert _fetch_runner(runners, 8, position=4, next_use=None) is again
+    assert runners == {}
+    # A Runner whose next point already passed (a peer worker ran it)
+    # is dropped at the next fetch.
+    _fetch_runner(runners, 9, position=5, next_use=6)
+    _fetch_runner(runners, 10, position=7, next_use=9)
+    assert list(runners) == [10]
+
+
+def test_runner_cache_evicts_the_runner_needed_furthest_ahead():
+    runners = {}
+    for seed in range(MAX_CACHED_RUNNERS):
+        _fetch_runner(runners, seed, position=seed, next_use=100 + seed)
+    furthest = MAX_CACHED_RUNNERS - 1
+    _fetch_runner(runners, 99, position=MAX_CACHED_RUNNERS, next_use=50)
+    assert len(runners) == MAX_CACHED_RUNNERS
+    assert 99 in runners and furthest not in runners
+    # A newcomer needed later than everything cached is not kept at all.
+    _fetch_runner(runners, 98, position=MAX_CACHED_RUNNERS + 1, next_use=1000)
+    assert 98 not in runners and len(runners) == MAX_CACHED_RUNNERS
+
+
+#: The fault schedule of the end-to-end benchmark's faulted Fig. 4 points
+#: (``BASE`` is its Fig. 4 spec).
+FIG4_FAULTS = (
+    {"kind": "serial_bitflip", "rate": 0.3, "n_flips": 2},
+    {"kind": "stuck_pixel", "rate": 0.02},
+)
+#: Register upsets too: read-only registers hit by one are put back only
+#: by the readout's own scrub, which a reused chip depends on.
+UPSET_FAULTS = FIG4_FAULTS + ({"kind": "register_corrupt", "rate": 0.1},)
+
+
+@pytest.fixture(
+    scope="module", params=[(), FIG4_FAULTS, UPSET_FAULTS], ids=["clean", "faulted", "upsets"]
+)
+def fig4_recurring(request):
+    """2 concentrations x 17 replicates (every seed recurs 17 points
+    later, one past the cache bound) plus each point run alone: its
+    result and the register file its chip is left with."""
+    base = BASE.replace(faults=request.param)
+    campaign = CampaignSpec(base=base, grid={"concentration": (1e-7, 1e-6)}, replicates=17)
+    alone = [
+        Runner(point.seed).run(point.spec, backend=point.backend)
+        for point in campaign.compile(seed=3)
+    ]
+    return (
+        campaign,
+        [r.without_artifacts().to_json() for r in alone],
+        [r.artifacts["chip"].registers.dump() for r in alone],
+    )
+
+
+@pytest.fixture
+def chip_builds(monkeypatch):
+    from repro.experiments import workloads
+
+    calls = [0]
+    build = workloads._build_dna_chip
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(workloads, "_build_dna_chip", counted)
+    return calls
+
+
+@pytest.mark.parametrize("executor", ["serial", "batched"])
+def test_recurring_seeds_reuse_their_chips(fig4_recurring, chip_builds, executor):
+    campaign, alone, registers = fig4_recurring
+    result = run_campaign(campaign, seed=3, executor=executor)
+    # 17 chips for the first concentration; 16 are kept for the second
+    # and one is rebuilt (a least-recently-used cache of 16 would rebuild
+    # all 34).
+    assert chip_builds[0] == 18
+    assert [r.without_artifacts().to_json() for r in result.results()] == alone
+    # A faulted point leaves a reused chip's registers as it found them.
+    assert [r.artifacts["chip"].registers.dump() for r in result.results()] == registers
+
+
+def test_recurring_seeds_match_alone_on_process_workers(fig4_recurring):
+    campaign, alone, _ = fig4_recurring
+    result = run_campaign(campaign, seed=3, executor="process", workers=2)
+    assert _jsons(result) == alone
 
 
 def test_process_executor_rejects_nonpositive_workers():

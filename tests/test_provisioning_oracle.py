@@ -525,6 +525,10 @@ FIG4_FAULTS = (
 )
 
 
+#: The readout accounting of one faulted Fig. 4 point at seed 0.
+PINNED_FAULT_COUNTS = {"fault_retries": 4, "fault_frames_corrupted": 2, "fault_sites_dead": 0}
+
+
 def _fig4_point(concentration, faults=()):
     spec = {"kind": "dna_assay", "probe_count": 4, "replicates": 4, "target_subset": [0, 1]}
     return spec_from_dict({**spec, "concentration": concentration, "faults": list(faults)})
@@ -564,6 +568,11 @@ class TestWorkCounts:
             monkeypatch.setattr(cls, "__init__", refuse)
         result = Runner(seed=0).run(_fig4_point(1e-7, faults))
         assert result.metrics
+
+    def test_a_faulted_fig4_point_reads_out_with_pinned_recovery_counts(self):
+        metrics = Runner(seed=0).run(_fig4_point(1e-7, FIG4_FAULTS)).metrics
+        counts = {key: metrics[key] for key in PINNED_FAULT_COUNTS}
+        assert counts == PINNED_FAULT_COUNTS
 
     def test_mosfet_is_frozen(self):
         device = Mosfet(2e-6, 1e-6)
