@@ -2,9 +2,9 @@
 
 Each entry is the sha256 of ``result.without_artifacts().to_json()`` for
 one (spec, seed, backend, route) case: the DNA assay on both backends,
-plain and faulted; ``array_scale`` on the vectorized backend through a
-warm ``Runner`` and through the batched campaign executor, and on the
-object backend; and the neural recording on both backends, template
+plain, faulted and on the Fig. 2 mismatch panel with bare controls;
+``array_scale`` on the vectorized backend through a warm ``Runner`` and
+through the batched campaign executor, and on the object backend; and the neural recording on both backends, template
 and Hodgkin-Huxley.  The file is a fixed reference: a refactor proves
 "same bits" against it, and it is regenerated only by a change whose
 stated purpose is a new model (bump ``repro.__version__`` then)::
@@ -51,10 +51,14 @@ def _single(spec, seed, backend):
 def _cases() -> dict:
     faulted = spec_from_dict(json.loads(FAULTED_SPEC.read_text(encoding="utf-8")))
     neural = NeuralRecordingSpec(rows=16, cols=16, n_neurons=3, duration_s=0.02)
+    # The Fig. 2 mismatch panel: repeated probes, one target and bare
+    # controls between the spots.
+    panel = DnaAssaySpec(panel="mismatch", control_every=5)
+    dna = (("plain", DnaAssaySpec()), ("faults", faulted), ("mismatch", panel))
     cases = {
         f"dna_assay/{backend}/{label}": (_single, spec, 3, backend)
         for backend in ("object", "vectorized")
-        for label, spec in (("plain", DnaAssaySpec()), ("faults", faulted))
+        for label, spec in dna
     }
     for mismatch in ("paired", "fast"):
         for calibrate in (False, True):
