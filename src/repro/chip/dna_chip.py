@@ -271,7 +271,12 @@ class DnaMicroarrayChip:
         if self.recorder is not None:
             self.recorder.seq_state("measure", detail=f"assay frame {frame_s} s")
         sensor = self.sensor
-        sites = [self._site_index(site.row, site.col) for site in assay.sites]
+        # Row-major site indices; a column off the array maps to -1, so
+        # one range check over the indices rejects every stray site.
+        width = self.specs.cols
+        sites = [s.row * width + s.col if 0 <= s.col < width else -1 for s in assay.sites]
+        if min(sites) < 0 or max(sites) >= self.specs.sites:
+            raise IndexError(f"assay sites outside the {self.specs.rows}x{width} array")
         concentrations = [site.surface_concentration for site in assay.sites]
         currents = kernels.sensor_currents(sensor, concentrations, sensor.bias_ok).tolist()
         self._last_counts = np.zeros(self.specs.sites, dtype=np.int64)

@@ -12,6 +12,11 @@ Phases, exactly as the figure:
 
 Competition: when several sample targets can bind the same probe, the
 site's capture is shared proportionally to each target's k_on * c.
+
+A site's outcome depends only on what is spotted there, so the chemistry
+runs once per distinct spot (``ProbeLayout.spot_groups``: each
+``(probe, probe_density)``, plus one group for every bare control) and
+each position gets a copy stamped with its row and column.
 """
 
 from __future__ import annotations
@@ -77,6 +82,15 @@ class SiteResult:
     def is_match_site(self) -> bool:
         return self.best_match_mismatches == 0
 
+    def at(self, row: int, col: int) -> "SiteResult":
+        """This outcome stamped at another array position (what
+        ``dataclasses.replace`` gives, without its per-call field walk)."""
+        return SiteResult(
+            row, col, self.probe_name, self.best_match_mismatches,
+            self.occupancy_after_hybridization, self.occupancy_after_wash,
+            self.bound_density, self.surface_concentration, self.sensor_current,
+        )
+
 
 @dataclass
 class AssayResult:
@@ -120,7 +134,8 @@ class AssayResult:
 
 
 class MicroarrayAssay:
-    """Runs the Fig. 2 protocol over a layout and a sample.
+    """Runs the Fig. 2 protocol over a layout and a sample, evaluating
+    the chemistry once per distinct spot of the layout.
 
     Parameters
     ----------
@@ -149,10 +164,9 @@ class MicroarrayAssay:
     # ------------------------------------------------------------------
     def run(self, sample: Sample, protocol: AssayProtocol | None = None) -> AssayResult:
         protocol = protocol or AssayProtocol()
-        sites = []
-        for row, col in self.layout.all_positions():
-            spot = self.layout.spot(row, col)
-            sites.append(self._run_site(spot, sample, protocol))
+        spots, placements = self.layout.spot_groups()
+        outcomes = [self._run_site(spot, sample, protocol) for spot in spots]
+        sites = [outcomes[group].at(row, col) for row, col, group in placements]
         return AssayResult(sites=sites, rows=self.layout.rows, cols=self.layout.cols)
 
     # ------------------------------------------------------------------

@@ -25,6 +25,10 @@ class SpotAssignment:
     probe_density: float  # immobilized molecules per m^2
 
 
+#: Distinct spots and the ``(row, col, group)`` of every position.
+SpotGroups = tuple[tuple[SpotAssignment, ...], tuple[tuple[int, int, int], ...]]
+
+
 class ProbeLayout:
     """Maps (row, col) -> probe for an R x C array.
 
@@ -46,6 +50,7 @@ class ProbeLayout:
         self.cols = cols
         self.default_density = default_density
         self._spots: dict[tuple[int, int], SpotAssignment] = {}
+        self._groups: SpotGroups | None = None
 
     # ------------------------------------------------------------------
     # Assignment
@@ -60,12 +65,39 @@ class ProbeLayout:
             row=row, col=col, probe=probe,
             probe_density=self.default_density if density is None else density,
         )
+        self._groups = None
 
     def spot(self, row: int, col: int) -> SpotAssignment:
         self._check_position(row, col)
         if (row, col) not in self._spots:
             return SpotAssignment(row=row, col=col, probe=None, probe_density=0.0)
         return self._spots[(row, col)]
+
+    def spot_groups(self) -> SpotGroups:
+        """The array's distinct spots, found in one row-major pass.
+
+        Returns one representative :class:`SpotAssignment` per distinct
+        ``(probe, probe_density)``, in order of first appearance (all
+        bare positions, unassigned or at density <= 0, share one group),
+        and ``(row, col, group)`` for every position, row-major.  The
+        grouping is kept until the next :meth:`assign`, so a cached
+        layout groups its positions once however many assays it carries.
+        """
+        if self._groups is None:
+            spots: list[SpotAssignment] = []
+            group_of: dict = {}
+            placements = []
+            for row, col in self.all_positions():
+                spot = self._spots.get((row, col))
+                bare = spot is None or spot.probe is None or spot.probe_density <= 0
+                key = None if bare else (spot.probe, spot.probe_density)
+                group = group_of.get(key)
+                if group is None:
+                    group = group_of[key] = len(spots)
+                    spots.append(spot if spot is not None else self.spot(row, col))
+                placements.append((row, col, group))
+            self._groups = (tuple(spots), tuple(placements))
+        return self._groups
 
     def assigned_positions(self) -> list[tuple[int, int]]:
         return sorted(self._spots)

@@ -30,6 +30,7 @@ recorder, which is how a traced replay
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -307,6 +308,13 @@ def _fault_metrics(info: dict[str, Any], n_sites: int) -> dict[str, Any]:
     }
 
 
+#: A site's record fields, in ``_execute_dna``'s column order.
+_SITE_FIELDS = attrgetter(
+    "row", "col", "probe_name", "best_match_mismatches",
+    "occupancy_after_hybridization", "occupancy_after_wash", "sensor_current",
+)
+
+
 def _execute_dna(runner: "Runner", spec: DnaAssaySpec, rngs: dict) -> ResultSet:
     backend = runner.backend
     chip = runner._provision(
@@ -337,31 +345,32 @@ def _execute_dna(runner: "Runner", spec: DnaAssaySpec, rngs: dict) -> ResultSet:
     estimates = chip.current_estimates(counts, frame_s=spec.frame_s)
 
     sites = assay.sites
+    row, col, probe, mismatches, occupancy_hyb, occupancy_wash, sensor_current = zip(
+        *map(_SITE_FIELDS, sites)
+    )
+    row, col = np.asarray(row, dtype=int), np.asarray(col, dtype=int)
+    mismatches = np.asarray(mismatches, dtype=int)
     records = {
-        "row": np.asarray([s.row for s in sites], dtype=int),
-        "col": np.asarray([s.col for s in sites], dtype=int),
-        "probe": np.asarray([s.probe_name for s in sites], dtype=object),
-        "mismatches": np.asarray([s.best_match_mismatches for s in sites], dtype=int),
-        "is_match": np.asarray([s.is_match_site for s in sites], dtype=bool),
-        "occupancy_hyb": np.asarray([s.occupancy_after_hybridization for s in sites]),
-        "occupancy_wash": np.asarray([s.occupancy_after_wash for s in sites]),
-        "sensor_current_a": np.asarray([s.sensor_current for s in sites]),
-        "count": np.asarray([counts[s.row, s.col] for s in sites], dtype=int),
-        "current_estimate_a": np.asarray([estimates[s.row, s.col] for s in sites]),
+        "row": row,
+        "col": col,
+        "probe": np.asarray(probe, dtype=object),
+        "mismatches": mismatches,
+        "is_match": mismatches == 0,
+        "occupancy_hyb": np.asarray(occupancy_hyb),
+        "occupancy_wash": np.asarray(occupancy_wash),
+        "sensor_current_a": np.asarray(sensor_current),
+        "count": np.asarray(counts[row, col], dtype=int),
+        "current_estimate_a": estimates[row, col],
     }
     if fault_info is not None:
-        records["site_dead"] = np.asarray(
-            [fault_info["dead"][s.row, s.col] for s in sites], dtype=bool
-        )
-        records["site_silent"] = np.asarray(
-            [fault_info["silent"][s.row, s.col] for s in sites], dtype=bool
-        )
+        records["site_dead"] = fault_info["dead"][row, col]
+        records["site_silent"] = fault_info["silent"][row, col]
     metrics: dict[str, Any] = {
         "bias_ok": bool(chip.bias_ok),
         "backend": backend,
         "n_sites": len(sites),
         "n_match_sites": int(records["is_match"].sum()),
-        "n_probe_sites": int(sum(1 for s in sites if s.probe_name)),
+        "n_probe_sites": len(probe) - probe.count(""),
     }
     match_mask = records["is_match"]
     nonmatch_mask = ~match_mask & (records["probe"] != "").astype(bool)

@@ -182,8 +182,6 @@ class NeuralArrayModel:
         junction_traces: dict[int, Trace],
         n_frames: int,
         frame_rate_hz: float = 2000.0,
-        noise_rms_v: float = 0.0,
-        rng: RngLike = None,
     ) -> RecordedMovie:
         """Sample the array at the full frame rate.
 
@@ -191,16 +189,13 @@ class NeuralArrayModel:
         pixel samples its neuron's trace at the frame instants (the
         sub-frame mux offsets are < 0.5 us and negligible against ms-
         scale action potentials, but are applied anyway for fidelity).
-        Values are electrode-referred volts; per-sample noise models the
-        chain's input-referred floor.
+        Values are noiseless electrode-referred volts: the chip adds the
+        chain's input-referred floor (``NeuralRecordingChip._add_noise``).
         """
         if n_frames <= 0:
             raise ValueError("need at least one frame")
         if frame_rate_hz <= 0:
             raise ValueError("frame rate must be positive")
-        if noise_rms_v < 0:
-            raise ValueError("noise must be non-negative")
-        generator = ensure_rng(rng)
         rows, cols = self.geometry.rows, self.geometry.cols
         frames = np.zeros((n_frames, rows, cols))
         frame_times = np.arange(n_frames) / frame_rate_hz
@@ -216,6 +211,4 @@ class NeuralArrayModel:
                 frames[:, row, col] += np.interp(
                     sample_times, vj.times, vj.samples, left=0.0, right=0.0
                 )
-        if noise_rms_v > 0:
-            frames += generator.normal(0.0, noise_rms_v, size=frames.shape)
         return RecordedMovie(frames=frames, frame_rate_hz=frame_rate_hz)

@@ -115,6 +115,15 @@ class TestCalibrationAndMeasurement:
             DnaMicroarrayChip(rng=25).measure_assay(result, frame_s=0.1, rng=4)
 
 
+    @pytest.mark.parametrize("row, col", [(0, 8), (16, 0), (-1, 3), (2, -1)])
+    def test_a_site_off_the_array_is_rejected(self, row, col):
+        layout = ProbeLayout.random_panel(4, rows=16, cols=8, rng=3)
+        result = MicroarrayAssay(layout).run(Sample.for_probes(layout.probes(), 1e-6))
+        result.sites[9] = dataclasses.replace(result.sites[9], row=row, col=col)
+        with pytest.raises(IndexError, match="outside the 16x8 array"):
+            DnaMicroarrayChip(rng=25).measure_assay(result, frame_s=0.1, rng=4)
+
+
 class TestSerialReadout:
     def test_counts_roundtrip_through_link(self):
         chip = DnaMicroarrayChip(rng=23)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dna import (
     AssayProtocol,
@@ -183,3 +185,72 @@ class TestAssayIntegration:
         assert site.row == 0 and site.col == 0
         with pytest.raises(KeyError):
             result.site_at(99, 0)
+
+
+#: What one position of a drawn layout holds: a gap (never assigned), an
+#: assigned bare spot, or a probe of the pool at the layout's default
+#: density (``None``), a custom one or zero.
+_SPOT = st.one_of(
+    st.just("gap"),
+    st.just(None),
+    st.tuples(st.integers(0, 2), st.sampled_from([None, 3.0e16, 1.0e15, 0.0])),
+)
+
+
+@st.composite
+def _layouts(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return rows, cols, draw(st.lists(_SPOT, min_size=rows * cols, max_size=rows * cols))
+
+
+class TestGroupedAssay:
+    """``MicroarrayAssay.run`` evaluates each distinct spot once; every
+    position must still read exactly what evaluating it alone gives."""
+
+    @staticmethod
+    def _per_position(assay, sample, protocol):
+        layout = assay.layout
+        return [
+            assay._run_site(layout.spot(row, col), sample, protocol)
+            for row, col in layout.all_positions()
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=_layouts(), seed=st.integers(0, 2**16), reassign=_SPOT)
+    def test_grouped_run_equals_per_position_evaluation(self, drawn, seed, reassign):
+        rows, cols, contents = drawn
+        rng = np.random.default_rng(seed)
+        pool = [Probe(f"p{i}", DnaSequence.random(20, rng)) for i in range(3)]
+        # Equal to pool[0] but a distinct object: it shares pool[0]'s group.
+        pool.append(Probe("p0", pool[0].sequence))
+        layout = ProbeLayout(rows, cols)
+        for (row, col), content in zip(layout.all_positions(), contents):
+            if content is None:
+                layout.assign(row, col, None)
+            elif content != "gap":
+                index, density = content
+                probe = pool[3] if index == 0 and (row + col) % 2 else pool[index]
+                layout.assign(row, col, probe, density=density)
+        near = Target("near", pool[1].sequence.reverse_complement().with_mismatches(2, rng))
+        sample = Sample({perfect_target_for(pool[0]): 1e-6, near: 1e-5})
+        protocol = AssayProtocol(hybridization_s=1800.0)
+        assay = MicroarrayAssay(layout)
+        result = assay.run(sample, protocol)
+        assert result.sites == self._per_position(assay, sample, protocol)
+        assert [(s.row, s.col) for s in result.sites] == layout.all_positions()
+        # A later assignment regroups the layout.
+        if reassign not in ("gap", None):
+            index, density = reassign
+            layout.assign(rows - 1, cols - 1, pool[index], density=density)
+            regrouped = assay.run(sample, protocol)
+            assert regrouped.sites == self._per_position(assay, sample, protocol)
+
+    def test_groups_of_a_fig4_layout(self, probes):
+        layout = ProbeLayout.tiled(probes, rows=16, cols=8, replicates=4)
+        spots, placements = layout.spot_groups()
+        # The four probes in layout order, then one group of bare controls.
+        assert [spot.probe for spot in spots] == [*probes, None]
+        assert len(placements) == 128
+        assert [group for _, _, group in placements] == sorted(
+            [index for index in range(4) for _ in range(4)] + [4] * 112
+        )

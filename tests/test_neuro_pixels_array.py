@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.chip.neuro_chip import NeuralRecordingChip
 from repro.core.signals import Trace
 from repro.neuro.array import NeuralArrayModel, RecordedMovie
 from repro.neuro.culture import ArrayGeometry, Culture
@@ -156,13 +157,16 @@ class TestRecording:
         assert abs(movie.frames[10, far[0], far[1]]) < 1e-9
 
     def test_noise_added_when_requested(self):
+        # The array samples noiselessly; the chip adds its chain's
+        # input-referred floor to the frames as one draw.
         geometry = ArrayGeometry(8, 8, 7.8e-6)
-        array = NeuralArrayModel(geometry, rng=6)
-        array.calibrate()
+        chip = NeuralRecordingChip(geometry=geometry, rng=6)
+        chip.calibrate()
         culture = Culture.random(0, geometry, rng=7)
-        movie = array.record(culture, {}, n_frames=100, frame_rate_hz=2000.0,
-                             noise_rms_v=50e-6, rng=8)
-        assert movie.frames.std() == pytest.approx(50e-6, rel=0.1)
+        movie = chip.array.record(culture, {}, n_frames=100, frame_rate_hz=2000.0)
+        assert not movie.frames.any()
+        noisy = chip._add_noise(movie.frames, np.random.default_rng(8))
+        assert noisy.frames.std() == pytest.approx(chip.input_referred_noise_v(), rel=0.1)
 
     def test_movie_pixel_trace(self):
         movie = RecordedMovie(frames=np.zeros((10, 4, 4)), frame_rate_hz=2000.0)

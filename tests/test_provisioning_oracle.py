@@ -30,7 +30,7 @@ from repro.devices.capacitor import Capacitor
 from repro.devices.comparator import Comparator
 from repro.devices.current_mirror import CurrentMirror, ReferenceCurrentFanout
 from repro.devices.mosfet import Mosfet
-from repro.dna import MicroarrayAssay, ProbeLayout, Sample
+from repro.dna import MicroarrayAssay, ProbeLayout, Sample, Target
 from repro.engine import VectorizedDnaChip
 from repro.engine.params import PixelArrayParams
 from repro.experiments import Runner
@@ -568,6 +568,25 @@ class TestWorkCounts:
             monkeypatch.setattr(cls, "__init__", refuse)
         result = Runner(seed=0).run(_fig4_point(1e-7, faults))
         assert result.metrics
+
+    def test_a_fig4_point_runs_the_chemistry_once_per_distinct_spot(self, monkeypatch):
+        calls = {"_run_site": 0, "mismatches_with": 0}
+
+        def counting(cls, name):
+            method = getattr(cls, name)
+
+            def counted(self, *args, **kwargs):
+                calls[name] += 1
+                return method(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        counting(MicroarrayAssay, "_run_site")
+        counting(Target, "mismatches_with")
+        Runner(seed=0).run(_fig4_point(1e-7))
+        # 4 probes x 4 replicates + 112 bare controls: 5 distinct spots,
+        # and 4 probes x 2 targets scored (it was 128 and 16 x 2 = 32).
+        assert calls == {"_run_site": 5, "mismatches_with": 8}
 
     def test_a_faulted_fig4_point_reads_out_with_pinned_recovery_counts(self):
         metrics = Runner(seed=0).run(_fig4_point(1e-7, FIG4_FAULTS)).metrics
