@@ -171,7 +171,7 @@ class MicroarrayAssay:
 
     # ------------------------------------------------------------------
     def _run_site(self, spot, sample: Sample, protocol: AssayProtocol) -> SiteResult:
-        if spot.probe is None or spot.probe_density <= 0:
+        if spot.is_bare:
             # Bare control spot: background current only.
             background = self.sensor.current(0.0)
             return SiteResult(

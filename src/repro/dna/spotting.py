@@ -24,6 +24,11 @@ class SpotAssignment:
     probe: Probe | None  # None = bare (negative-control) spot
     probe_density: float  # immobilized molecules per m^2
 
+    @property
+    def is_bare(self) -> bool:
+        """A negative-control spot: no probe, or none immobilized."""
+        return self.probe is None or self.probe_density <= 0
+
 
 #: Distinct spots and the ``(row, col, group)`` of every position.
 SpotGroups = tuple[tuple[SpotAssignment, ...], tuple[tuple[int, int, int], ...]]
@@ -85,11 +90,11 @@ class ProbeLayout:
         """
         if self._groups is None:
             spots: list[SpotAssignment] = []
-            group_of: dict = {}
+            group_of: dict[tuple[Probe, float] | None, int] = {}
             placements = []
             for row, col in self.all_positions():
                 spot = self._spots.get((row, col))
-                bare = spot is None or spot.probe is None or spot.probe_density <= 0
+                bare = spot is None or spot.is_bare
                 key = None if bare else (spot.probe, spot.probe_density)
                 group = group_of.get(key)
                 if group is None:
