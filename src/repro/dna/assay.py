@@ -164,9 +164,10 @@ class MicroarrayAssay:
     # ------------------------------------------------------------------
     def run(self, sample: Sample, protocol: AssayProtocol | None = None) -> AssayResult:
         protocol = protocol or AssayProtocol()
-        spots, placements = self.layout.spot_groups()
+        spots, groups = self.layout.spot_groups()
         outcomes = [self._run_site(spot, sample, protocol) for spot in spots]
-        sites = [outcomes[group].at(row, col) for row, col, group in placements]
+        positions = self.layout.all_positions()
+        sites = [outcomes[group].at(row, col) for (row, col), group in zip(positions, groups)]
         return AssayResult(sites=sites, rows=self.layout.rows, cols=self.layout.cols)
 
     # ------------------------------------------------------------------

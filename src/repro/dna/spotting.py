@@ -30,8 +30,8 @@ class SpotAssignment:
         return self.probe is None or self.probe_density <= 0
 
 
-#: Distinct spots and the ``(row, col, group)`` of every position.
-SpotGroups = tuple[tuple[SpotAssignment, ...], tuple[tuple[int, int, int], ...]]
+#: Distinct spots, and the group of every position in row-major order.
+SpotGroups = tuple[tuple[SpotAssignment, ...], tuple[int, ...]]
 
 
 class ProbeLayout:
@@ -84,14 +84,14 @@ class ProbeLayout:
         Returns one representative :class:`SpotAssignment` per distinct
         ``(probe, probe_density)``, in order of first appearance (all
         bare positions, unassigned or at density <= 0, share one group),
-        and ``(row, col, group)`` for every position, row-major.  The
-        grouping is kept until the next :meth:`assign`, so a cached
+        and the group of every position in :meth:`all_positions` order.
+        The grouping is kept until the next :meth:`assign`, so a cached
         layout groups its positions once however many assays it carries.
         """
         if self._groups is None:
             spots: list[SpotAssignment] = []
             group_of: dict[tuple[Probe, float] | None, int] = {}
-            placements = []
+            groups = []
             for row, col in self.all_positions():
                 spot = self._spots.get((row, col))
                 bare = spot is None or spot.is_bare
@@ -100,8 +100,8 @@ class ProbeLayout:
                 if group is None:
                     group = group_of[key] = len(spots)
                     spots.append(spot if spot is not None else self.spot(row, col))
-                placements.append((row, col, group))
-            self._groups = (tuple(spots), tuple(placements))
+                groups.append(group)
+            self._groups = (tuple(spots), tuple(groups))
         return self._groups
 
     def assigned_positions(self) -> list[tuple[int, int]]:

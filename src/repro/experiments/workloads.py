@@ -344,9 +344,8 @@ def _execute_dna(runner: "Runner", spec: DnaAssaySpec, rngs: dict) -> ResultSet:
         counts, fault_info = _faulted_readout(spec, chip, counts, rngs["faults"])
     estimates = chip.current_estimates(counts, frame_s=spec.frame_s)
 
-    sites = assay.sites
     row, col, probe, mismatches, occupancy_hyb, occupancy_wash, sensor_current = zip(
-        *map(_SITE_FIELDS, sites)
+        *map(_SITE_FIELDS, assay.sites)
     )
     row, col = np.asarray(row, dtype=int), np.asarray(col, dtype=int)
     mismatches = np.asarray(mismatches, dtype=int)
@@ -368,7 +367,7 @@ def _execute_dna(runner: "Runner", spec: DnaAssaySpec, rngs: dict) -> ResultSet:
     metrics: dict[str, Any] = {
         "bias_ok": bool(chip.bias_ok),
         "backend": backend,
-        "n_sites": len(sites),
+        "n_sites": len(probe),
         "n_match_sites": int(records["is_match"].sum()),
         "n_probe_sites": len(probe) - probe.count(""),
     }

@@ -247,10 +247,7 @@ class TestGroupedAssay:
 
     def test_groups_of_a_fig4_layout(self, probes):
         layout = ProbeLayout.tiled(probes, rows=16, cols=8, replicates=4)
-        spots, placements = layout.spot_groups()
+        spots, groups = layout.spot_groups()
         # The four probes in layout order, then one group of bare controls.
         assert [spot.probe for spot in spots] == [*probes, None]
-        assert len(placements) == 128
-        assert [group for _, _, group in placements] == sorted(
-            [index for index in range(4) for _ in range(4)] + [4] * 112
-        )
+        assert list(groups) == [index for index in range(4) for _ in range(4)] + [4] * 112
