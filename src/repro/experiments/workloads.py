@@ -376,9 +376,10 @@ def _execute_dna(runner: "Runner", spec: DnaAssaySpec, rngs: dict) -> ResultSet:
     match = records["sensor_current_a"][match_mask]
     nonmatch = records["sensor_current_a"][nonmatch_mask]
     if len(match) and len(nonmatch):
-        metrics["median_match_current_a"] = float(np.median(match))
-        metrics["median_nonmatch_current_a"] = float(np.median(nonmatch))
-        metrics["discrimination_ratio"] = float(np.median(match) / np.median(nonmatch))
+        median_match, median_nonmatch = np.median(match), np.median(nonmatch)
+        metrics["median_match_current_a"] = float(median_match)
+        metrics["median_nonmatch_current_a"] = float(median_nonmatch)
+        metrics["discrimination_ratio"] = float(median_match / median_nonmatch)
         # Spot-to-spot spreads: the nonmatch sigma is the per-chip blank
         # noise the 3σ-LoD criterion in repro.inference rests on.
         metrics["match_current_sigma_a"] = (
