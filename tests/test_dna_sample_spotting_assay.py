@@ -193,7 +193,7 @@ class TestAssayIntegration:
 _SPOT = st.one_of(
     st.just("gap"),
     st.just(None),
-    st.tuples(st.integers(0, 2), st.sampled_from([None, 3.0e16, 1.0e15, 0.0])),
+    st.tuples(st.integers(0, 4), st.sampled_from([None, 3.0e16, 1.0e15, 0.0])),
 )
 
 
@@ -221,16 +221,16 @@ class TestGroupedAssay:
         rows, cols, contents = drawn
         rng = np.random.default_rng(seed)
         pool = [Probe(f"p{i}", DnaSequence.random(20, rng)) for i in range(3)]
-        # Equal to pool[0] but a distinct object: it shares pool[0]'s group.
-        pool.append(Probe("p0", pool[0].sequence))
+        # Equal to pool[0] but a distinct object, so it shares pool[0]'s
+        # group; and pool[0]'s sequence under another name, which must not.
+        pool += [Probe("p0", pool[0].sequence), Probe("p0-twin", pool[0].sequence)]
         layout = ProbeLayout(rows, cols)
         for (row, col), content in zip(layout.all_positions(), contents):
             if content is None:
                 layout.assign(row, col, None)
             elif content != "gap":
                 index, density = content
-                probe = pool[3] if index == 0 and (row + col) % 2 else pool[index]
-                layout.assign(row, col, probe, density=density)
+                layout.assign(row, col, pool[index], density=density)
         near = Target("near", pool[1].sequence.reverse_complement().with_mismatches(2, rng))
         sample = Sample({perfect_target_for(pool[0]): 1e-6, near: 1e-5})
         protocol = AssayProtocol(hybridization_s=1800.0)
