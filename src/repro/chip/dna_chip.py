@@ -252,14 +252,16 @@ class DnaMicroarrayChip:
     def measure_assay(
         self, assay: AssayResult, frame_s: float = 1.0, rng: RngLike = None
     ) -> np.ndarray:
-        """Digitise an assay outcome: every site's surface concentration
-        is transduced by the sensor model and converted by that site's
-        own ADC.  Returns the (rows x cols) count matrix.  The host opens
-        the counting frame with a RUN_FRAME over the serial link.
+        """Digitise an assay outcome: each distinct spot's surface
+        concentration is transduced by the sensor model, and every site's
+        own ADC converts the current of its spot.  Returns the
+        (rows x cols) count matrix.  The host opens the counting frame
+        with a RUN_FRAME over the serial link.
 
         The transduction is one :func:`repro.engine.kernels.sensor_currents`
-        call (bit-identical to :meth:`RedoxCyclingSensor.current` per
-        site)."""
+        call over the spots (elementwise, so bit-identical to
+        :meth:`RedoxCyclingSensor.current` per site), indexed by the
+        assay's row-major groups."""
         from ..engine import kernels
 
         if assay.rows != self.specs.rows or assay.cols != self.specs.cols:
@@ -271,16 +273,10 @@ class DnaMicroarrayChip:
         if self.recorder is not None:
             self.recorder.seq_state("measure", detail=f"assay frame {frame_s} s")
         sensor = self.sensor
-        # Row-major site indices; a column off the array maps to -1, so
-        # one range check over the indices rejects every stray site.
-        width = self.specs.cols
-        sites = [s.row * width + s.col if 0 <= s.col < width else -1 for s in assay.sites]
-        if min(sites) < 0 or max(sites) >= self.specs.sites:
-            raise IndexError(f"assay sites outside the {self.specs.rows}x{width} array")
-        concentrations = [site.surface_concentration for site in assay.sites]
-        currents = kernels.sensor_currents(sensor, concentrations, sensor.bias_ok).tolist()
-        self._last_counts = np.zeros(self.specs.sites, dtype=np.int64)
-        self._last_counts[sites] = self._count_frame(sites, currents, frame_s, rng)
+        concentrations = [spot.surface_concentration for spot in assay.spots]
+        currents = kernels.sensor_currents(sensor, concentrations, sensor.bias_ok)[assay.groups]
+        counts = self._count_frame(range(self.specs.sites), currents.tolist(), frame_s, rng)
+        self._last_counts = np.array(counts, dtype=np.int64)
         if self.recorder is not None:
             self.recorder.advance(frame_s)  # the counting frame
         return self._last_counts.reshape(self.specs.rows, self.specs.cols).copy()

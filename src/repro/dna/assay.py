@@ -15,8 +15,10 @@ site's capture is shared proportionally to each target's k_on * c.
 
 A site's outcome depends only on what is spotted there, so the chemistry
 runs once per distinct spot (``ProbeLayout.spot_groups``: each
-``(probe, probe_density)``, plus one group for every bare control) and
-each position gets a copy stamped with its row and column.
+``(probe, probe_density)``, plus one group for every bare control).  An
+:class:`AssayResult` holds those outcomes plus the group of every
+position, row-major; per-position values are the per-spot values
+indexed by the groups, and no per-position object is built.
 """
 
 from __future__ import annotations
@@ -66,10 +68,8 @@ class AssayProtocol:
 
 @dataclass(frozen=True)
 class SiteResult:
-    """Physical outcome at one array position."""
+    """Physical outcome of one distinct spot."""
 
-    row: int
-    col: int
     probe_name: str  # "" for bare control spots
     best_match_mismatches: int  # mismatches of the closest-binding target (99 = none)
     occupancy_after_hybridization: float
@@ -82,55 +82,70 @@ class SiteResult:
     def is_match_site(self) -> bool:
         return self.best_match_mismatches == 0
 
-    def at(self, row: int, col: int) -> "SiteResult":
-        """This outcome stamped at another array position (what
-        ``dataclasses.replace`` gives, without its per-call field walk)."""
-        return SiteResult(
-            row, col, self.probe_name, self.best_match_mismatches,
-            self.occupancy_after_hybridization, self.occupancy_after_wash,
-            self.bound_density, self.surface_concentration, self.sensor_current,
-        )
-
 
 @dataclass
 class AssayResult:
-    """All site results plus array-level summaries."""
+    """One outcome per distinct spot plus the spot of every position.
 
-    sites: list[SiteResult]
+    ``groups[row * cols + col]`` indexes the ``spots`` outcome of that
+    position (row-major, :meth:`ProbeLayout.all_positions` order).
+    """
+
+    spots: tuple[SiteResult, ...]
+    groups: np.ndarray  # intp, one per position
     rows: int
     cols: int
 
+    def __post_init__(self) -> None:
+        self.groups = np.asarray(self.groups, dtype=np.intp)
+        if self.groups.shape != (self.rows * self.cols,):
+            raise ValueError(
+                f"groups of shape {self.groups.shape} for a {self.rows}x{self.cols} array "
+                f"(one row-major index per position)"
+            )
+        if self.groups.size and not 0 <= self.groups.min() <= self.groups.max() < len(self.spots):
+            raise ValueError(f"a group index points at none of the {len(self.spots)} spots")
+
+    def column(self, name: str) -> np.ndarray:
+        """A :class:`SiteResult` field at every position, row-major."""
+        return np.array([getattr(spot, name) for spot in self.spots])[self.groups]
+
+    def match_mask(self) -> np.ndarray:
+        """Positions whose closest-binding target matches perfectly."""
+        return self.column("is_match_site")
+
+    def mismatch_mask(self) -> np.ndarray:
+        """Probe positions that are not matches (bare controls are neither)."""
+        return ~self.match_mask() & (self.column("probe_name") != "")
+
     def current_map(self) -> np.ndarray:
-        image = np.zeros((self.rows, self.cols))
-        for site in self.sites:
-            image[site.row, site.col] = site.sensor_current
-        return image
+        return self.column("sensor_current").reshape(self.rows, self.cols)
 
     def site_at(self, row: int, col: int) -> SiteResult:
-        for site in self.sites:
-            if site.row == row and site.col == col:
-                return site
-        raise KeyError(f"no site at ({row}, {col})")
+        if not (0 <= row < self.rows and 0 <= col < self.cols):
+            raise KeyError(f"no site at ({row}, {col})")
+        return self.spots[self.groups[row * self.cols + col]]
 
     def match_sites(self) -> list[SiteResult]:
-        return [s for s in self.sites if s.is_match_site]
+        return [self.spots[group] for group in self.groups[self.match_mask()].tolist()]
 
     def mismatch_sites(self) -> list[SiteResult]:
-        return [s for s in self.sites if not s.is_match_site and s.probe_name]
+        return [self.spots[group] for group in self.groups[self.mismatch_mask()].tolist()]
 
     def discrimination_ratio(self) -> float:
         """Median match current over median non-match current."""
-        matches = [s.sensor_current for s in self.match_sites()]
-        others = [s.sensor_current for s in self.mismatch_sites()]
-        if not matches or not others:
+        currents = self.column("sensor_current")
+        matches, others = currents[self.match_mask()], currents[self.mismatch_mask()]
+        if not len(matches) or not len(others):
             raise ValueError("need both match and mismatch sites for a ratio")
         return float(np.median(matches) / np.median(others))
 
     def dynamic_range_decades(self) -> float:
-        currents = [s.sensor_current for s in self.sites if s.sensor_current > 0]
-        if not currents:
+        currents = self.column("sensor_current")
+        currents = currents[currents > 0]
+        if not len(currents):
             raise ValueError("no positive currents recorded")
-        return float(np.log10(max(currents) / min(currents)))
+        return float(np.log10(currents.max() / currents.min()))
 
 
 class MicroarrayAssay:
@@ -165,10 +180,8 @@ class MicroarrayAssay:
     def run(self, sample: Sample, protocol: AssayProtocol | None = None) -> AssayResult:
         protocol = protocol or AssayProtocol()
         spots, groups = self.layout.spot_groups()
-        outcomes = [self._run_site(spot, sample, protocol) for spot in spots]
-        positions = self.layout.all_positions()
-        sites = [outcomes[group].at(row, col) for (row, col), group in zip(positions, groups)]
-        return AssayResult(sites=sites, rows=self.layout.rows, cols=self.layout.cols)
+        outcomes = tuple(self._run_site(spot, sample, protocol) for spot in spots)
+        return AssayResult(outcomes, groups, self.layout.rows, self.layout.cols)
 
     # ------------------------------------------------------------------
     def _run_site(self, spot, sample: Sample, protocol: AssayProtocol) -> SiteResult:
@@ -176,7 +189,7 @@ class MicroarrayAssay:
             # Bare control spot: background current only.
             background = self.sensor.current(0.0)
             return SiteResult(
-                row=spot.row, col=spot.col, probe_name="",
+                probe_name="",
                 best_match_mismatches=99,
                 occupancy_after_hybridization=0.0,
                 occupancy_after_wash=0.0,
@@ -196,7 +209,7 @@ class MicroarrayAssay:
         )
         current = self.sensor.current(concentration)
         return SiteResult(
-            row=spot.row, col=spot.col, probe_name=probe.name,
+            probe_name=probe.name,
             best_match_mismatches=best_mm,
             occupancy_after_hybridization=theta_hyb,
             occupancy_after_wash=theta_wash,

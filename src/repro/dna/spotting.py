@@ -30,8 +30,9 @@ class SpotAssignment:
         return self.probe is None or self.probe_density <= 0
 
 
-#: Distinct spots, and the group of every position in row-major order.
-SpotGroups = tuple[tuple[SpotAssignment, ...], tuple[int, ...]]
+#: Distinct spots, and the group of every position in row-major order
+#: (a read-only intp array).
+SpotGroups = tuple[tuple[SpotAssignment, ...], np.ndarray]
 
 
 class ProbeLayout:
@@ -84,9 +85,11 @@ class ProbeLayout:
         Returns one representative :class:`SpotAssignment` per distinct
         ``(probe, probe_density)``, in order of first appearance (all
         bare positions, unassigned or at density <= 0, share one group),
-        and the group of every position in :meth:`all_positions` order.
-        The grouping is kept until the next :meth:`assign`, so a cached
-        layout groups its positions once however many assays it carries.
+        and the group of every position in :meth:`all_positions` order,
+        as a read-only intp array.  The grouping is kept until the next
+        :meth:`assign`, so a cached layout groups its positions once
+        however many assays it carries, and every assay of it shares the
+        one group array.
         """
         if self._groups is None:
             spots: list[SpotAssignment] = []
@@ -101,7 +104,9 @@ class ProbeLayout:
                     group = group_of[key] = len(spots)
                     spots.append(spot if spot is not None else self.spot(row, col))
                 groups.append(group)
-            self._groups = (tuple(spots), tuple(groups))
+            group_index = np.array(groups, dtype=np.intp)
+            group_index.flags.writeable = False
+            self._groups = (tuple(spots), group_index)
         return self._groups
 
     def assigned_positions(self) -> list[tuple[int, int]]:

@@ -30,7 +30,6 @@ recorder, which is how a traced replay
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -308,13 +307,6 @@ def _fault_metrics(info: dict[str, Any], n_sites: int) -> dict[str, Any]:
     }
 
 
-#: A site's record fields, in ``_execute_dna``'s column order.
-_SITE_FIELDS = attrgetter(
-    "row", "col", "probe_name", "best_match_mismatches",
-    "occupancy_after_hybridization", "occupancy_after_wash", "sensor_current",
-)
-
-
 def _execute_dna(runner: "Runner", spec: DnaAssaySpec, rngs: dict) -> ResultSet:
     backend = runner.backend
     chip = runner._provision(
@@ -344,35 +336,31 @@ def _execute_dna(runner: "Runner", spec: DnaAssaySpec, rngs: dict) -> ResultSet:
         counts, fault_info = _faulted_readout(spec, chip, counts, rngs["faults"])
     estimates = chip.current_estimates(counts, frame_s=spec.frame_s)
 
-    row, col, probe, mismatches, occupancy_hyb, occupancy_wash, sensor_current = zip(
-        *map(_SITE_FIELDS, assay.sites)
-    )
-    row, col = np.asarray(row, dtype=int), np.asarray(col, dtype=int)
-    mismatches = np.asarray(mismatches, dtype=int)
+    row, col = np.divmod(np.arange(assay.rows * assay.cols), assay.cols)
+    probe = assay.column("probe_name").astype(object)
+    match_mask, nonmatch_mask = assay.match_mask(), assay.mismatch_mask()
     records = {
         "row": row,
         "col": col,
-        "probe": np.asarray(probe, dtype=object),
-        "mismatches": mismatches,
-        "is_match": mismatches == 0,
-        "occupancy_hyb": np.asarray(occupancy_hyb),
-        "occupancy_wash": np.asarray(occupancy_wash),
-        "sensor_current_a": np.asarray(sensor_current),
-        "count": np.asarray(counts[row, col], dtype=int),
-        "current_estimate_a": estimates[row, col],
+        "probe": probe,
+        "mismatches": assay.column("best_match_mismatches"),
+        "is_match": match_mask,
+        "occupancy_hyb": assay.column("occupancy_after_hybridization"),
+        "occupancy_wash": assay.column("occupancy_after_wash"),
+        "sensor_current_a": assay.column("sensor_current"),
+        "count": counts.astype(int).ravel(),
+        "current_estimate_a": estimates.flatten(),
     }
     if fault_info is not None:
-        records["site_dead"] = fault_info["dead"][row, col]
-        records["site_silent"] = fault_info["silent"][row, col]
+        records["site_dead"] = fault_info["dead"].ravel()
+        records["site_silent"] = fault_info["silent"].ravel()
     metrics: dict[str, Any] = {
         "bias_ok": bool(chip.bias_ok),
         "backend": backend,
         "n_sites": len(probe),
-        "n_match_sites": int(records["is_match"].sum()),
-        "n_probe_sites": len(probe) - probe.count(""),
+        "n_match_sites": int(match_mask.sum()),
+        "n_probe_sites": int((probe != "").sum()),
     }
-    match_mask = records["is_match"]
-    nonmatch_mask = ~match_mask & (records["probe"] != "").astype(bool)
     match = records["sensor_current_a"][match_mask]
     nonmatch = records["sensor_current_a"][nonmatch_mask]
     if len(match) and len(nonmatch):

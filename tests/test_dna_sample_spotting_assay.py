@@ -1,5 +1,7 @@
 """Samples, probe layouts and the end-to-end assay integration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,13 @@ from hypothesis import strategies as st
 
 from repro.dna import (
     AssayProtocol,
+    AssayResult,
     DnaSequence,
     MicroarrayAssay,
     Probe,
     ProbeLayout,
     Sample,
+    SiteResult,
     Target,
     perfect_target_for,
 )
@@ -132,10 +136,9 @@ class TestAssayIntegration:
         layout = ProbeLayout.tiled(probes, rows=4, cols=4, replicates=3, control_every=4)
         sample = Sample.for_probes(probes, 1e-5)
         result = MicroarrayAssay(layout).run(sample)
-        bare = [s for s in result.sites if not s.probe_name]
-        assert bare
-        for site in bare:
-            assert site.sensor_current < 1e-11
+        bare = result.column("probe_name") == ""
+        assert bare.any()
+        assert np.all(result.column("sensor_current")[bare] < 1e-11)
 
     def test_discrimination_ratio(self, probes):
         layout = ProbeLayout.tiled(probes, rows=4, cols=4, replicates=4)
@@ -170,9 +173,7 @@ class TestAssayIntegration:
         layout = ProbeLayout.tiled([probe], rows=2, cols=2, replicates=4)
         sample = Sample({t1: 1.0, t2: 1.0})  # saturating levels
         result = MicroarrayAssay(layout).run(sample)
-        for site in result.sites:
-            if site.probe_name:
-                assert site.occupancy_after_hybridization <= 1.0 + 1e-9
+        assert np.all(result.column("occupancy_after_hybridization") <= 1.0 + 1e-9)
 
     def test_wrong_grid_protocol(self, probes):
         with pytest.raises(ValueError):
@@ -181,10 +182,29 @@ class TestAssayIntegration:
     def test_site_lookup(self, probes):
         layout = ProbeLayout.tiled(probes, rows=4, cols=4, replicates=4)
         result = MicroarrayAssay(layout).run(Sample.for_probes(probes, 1e-6))
-        site = result.site_at(0, 0)
-        assert site.row == 0 and site.col == 0
-        with pytest.raises(KeyError):
-            result.site_at(99, 0)
+        assert result.site_at(0, 0) == result.spots[result.groups[0]]
+        assert result.site_at(3, 2) == result.spots[result.groups[3 * 4 + 2]]
+        for row, col in [(99, 0), (4, 0), (0, 4), (-1, 0), (0, -1)]:
+            with pytest.raises(KeyError):
+                result.site_at(row, col)
+
+    @pytest.mark.parametrize(
+        "groups, message",
+        [
+            ([0] * 15, r"shape \(15,\) for a 4x4"),
+            ([0] * 17, r"shape \(17,\) for a 4x4"),
+            ([[0] * 4] * 4, r"shape \(4, 4\) for a 4x4"),
+            ([0] * 15 + [2], "points at none of the 2 spots"),
+            ([0] * 15 + [-1], "points at none of the 2 spots"),
+        ],
+    )
+    def test_a_result_rejects_groups_off_its_array_or_spots(self, probes, groups, message):
+        layout = ProbeLayout.tiled(probes[:1], rows=4, cols=4, replicates=4)
+        result = MicroarrayAssay(layout).run(Sample.for_probes(probes[:1], 1e-6))
+        assert len(result.spots) == 2
+        AssayResult(result.spots, list(result.groups), 4, 4)
+        with pytest.raises(ValueError, match=message):
+            AssayResult(result.spots, groups, 4, 4)
 
 
 #: What one position of a drawn layout holds: a gap (never assigned), an
@@ -208,12 +228,17 @@ class TestGroupedAssay:
     position must still read exactly what evaluating it alone gives."""
 
     @staticmethod
-    def _per_position(assay, sample, protocol):
+    def _assert_per_position(result, assay, sample, protocol):
+        """Every position reads what evaluating its spot alone gives,
+        through ``site_at`` and through each ``column``."""
         layout = assay.layout
-        return [
-            assay._run_site(layout.spot(row, col), sample, protocol)
-            for row, col in layout.all_positions()
-        ]
+        names = [field.name for field in dataclasses.fields(SiteResult)]
+        columns = {name: result.column(name) for name in names}
+        for row, col in layout.all_positions():
+            alone = assay._run_site(layout.spot(row, col), sample, protocol)
+            assert result.site_at(row, col) == alone
+            for name in names:
+                assert columns[name][row * layout.cols + col] == getattr(alone, name)
 
     @settings(max_examples=60, deadline=None)
     @given(drawn=_layouts(), seed=st.integers(0, 2**16), reassign=_SPOT)
@@ -236,14 +261,13 @@ class TestGroupedAssay:
         protocol = AssayProtocol(hybridization_s=1800.0)
         assay = MicroarrayAssay(layout)
         result = assay.run(sample, protocol)
-        assert result.sites == self._per_position(assay, sample, protocol)
-        assert [(s.row, s.col) for s in result.sites] == layout.all_positions()
+        self._assert_per_position(result, assay, sample, protocol)
         # A later assignment regroups the layout.
         if reassign not in ("gap", None):
             index, density = reassign
             layout.assign(rows - 1, cols - 1, pool[index], density=density)
             regrouped = assay.run(sample, protocol)
-            assert regrouped.sites == self._per_position(assay, sample, protocol)
+            self._assert_per_position(regrouped, assay, sample, protocol)
 
     def test_groups_of_a_fig4_layout(self, probes):
         layout = ProbeLayout.tiled(probes, rows=16, cols=8, replicates=4)

@@ -30,7 +30,7 @@ from repro.devices.capacitor import Capacitor
 from repro.devices.comparator import Comparator
 from repro.devices.current_mirror import CurrentMirror, ReferenceCurrentFanout
 from repro.devices.mosfet import Mosfet
-from repro.dna import MicroarrayAssay, ProbeLayout, Sample, Target
+from repro.dna import MicroarrayAssay, ProbeLayout, Sample, SiteResult, Target
 from repro.engine import VectorizedDnaChip
 from repro.engine.params import PixelArrayParams
 from repro.experiments import Runner
@@ -186,11 +186,12 @@ def oracle_auto_calibrate(chip, pixels, frame_s, rng):
 def oracle_measure_assay(chip, pixels, assay, frame_s, rng):
     generator = ensure_rng(rng)
     counts = np.zeros((chip.specs.rows, chip.specs.cols), dtype=int)
-    for site in assay.sites:
-        pixel = pixels[site.row * chip.specs.cols + site.col]
-        counts[site.row, site.col] = pixel.measure_concentration(
-            site.surface_concentration, frame_s, rng=generator
-        )
+    for row in range(chip.specs.rows):
+        for col in range(chip.specs.cols):
+            pixel = pixels[row * chip.specs.cols + col]
+            counts[row, col] = pixel.measure_concentration(
+                assay.site_at(row, col).surface_concentration, frame_s, rng=generator
+            )
     chip._last_counts = counts.reshape(-1).astype(np.int64)
     return counts
 
@@ -587,6 +588,20 @@ class TestWorkCounts:
         # 4 probes x 4 replicates + 112 bare controls: 5 distinct spots,
         # and 4 probes x 2 targets scored (it was 128 and 16 x 2 = 32).
         assert calls == {"_run_site": 5, "mismatches_with": 8}
+
+    def test_a_fig4_point_builds_one_site_result_per_distinct_spot(self, monkeypatch):
+        built = []
+        init = SiteResult.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SiteResult, "__init__", counted)
+        result = Runner(seed=0).run(_fig4_point(1e-7))
+        # The 5 spot outcomes and no per-position copy (it was 5 + 128).
+        assert len(built) == 5
+        assert result.artifacts["assay"].spots == tuple(built)
 
     def test_a_faulted_fig4_point_reads_out_with_pinned_recovery_counts(self):
         metrics = Runner(seed=0).run(_fig4_point(1e-7, FIG4_FAULTS)).metrics
