@@ -18,10 +18,10 @@ Each chip kind has one builder that takes the backend
 (``_build_dna_chip``, ``_build_neuro_chip``), cached under a
 backend-named cache; ``array_scale`` builds object chips
 (``_build_array_scale_chips``) or, on the vectorized backend, a chip
-stack drawn by the engine's stacked evaluator.  The object DNA builders
-and the neural builder on either backend attach the Runner's trace
-recorder, which is how a traced replay
-(:func:`repro.trace.replay_readout`) runs the normal workload.
+stack drawn by the engine's stacked evaluator.  Both chip builders
+attach the Runner's trace recorder on either backend, which is how a
+traced replay (:func:`repro.trace.replay_readout`) runs the normal
+workload.
 
 ``register_workload`` adds a new kind at runtime; the built-in three
 (plus the ADC sweep) register at import.
@@ -174,15 +174,13 @@ def _dna_streams(spec: DnaAssaySpec) -> dict[str, tuple]:
 def _build_dna_chip(
     spec: DnaAssaySpec, backend: str, chip_rng, calibration_rng, recorder: Any
 ) -> DnaMicroarrayChip:
-    """Build, bias and calibrate one assay chip on ``backend``.  The
-    vectorized chip draws ``"paired"`` mismatch, so its pixel parameters
-    are bit-identical to the object chip's on the same streams; only the
-    object chip carries ``recorder``."""
-    chip_specs = ChipSpecs(rows=spec.rows, cols=spec.cols)
-    if backend == "vectorized":
-        chip = VectorizedDnaChip(chip_specs, rng=chip_rng)
-    else:
-        chip = DnaMicroarrayChip(chip_specs, rng=chip_rng, recorder=recorder)
+    """Build, bias and calibrate one assay chip on ``backend``, carrying
+    ``recorder``.  The vectorized chip is a subclass with the object
+    chip's constructor and draws ``"paired"`` mismatch, so its pixel
+    parameters are bit-identical to the object chip's on the same
+    streams."""
+    chip_type = VectorizedDnaChip if backend == "vectorized" else DnaMicroarrayChip
+    chip = chip_type(ChipSpecs(rows=spec.rows, cols=spec.cols), rng=chip_rng, recorder=recorder)
     bias_ok = chip.configure_bias(spec.v_generator, spec.v_collector)
     if spec.calibrate:
         chip.auto_calibrate(frame_s=spec.calibration_frame_s, rng=calibration_rng)

@@ -136,9 +136,23 @@ def test_runner_recorder_traces_the_object_chip_it_builds():
     result = runner.run(SMALL_DNA)
     assert result.artifacts["chip"].recorder is recorder
     assert result.trace == recorder.trace() and len(result.trace) > 0
-    # Vectorized chips are never traced: the capture does not grow.
-    runner.run(SMALL_DNA, backend="vectorized")
-    assert recorder.trace() == result.trace
+    # The vectorized chip carries the same recorder: the capture grows.
+    vectorized = runner.run(SMALL_DNA, backend="vectorized")
+    assert vectorized.artifacts["chip"].recorder is recorder
+    assert len(recorder.trace()) > len(result.trace)
+
+
+def test_both_dna_backends_record_the_same_events():
+    from repro.trace import TraceRecorder
+
+    traces = [
+        Runner(seed=3, recorder=TraceRecorder()).run(DnaAssaySpec(), backend=backend).trace
+        for backend in ("object", "vectorized")
+    ]
+    # configure (2 register writes), calibrate (1), measure (RUN_FRAME).
+    assert len(traces[0]) == 10
+    assert traces[0].kinds() == ["seq.state", "serial.frame", "reg.write"]
+    assert traces[1] == traces[0]
 
 
 def test_different_chip_config_builds_new_chip():
