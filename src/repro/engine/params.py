@@ -27,17 +27,14 @@ import numpy as np
 
 from ..core.rng import RngLike, ensure_rng
 from ..core.units import fF, ns
-from ..pixel.pixel import draw_variations
+from ..pixel.pixel import (  # the sigmas are re-exported for repro.wafer
+    DEFAULT_LEAKAGE_MEAN_A,
+    DEFAULT_SIGMA_CINT_REL,
+    DEFAULT_SIGMA_OFFSET_V,
+    draw_variations,
+)
 
 DRAW_MODES = ("paired", "fast")
-
-#: Process-mismatch sigmas shared by every draw path.  The wafer layer
-#: (:mod:`repro.wafer`) decomposes exactly these totals into radial /
-#: reticle / white components, so they are named here rather than
-#: hidden in the ``draw`` signature.
-DEFAULT_SIGMA_OFFSET_V = 0.008
-DEFAULT_SIGMA_CINT_REL = 0.015
-DEFAULT_LEAKAGE_MEAN_A = 2.0e-15
 
 
 @dataclass
@@ -140,9 +137,9 @@ class PixelArrayParams:
         cols: int,
         rng: RngLike = None,
         mode: str = "fast",
-        sigma_offset_v: float = 0.008,
-        sigma_cint_rel: float = 0.015,
-        leakage_mean_a: float = 2.0e-15,
+        sigma_offset_v: float = DEFAULT_SIGMA_OFFSET_V,
+        sigma_cint_rel: float = DEFAULT_SIGMA_CINT_REL,
+        leakage_mean_a: float = DEFAULT_LEAKAGE_MEAN_A,
         **design: float,
     ) -> "PixelArrayParams":
         """Draw one chip's worth of pixel mismatch (``n_chips == 1``).

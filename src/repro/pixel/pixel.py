@@ -29,6 +29,15 @@ from .sawtooth_adc import SawtoothAdc
 #: Shared with the vectorized backend (repro.engine.kernels).
 DEAD_PIXEL_LEAKAGE_A = 1e-12
 
+#: Process-mismatch sigmas of the pixel draw, the defaults of every draw
+#: path (:class:`PixelVariation`, :func:`draw_variations` and the
+#: vectorized backend's ``PixelArrayParams.draw``).  The wafer layer
+#: (:mod:`repro.wafer`) decomposes exactly these totals into radial /
+#: reticle / white components.
+DEFAULT_SIGMA_OFFSET_V = 0.008
+DEFAULT_SIGMA_CINT_REL = 0.015
+DEFAULT_LEAKAGE_MEAN_A = 2.0e-15
+
 
 @dataclass
 class PixelVariation:
@@ -42,9 +51,9 @@ class PixelVariation:
     def draw(
         cls,
         rng: RngLike = None,
-        sigma_offset_v: float = 0.008,
-        sigma_cint_rel: float = 0.015,
-        leakage_mean_a: float = 2.0e-15,
+        sigma_offset_v: float = DEFAULT_SIGMA_OFFSET_V,
+        sigma_cint_rel: float = DEFAULT_SIGMA_CINT_REL,
+        leakage_mean_a: float = DEFAULT_LEAKAGE_MEAN_A,
     ) -> "PixelVariation":
         generator = ensure_rng(rng)
         return cls(
@@ -57,9 +66,9 @@ class PixelVariation:
 def draw_variations(
     rng: RngLike,
     count: int,
-    sigma_offset_v: float = 0.008,
-    sigma_cint_rel: float = 0.015,
-    leakage_mean_a: float = 2.0e-15,
+    sigma_offset_v: float = DEFAULT_SIGMA_OFFSET_V,
+    sigma_cint_rel: float = DEFAULT_SIGMA_CINT_REL,
+    leakage_mean_a: float = DEFAULT_LEAKAGE_MEAN_A,
 ) -> np.ndarray:
     """The paired per-pixel draw: row *k* holds :class:`PixelVariation`'s
     three fields for pixel *k*, drawn from child stream *k* of ``rng``
