@@ -162,6 +162,23 @@ def _source_block(store: Any, frame: CampaignFrame) -> dict[str, Any]:
     return block
 
 
+def _campaign_frame(source: Any) -> CampaignFrame:
+    """The results of a CampaignResult / ResultStore; an empty store is
+    an error."""
+    frame = CampaignFrame.from_store(source)
+    if frame.n_points == 0:
+        raise ValueError("store holds no results to analyse")
+    return frame
+
+
+def _check_resampling(confidence: float, n_resamples: int) -> None:
+    """The bootstrap settings every resampling analysis takes."""
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must lie strictly between 0 and 1")
+    if n_resamples < 1:
+        raise ValueError("n_resamples must be >= 1")
+
+
 def _fmt(value: float) -> float:
     """Round-trip-stable plain float for report scalars."""
     return float(value)
@@ -199,15 +216,10 @@ class DoseResponseAnalysis(AnalysisSpec):
             raise ValueError(
                 f"unknown model {self.model!r}; choose from {_doseresponse.MODELS}"
             )
-        if self.n_resamples < 1:
-            raise ValueError("n_resamples must be >= 1")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie strictly between 0 and 1")
+        _check_resampling(self.confidence, self.n_resamples)
 
     def run(self, source: Any) -> AnalysisReport:
-        frame = CampaignFrame.from_store(source)
-        if frame.n_points == 0:
-            raise ValueError("store holds no results to analyse")
+        frame = _campaign_frame(source)
         x = np.asarray(frame.axis(self.axis), dtype=float)
         y = frame.metric(self.response)
         blanks = frame.metric(self.blank) if self.blank and frame.has_metric(self.blank) else None
@@ -340,15 +352,10 @@ class DetectionAnalysis(AnalysisSpec):
     def __post_init__(self) -> None:
         if not 0.0 <= self.target_fpr <= 1.0:
             raise ValueError("target_fpr must lie in [0, 1]")
-        if self.n_resamples < 1:
-            raise ValueError("n_resamples must be >= 1")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie strictly between 0 and 1")
+        _check_resampling(self.confidence, self.n_resamples)
 
     def run(self, source: Any) -> AnalysisReport:
-        frame = CampaignFrame.from_store(source)
-        if frame.n_points == 0:
-            raise ValueError("store holds no results to analyse")
+        frame = _campaign_frame(source)
         store = getattr(source, "store", source)
         per_point: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for meta, result in store.iter_results():
@@ -435,15 +442,10 @@ class YieldAnalysis(AnalysisSpec):
             raise ValueError(
                 f"unknown criterion {self.op!r}; choose from {sorted(_yield.CRITERIA)}"
             )
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie strictly between 0 and 1")
-        if self.n_resamples < 1:
-            raise ValueError("n_resamples must be >= 1")
+        _check_resampling(self.confidence, self.n_resamples)
 
     def run(self, source: Any) -> AnalysisReport:
-        frame = CampaignFrame.from_store(source)
-        if frame.n_points == 0:
-            raise ValueError("store holds no results to analyse")
+        frame = _campaign_frame(source)
         store = getattr(source, "store", source)
         values = frame.metric(self.metric)
         passed = _yield.apply_criterion(values, self.op, self.threshold)
@@ -578,15 +580,10 @@ class FaultToleranceAnalysis(AnalysisSpec):
     )
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie strictly between 0 and 1")
-        if self.n_resamples < 1:
-            raise ValueError("n_resamples must be >= 1")
+        _check_resampling(self.confidence, self.n_resamples)
 
     def run(self, source: Any) -> AnalysisReport:
-        frame = CampaignFrame.from_store(source)
-        if frame.n_points == 0:
-            raise ValueError("store holds no results to analyse")
+        frame = _campaign_frame(source)
         missing = [name for name in self.REQUIRED if not frame.has_metric(name)]
         if missing:
             raise ValueError(
@@ -791,19 +788,14 @@ class WaferYieldAnalysis(AnalysisSpec):
             raise ValueError(
                 f"unknown criterion {self.op!r}; choose from {sorted(_yield.CRITERIA)}"
             )
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie strictly between 0 and 1")
-        if self.n_resamples < 1:
-            raise ValueError("n_resamples must be >= 1")
+        _check_resampling(self.confidence, self.n_resamples)
         if self.max_maps < 0:
             raise ValueError("max_maps must be non-negative")
 
     def run(self, source: Any) -> AnalysisReport:
         from .wafermap import wafer_map_diagram
 
-        frame = CampaignFrame.from_store(source)
-        if frame.n_points == 0:
-            raise ValueError("store holds no results to analyse")
+        frame = _campaign_frame(source)
         store = getattr(source, "store", source)
         criterion = f"{self.metric} {self.op} {format(self.threshold, 'g')}"
         # Stream one wafer at a time; keep only per-die binning columns.
@@ -936,9 +928,7 @@ def default_analysis_for(source: Any) -> AnalysisSpec:
     detection experiment; anything else with replicates is a yield
     question on its shared metrics.
     """
-    frame = CampaignFrame.from_store(source)
-    if frame.n_points == 0:
-        raise ValueError("store holds no results to analyse")
+    frame = _campaign_frame(source)
     kinds = frame.kinds()
     # Fault sweeps first: a faulted campaign's dose/detection numbers
     # are corrupted by construction — resilience is the question.
