@@ -100,14 +100,13 @@ class AssayResult:
         self.groups = np.asarray(self.groups, dtype=np.intp)
         if self.groups.shape != (self.rows * self.cols,):
             raise ValueError(
-                f"groups of shape {self.groups.shape} for a {self.rows}x{self.cols} array "
-                f"(one row-major index per position)"
+                f"groups of shape {self.groups.shape} for a {self.rows}x{self.cols} array"
             )
         if self.groups.size and not 0 <= self.groups.min() <= self.groups.max() < len(self.spots):
             raise ValueError(f"a group index points at none of the {len(self.spots)} spots")
 
     def column(self, name: str) -> np.ndarray:
-        """A :class:`SiteResult` field at every position, row-major."""
+        """A :class:`SiteResult` field or property at every position, row-major."""
         return np.array([getattr(spot, name) for spot in self.spots])[self.groups]
 
     def match_mask(self) -> np.ndarray:

@@ -30,8 +30,7 @@ class SpotAssignment:
         return self.probe is None or self.probe_density <= 0
 
 
-#: Distinct spots, and the group of every position in row-major order
-#: (a read-only intp array).
+#: Distinct spots, and the group of every position in row-major order.
 SpotGroups = tuple[tuple[SpotAssignment, ...], np.ndarray]
 
 
@@ -85,11 +84,10 @@ class ProbeLayout:
         Returns one representative :class:`SpotAssignment` per distinct
         ``(probe, probe_density)``, in order of first appearance (all
         bare positions, unassigned or at density <= 0, share one group),
-        and the group of every position in :meth:`all_positions` order,
-        as a read-only intp array.  The grouping is kept until the next
+        and the group of every position in :meth:`all_positions` order
+        (a read-only intp array).  The grouping is kept until the next
         :meth:`assign`, so a cached layout groups its positions once
-        however many assays it carries, and every assay of it shares the
-        one group array.
+        however many assays share it.
         """
         if self._groups is None:
             spots: list[SpotAssignment] = []

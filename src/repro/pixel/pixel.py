@@ -29,11 +29,9 @@ from .sawtooth_adc import SawtoothAdc
 #: Shared with the vectorized backend (repro.engine.kernels).
 DEAD_PIXEL_LEAKAGE_A = 1e-12
 
-#: Process-mismatch sigmas of the pixel draw, the defaults of every draw
-#: path (:class:`PixelVariation`, :func:`draw_variations` and the
-#: vectorized backend's ``PixelArrayParams.draw``).  The wafer layer
-#: (:mod:`repro.wafer`) decomposes exactly these totals into radial /
-#: reticle / white components.
+#: Process-mismatch sigmas, the defaults of every pixel draw (here and in
+#: ``PixelArrayParams.draw``).  The wafer layer (:mod:`repro.wafer`)
+#: decomposes exactly these totals into radial / reticle / white parts.
 DEFAULT_SIGMA_OFFSET_V = 0.008
 DEFAULT_SIGMA_CINT_REL = 0.015
 DEFAULT_LEAKAGE_MEAN_A = 2.0e-15
