@@ -212,15 +212,14 @@ class DnaMicroarrayChip:
         received = self.link.transfer(frame)
         self.registers.write(received.address, received.payload[0])
 
-    def _count_frame(
-        self, sites: Sequence[int], currents: Sequence[float], frame_s: float, rng: RngLike
-    ) -> list[int]:
-        """Each listed site's converter counts its current for one frame,
-        in list order on one generator; the counter holds at full scale."""
+    def _count_frame(self, currents: Sequence[float], frame_s: float, rng: RngLike) -> list[int]:
+        """Every site's converter counts its current (flat, row-major)
+        for one frame, in site order on one generator; the counter holds
+        at full scale."""
         generator = ensure_rng(rng)
         return [
-            min(self.adcs[site].count_in_frame(current, frame_s, rng=generator), self.full_scale)
-            for site, current in zip(sites, currents)
+            min(adc.count_in_frame(current, frame_s, rng=generator), self.full_scale)
+            for adc, current in zip(self.adcs, currents)
         ]
 
     # ------------------------------------------------------------------
@@ -236,9 +235,10 @@ class DnaMicroarrayChip:
         if self.recorder is not None:
             self.recorder.seq_state("calibrate", detail=f"reference frame {frame_s} s")
         branch_currents = (self.reference_tree.branch_currents() / 100.0).tolist()
-        sites = range(self.specs.sites)
-        references = [branch_currents[index % len(branch_currents)] for index in sites]
-        counts = self._count_frame(sites, references, frame_s, rng)
+        references = [
+            branch_currents[index % len(branch_currents)] for index in range(self.specs.sites)
+        ]
+        counts = self._count_frame(references, frame_s, rng)
         corrections = kernels.calibration_corrections(counts, references, frame_s, self.dead_time_s)
         self.gain_correction = corrections.copy()
         self._write_register("calibration_enable", 1)
@@ -269,17 +269,11 @@ class DnaMicroarrayChip:
                 f"assay grid {assay.rows}x{assay.cols} does not match the "
                 f"{self.specs.rows}x{self.specs.cols} chip"
             )
-        self.link.transfer(Frame(Command.RUN_FRAME, 0x00))
-        if self.recorder is not None:
-            self.recorder.seq_state("measure", detail=f"assay frame {frame_s} s")
         sensor = self.sensor
         concentrations = [spot.surface_concentration for spot in assay.spots]
         currents = kernels.sensor_currents(sensor, concentrations, sensor.bias_ok)[assay.groups]
-        counts = self._count_frame(range(self.specs.sites), currents.tolist(), frame_s, rng)
-        self._last_counts = np.array(counts, dtype=np.int64)
-        if self.recorder is not None:
-            self.recorder.advance(frame_s)  # the counting frame
-        return self._last_counts.reshape(self.specs.rows, self.specs.cols).copy()
+        counts = self._measure_frame(currents, frame_s, rng, f"assay frame {frame_s} s")
+        return counts.reshape(self.specs.rows, self.specs.cols).copy()
 
     def measure_currents(
         self, currents: np.ndarray, frame_s: float = 1.0, rng: RngLike = None
@@ -290,14 +284,26 @@ class DnaMicroarrayChip:
         currents = np.asarray(currents, dtype=float)
         if currents.shape != (self.specs.rows, self.specs.cols):
             raise ValueError(f"expected {self.specs.rows}x{self.specs.cols} currents")
+        counts = self._measure_frame(
+            currents.ravel(), frame_s, rng, f"current pattern frame {frame_s} s"
+        )
+        return counts.reshape(currents.shape).astype(int)
+
+    def _measure_frame(
+        self, currents: np.ndarray, frame_s: float, rng: RngLike, detail: str
+    ) -> np.ndarray:
+        """One counting frame over every site (flat, row-major
+        ``currents``): the host opens it with a RUN_FRAME, the sequencer
+        enters its ``measure`` state (``detail`` is the trace label), and
+        the counts are latched for the serial readout and returned."""
         self.link.transfer(Frame(Command.RUN_FRAME, 0x00))
         if self.recorder is not None:
-            self.recorder.seq_state("measure", detail=f"current pattern frame {frame_s} s")
-        counts = self._count_frame(range(self.specs.sites), currents.ravel().tolist(), frame_s, rng)
+            self.recorder.seq_state("measure", detail=detail)
+        counts = self._count_frame(currents.tolist(), frame_s, rng)
         self._last_counts = np.array(counts, dtype=np.int64)
         if self.recorder is not None:
             self.recorder.advance(frame_s)  # the counting frame
-        return self._last_counts.reshape(currents.shape).astype(int)
+        return self._last_counts
 
     @property
     def cint_host_nominal_f(self) -> np.ndarray:

@@ -192,6 +192,8 @@ def count_in_frame(
     if frame_s <= 0:
         raise ValueError("frame must be positive")
     i = np.asarray(i_sensor, dtype=float)
+    if np.isnan(i).any():
+        raise ValueError("sensor current is NaN")
     shape = np.broadcast_shapes(
         i.shape,
         np.shape(cint_f),

@@ -226,17 +226,11 @@ class VectorizedDnaChip(DnaMicroarrayChip):
             counter_bits=self.specs.counter_bits,
         )
 
-    def _count_frame(
-        self, sites: Sequence[int], currents: Sequence[float], frame_s: float, rng: RngLike
-    ) -> np.ndarray:
-        """One :func:`count_chips` call over the full grid (sites not
-        listed idle at zero current); the listed sites' counts in list
-        order."""
-        index = np.asarray(sites, dtype=np.intp)
-        grid = np.zeros(self.specs.sites)
-        grid[index] = currents
-        counts = count_chips(self.params, grid.reshape(self.params.shape), frame_s, [rng])
-        return counts.reshape(-1)[index]
+    def _count_frame(self, currents: Sequence[float], frame_s: float, rng: RngLike) -> np.ndarray:
+        """One :func:`count_chips` call over the full grid; the counts
+        flat, row-major."""
+        grid = np.reshape(np.asarray(currents, dtype=float), self.params.shape)
+        return count_chips(self.params, grid, frame_s, [rng]).reshape(-1)
 
     @property
     def cint_host_nominal_f(self) -> np.ndarray:

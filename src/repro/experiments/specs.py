@@ -6,18 +6,20 @@ no imperative state and no RNG objects.  Seeds live in the
 :class:`~repro.experiments.runner.Runner`'s seed tree, so the same spec
 can be re-run, swept, batched or shipped over the wire as plain JSON.
 
-Every spec class registers under a string ``kind`` so tooling can round
-trip ``spec -> to_dict() -> spec_from_dict()`` without knowing the
-concrete type up front.
+Every spec class registers under a string ``kind`` in
+:data:`EXPERIMENTS` (a :class:`~repro.core.specs.KindRegistry`), so
+tooling can round trip ``spec -> to_dict() -> spec_from_dict()``
+without knowing the concrete type up front.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Optional
+from typing import Any, Optional
+
+from ..core.specs import KindRegistry, Spec
 
 #: Compute backends an experiment can run on.  ``"object"`` is the
 #: per-pixel reference model; ``"vectorized"`` routes array hot paths
@@ -26,114 +28,12 @@ from typing import Any, Callable, ClassVar, Optional
 #: spec validation and workload registrations alike.
 BACKENDS = ("object", "vectorized")
 
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-_REGISTRY: dict[str, type["ExperimentSpec"]] = {}
-
-
-def register_experiment(kind: str) -> Callable[[type], type]:
-    """Class decorator: register a spec class under ``kind``.
-
-    The registry is what makes the front door string-addressable:
-    ``Runner.run("dna_assay", concentration=...)`` and
-    ``spec_from_dict(json.loads(payload))`` both resolve through it.
-    """
-
-    def decorate(cls: type) -> type:
-        if not issubclass(cls, ExperimentSpec):
-            raise TypeError(f"{cls.__name__} is not an ExperimentSpec")
-        existing = _REGISTRY.get(kind)
-        if existing is not None and existing is not cls:
-            raise ValueError(f"experiment kind {kind!r} already registered to {existing.__name__}")
-        cls.kind = kind
-        _REGISTRY[kind] = cls
-        return cls
-
-    return decorate
-
-
-def experiment_kinds() -> list[str]:
-    """All registered experiment kinds, sorted."""
-    return sorted(_REGISTRY)
-
-
-def experiment_type(kind: str) -> type["ExperimentSpec"]:
-    """Look up the spec class for ``kind``."""
-    try:
-        return _REGISTRY[kind]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment kind {kind!r}; registered kinds: {experiment_kinds()}"
-        ) from None
-
-
-def spec_from_dict(data: dict[str, Any]) -> "ExperimentSpec":
-    """Rebuild any registered spec from its ``to_dict()`` payload."""
-    if "kind" not in data:
-        raise ValueError("spec dict needs a 'kind' entry")
-    return experiment_type(data["kind"]).from_dict(data)
-
-
-# ---------------------------------------------------------------------------
-# Base class
-# ---------------------------------------------------------------------------
-def _plain(value: Any) -> Any:
-    """JSON-safe field value: tuples -> lists, numpy scalars/arrays ->
-    Python values (recursively).
-
-    ``replace(rows=np.int64(32))`` is a natural thing to write in a
-    sweep; without this, ``to_dict`` would leak the numpy type and the
-    payload would either fail to serialize (np.int64) or serialize but
-    round-trip to a differently-typed spec.  Duck-typed on ``.item()``
-    / ``.tolist()`` so this module stays numpy-import-free.
-    """
-    if isinstance(value, (list, tuple)):
-        return [_plain(entry) for entry in value]
-    item = getattr(value, "item", None)
-    if item is not None and getattr(value, "shape", None) == ():
-        return item()
-    tolist = getattr(value, "tolist", None)
-    if tolist is not None:
-        return _plain(tolist())
-    return value
-
 
 @dataclass(frozen=True)
-class ExperimentSpec:
-    """Common serialization / hashing machinery for all spec kinds."""
-
-    kind: ClassVar[str] = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        data: dict[str, Any] = {"kind": self.kind}
-        for field in dataclasses.fields(self):
-            data[field.name] = _plain(getattr(self, field.name))
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ExperimentSpec":
-        payload = dict(data)
-        kind = payload.pop("kind", cls.kind)
-        if kind != cls.kind:
-            raise ValueError(f"{cls.__name__} cannot load kind {kind!r}")
-        names = {field.name for field in dataclasses.fields(cls)}
-        unknown = set(payload) - names
-        if unknown:
-            raise ValueError(f"unknown fields for {cls.__name__}: {sorted(unknown)}")
-        coerced = {
-            key: tuple(value) if isinstance(value, list) else value
-            for key, value in payload.items()
-        }
-        return cls(**coerced)
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def replace(self, **changes: Any) -> "ExperimentSpec":
-        """Functional update — the idiom for sweeps:
-        ``[spec.replace(concentration=c) for c in standards]``."""
-        return dataclasses.replace(self, **changes)
+class ExperimentSpec(Spec):
+    """Base of every experiment kind: adds the frozen stream-seeding
+    :meth:`content_hash` to the shared :class:`~repro.core.specs.Spec`
+    machinery."""
 
     def content_hash(self) -> str:
         """Stable hex digest of the full spec content (seeds streams).
@@ -146,20 +46,15 @@ class ExperimentSpec:
         """
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
-    def spec_hash(self) -> str:
-        """Canonical, process-stable content hash of the spec.
 
-        Unlike :meth:`content_hash` (whose byte recipe is frozen because
-        it seeds random streams), this digest runs through
-        :mod:`repro.service.keys` canonicalisation — sorted keys, numpy
-        scalars collapsed, tuple/list spelling unified — so two
-        semantically identical specs hash identically whatever process,
-        platform or construction path produced them.  This is the spec
-        facet of the result cache's :func:`~repro.service.keys.point_key`.
-        """
-        from ..service.keys import spec_key
-
-        return spec_key(self.to_dict())
+#: The registry is what makes the front door string-addressable:
+#: ``Runner.run("dna_assay", concentration=...)`` and
+#: ``spec_from_dict(json.loads(payload))`` both resolve through it.
+EXPERIMENTS = KindRegistry("experiment", ExperimentSpec)
+register_experiment = EXPERIMENTS.register
+experiment_kinds = EXPERIMENTS.kinds
+experiment_type = EXPERIMENTS.type_of
+spec_from_dict = EXPERIMENTS.from_dict
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ recorder uses.
 
 from .injector import FaultInjector
 from .specs import (
-    FAULT_TYPES,
     FaultSpec,
     RegisterCorruptFault,
     SequencerStallFault,
@@ -27,7 +26,6 @@ from .specs import (
 )
 
 __all__ = [
-    "FAULT_TYPES",
     "FaultInjector",
     "FaultSpec",
     "RegisterCorruptFault",

@@ -26,37 +26,15 @@ thread timing or executor choice.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Any, ClassVar, Mapping, Type, Union
+from typing import Any, Mapping, Union
 
-
-#: kind -> spec class, filled by :func:`register_fault`.
-FAULT_TYPES: dict[str, Type["FaultSpec"]] = {}
-
-
-def register_fault(cls: Type["FaultSpec"]) -> Type["FaultSpec"]:
-    """Class decorator: add a FaultSpec subclass to the registry."""
-    if not dataclasses.is_dataclass(cls):
-        raise TypeError(f"{cls.__name__} must be a dataclass")
-    if not cls.kind:
-        raise ValueError(f"{cls.__name__} must define a non-empty kind")
-    if cls.kind in FAULT_TYPES:
-        raise ValueError(f"duplicate fault kind {cls.kind!r}")
-    FAULT_TYPES[cls.kind] = cls
-    return cls
-
-
-def fault_kinds() -> list[str]:
-    """Registered fault kinds, sorted."""
-    return sorted(FAULT_TYPES)
+from ..core.specs import KindRegistry, Spec
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Spec):
     """Base class: a rate plus kind-specific knobs, all serializable."""
-
-    kind: ClassVar[str] = ""
 
     rate: float = 0.0
 
@@ -66,26 +44,14 @@ class FaultSpec:
                 f"{type(self).__name__}.rate must lie in [0, 1], got {self.rate}"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        """Canonical plain-dict form (the shape stored on specs)."""
-        data: dict[str, Any] = {"kind": self.kind}
-        for field in dataclasses.fields(self):
-            data[field.name] = getattr(self, field.name)
-        return data
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        payload = {k: v for k, v in data.items() if k != "kind"}
-        unknown = set(payload) - fields
-        if unknown:
-            raise ValueError(
-                f"unknown field(s) {sorted(unknown)} for fault kind {cls.kind!r}"
-            )
-        return cls(**payload)
+FAULTS = KindRegistry("fault", FaultSpec)
+register_fault = FAULTS.register
+fault_kinds = FAULTS.kinds
+fault_from_dict = FAULTS.from_dict
 
 
-@register_fault
+@register_fault("serial_bitflip")
 @dataclass(frozen=True)
 class SerialBitflipFault(FaultSpec):
     """Bit corruption on the serial wires.
@@ -96,8 +62,6 @@ class SerialBitflipFault(FaultSpec):
     changes the byte sum mod 256; sets that preserve it decode cleanly
     and become *silent* corruption.
     """
-
-    kind: ClassVar[str] = "serial_bitflip"
 
     n_flips: int = 1
     direction: str = "chip_to_host"
@@ -113,15 +77,13 @@ class SerialBitflipFault(FaultSpec):
             )
 
 
-@register_fault
+@register_fault("sequencer_stall")
 @dataclass(frozen=True)
 class SequencerStallFault(FaultSpec):
     """A scan-sequencer hiccup: with probability ``rate`` per response
     chunk, ``stall_s`` of dead simulated time elapses before the chunk
     shifts out.  Purely temporal — visible in the trace clock, never in
     the decoded bytes."""
-
-    kind: ClassVar[str] = "sequencer_stall"
 
     stall_s: float = 1e-4
 
@@ -131,15 +93,13 @@ class SequencerStallFault(FaultSpec):
             raise ValueError(f"stall_s must be positive, got {self.stall_s}")
 
 
-@register_fault
+@register_fault("register_corrupt")
 @dataclass(frozen=True)
 class RegisterCorruptFault(FaultSpec):
     """Configuration-register upset: with probability ``rate`` per
     register per readout, ``n_bits`` stored bits flip.  The resilient
     controller's read-back verify detects the mismatch against the host
     shadow and rewrites host-writable registers."""
-
-    kind: ClassVar[str] = "register_corrupt"
 
     n_bits: int = 1
 
@@ -149,7 +109,7 @@ class RegisterCorruptFault(FaultSpec):
             raise ValueError(f"n_bits must be >= 1, got {self.n_bits}")
 
 
-@register_fault
+@register_fault("stuck_pixel")
 @dataclass(frozen=True)
 class StuckPixelFault(FaultSpec):
     """A site's counter latched at a rail: each site is stuck with
@@ -157,8 +117,6 @@ class StuckPixelFault(FaultSpec):
     scale (``mode="full"``).  Checksums cannot catch it — the corruption
     happens before packing — so stuck sites are the canonical *silent*
     failure the ``fault_tolerance`` analysis quantifies."""
-
-    kind: ClassVar[str] = "stuck_pixel"
 
     mode: str = "zero"
 
@@ -169,19 +127,6 @@ class StuckPixelFault(FaultSpec):
 
 
 FaultLike = Union[FaultSpec, Mapping[str, Any]]
-
-
-def fault_from_dict(data: Mapping[str, Any]) -> FaultSpec:
-    """Instantiate the registered spec class for ``data['kind']``."""
-    try:
-        kind = data["kind"]
-    except KeyError:
-        raise ValueError(f"fault entry {dict(data)!r} has no 'kind'")
-    if kind not in FAULT_TYPES:
-        raise ValueError(
-            f"unknown fault kind {kind!r}; registered: {fault_kinds()}"
-        )
-    return FAULT_TYPES[kind].from_dict(data)
 
 
 def as_fault(entry: FaultLike) -> FaultSpec:

@@ -3,8 +3,8 @@
 An :class:`AnalysisSpec` is to a stored campaign what an
 :class:`~repro.experiments.specs.ExperimentSpec` is to a Runner: a
 frozen, serializable description of *what to compute*, with the same
-``kind`` registry / ``to_dict`` / ``from_dict`` machinery, so analyses
-travel as JSON through the CLI exactly like experiment specs do.  Three
+:class:`~repro.core.specs.Spec` base and ``kind`` registry, so analyses
+travel as JSON through the CLI exactly like experiment specs do.  Five
 kinds ship:
 
 * ``dose_response`` — calibration-curve fit over a concentration axis
@@ -34,13 +34,13 @@ repeated runs, executors and store backends.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, ClassVar, Optional
+from typing import Any, ClassVar, Optional
 
 import numpy as np
 
+from ..core.specs import KindRegistry, Spec
 from . import detection as _detection
 from . import doseresponse as _doseresponse
 from . import yield_stats as _yield
@@ -48,99 +48,22 @@ from .bootstrap import bootstrap_ci
 from .report import AnalysisReport, ReportTable
 from .tabulate import CampaignFrame
 
-# ---------------------------------------------------------------------------
-# Registry (mirrors repro.experiments.specs)
-# ---------------------------------------------------------------------------
-_REGISTRY: dict[str, type["AnalysisSpec"]] = {}
-
-
-def register_analysis(kind: str) -> Callable[[type], type]:
-    """Class decorator: register an analysis spec class under ``kind``."""
-
-    def decorate(cls: type) -> type:
-        if not issubclass(cls, AnalysisSpec):
-            raise TypeError(f"{cls.__name__} is not an AnalysisSpec")
-        existing = _REGISTRY.get(kind)
-        if existing is not None and existing is not cls:
-            raise ValueError(f"analysis kind {kind!r} already registered to {existing.__name__}")
-        cls.kind = kind
-        _REGISTRY[kind] = cls
-        return cls
-
-    return decorate
-
-
-def analysis_kinds() -> list[str]:
-    """All registered analysis kinds, sorted."""
-    return sorted(_REGISTRY)
-
-
-def analysis_type(kind: str) -> type["AnalysisSpec"]:
-    try:
-        return _REGISTRY[kind]
-    except KeyError:
-        raise KeyError(
-            f"unknown analysis kind {kind!r}; registered kinds: {analysis_kinds()}"
-        ) from None
-
-
-def analysis_from_dict(data: dict[str, Any]) -> "AnalysisSpec":
-    """Rebuild any registered analysis from its ``to_dict()`` payload."""
-    if "kind" not in data:
-        raise ValueError("analysis dict needs a 'kind' entry")
-    return analysis_type(data["kind"]).from_dict(data)
-
 
 @dataclass(frozen=True)
-class AnalysisSpec:
-    """Common serialization machinery for all analysis kinds."""
+class AnalysisSpec(Spec):
+    """Base of every analysis kind: the shared
+    :class:`~repro.core.specs.Spec` machinery plus :meth:`run`."""
 
-    kind: ClassVar[str] = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        from ..experiments.specs import _plain
-
-        data: dict[str, Any] = {"kind": self.kind}
-        for field in dataclasses.fields(self):
-            data[field.name] = _plain(getattr(self, field.name))
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "AnalysisSpec":
-        payload = dict(data)
-        kind = payload.pop("kind", cls.kind)
-        if kind != cls.kind:
-            raise ValueError(f"{cls.__name__} cannot load kind {kind!r}")
-        names = {field.name for field in dataclasses.fields(cls)}
-        unknown = set(payload) - names
-        if unknown:
-            raise ValueError(f"unknown fields for {cls.__name__}: {sorted(unknown)}")
-        coerced = {
-            key: tuple(value) if isinstance(value, list) else value
-            for key, value in payload.items()
-        }
-        return cls(**coerced)
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def replace(self, **changes: Any) -> "AnalysisSpec":
-        return dataclasses.replace(self, **changes)
-
-    def spec_hash(self) -> str:
-        """Canonical, process-stable content hash (sorted keys, dtype
-        wrappers collapsed) — same recipe as
-        :meth:`repro.experiments.specs.ExperimentSpec.spec_hash`, so an
-        analysis can be content-addressed alongside the campaign it
-        analyses."""
-        from ..service.keys import spec_key
-
-        return spec_key(self.to_dict())
-
-    # ------------------------------------------------------------------
     def run(self, source: Any) -> AnalysisReport:
         """Analyse a CampaignResult / ResultStore and return the report."""
         raise NotImplementedError
+
+
+ANALYSES = KindRegistry("analysis", AnalysisSpec)
+register_analysis = ANALYSES.register
+analysis_kinds = ANALYSES.kinds
+analysis_type = ANALYSES.type_of
+analysis_from_dict = ANALYSES.from_dict
 
 
 def _source_block(store: Any, frame: CampaignFrame) -> dict[str, Any]:

@@ -9,9 +9,9 @@ Thirteen rules in three families:
   paths, no order-sensitive filesystem/set iteration, no ``id()``,
   no salted ``hash()``, no environment reads.
 * **S-rules** (specs): everything registered via ``register_experiment``
-  / ``register_analysis`` must be a frozen dataclass with canonically
-  serializable fields, immutable defaults and a reachable
-  ``spec_hash``/``content_hash``.
+  / ``register_analysis`` / ``register_fault`` must be a frozen
+  dataclass with canonically serializable fields, immutable defaults
+  and a reachable ``spec_hash``/``content_hash``.
 * **C-rules** (concurrency): attributes mutated under ``self._lock``
   stay under it; no bare ``acquire()``/``release()``.
 

@@ -1,11 +1,13 @@
 """S-rules: registered spec hygiene.
 
 Everything registered through ``register_experiment`` /
-``register_analysis`` becomes sweepable, serializable and content-
-addressable: campaign axes replace its fields, ``to_dict()`` payloads
-feed canonical JSON, and ``spec_hash()`` keys the result cache.  These
-rules make the preconditions of that machinery — frozen, plain-typed,
-hash-reachable dataclasses — mechanical instead of reviewed.
+``register_analysis`` / ``register_fault`` becomes sweepable,
+serializable and content-addressable: campaign axes replace its fields,
+``to_dict()`` payloads feed canonical JSON, ``spec_hash()`` keys the
+result cache, and fault entries hash into every faulted spec's
+``content_hash()``.  These rules make the preconditions of that
+machinery — frozen, plain-typed, hash-reachable dataclasses —
+mechanical instead of reviewed.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from .base import ModuleContext, register_rule
 from .findings import Finding
 
 #: Decorator names that put a class into a spec registry.
-_REGISTER_DECORATORS = frozenset({"register_experiment", "register_analysis"})
+_REGISTER_DECORATORS = frozenset({"register_experiment", "register_analysis", "register_fault"})
 
 #: Base classes known to provide spec_hash()/content_hash machinery.
-_HASH_PROVIDING_BASES = frozenset({"ExperimentSpec", "AnalysisSpec"})
+_HASH_PROVIDING_BASES = frozenset({"Spec", "ExperimentSpec", "AnalysisSpec", "FaultSpec"})
 
 _HASH_METHODS = frozenset({"spec_hash", "content_hash"})
 
@@ -219,7 +221,7 @@ def _provides_hash(
     "S203",
     "registered specs must reach spec_hash()/content_hash()",
     "the campaign cache and the SeedTree both address specs by their content "
-    "hash; a registered class outside the ExperimentSpec/AnalysisSpec "
+    "hash; a registered class outside the repro.core.specs.Spec "
     "hierarchy (and without its own spec_hash/content_hash) cannot be "
     "content-addressed and silently falls out of the purity contract.",
 )
@@ -236,7 +238,7 @@ def check_spec_hash_reachable(ctx: ModuleContext) -> Iterator[Finding]:
                 cls,
                 f"registered spec {cls.name} has no reachable "
                 f"spec_hash()/content_hash() — derive from "
-                f"ExperimentSpec/AnalysisSpec or define one",
+                f"ExperimentSpec/AnalysisSpec/FaultSpec or define one",
             )
 
 

@@ -119,6 +119,16 @@ class TestCalibrationAndMeasurement:
         with pytest.raises(ValueError, match=message):
             DnaMicroarrayChip(rng=25).measure_assay(result, frame_s=0.1, rng=4)
 
+    @pytest.mark.parametrize("chip_type", [DnaMicroarrayChip, VectorizedDnaChip])
+    def test_a_nan_spot_is_refused_on_both_backends(self, chip_type):
+        layout = ProbeLayout.random_panel(4, rows=16, cols=8, rng=3)
+        result = MicroarrayAssay(layout).run(Sample.for_probes(layout.probes(), 1e-6))
+        spots = list(result.spots)
+        spots[0] = dataclasses.replace(spots[0], surface_concentration=np.nan)
+        result = dataclasses.replace(result, spots=tuple(spots))
+        with pytest.raises(ValueError, match="sensor current is NaN"):
+            chip_type(rng=25).measure_assay(result, frame_s=0.1, rng=4)
+
 
 class TestSerialReadout:
     def test_counts_roundtrip_through_link(self):

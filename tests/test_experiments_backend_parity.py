@@ -157,9 +157,9 @@ class TestRunnerMechanics:
             assert observed == ["vectorized"]
         finally:
             WORKLOADS.pop("reentrant_probe", None)
-            from repro.experiments.specs import _REGISTRY
+            from repro.experiments.specs import EXPERIMENTS
 
-            _REGISTRY.pop("reentrant_probe", None)
+            EXPERIMENTS.types.pop("reentrant_probe", None)
 
     def test_vectorized_rejected_for_object_only_workloads(self):
         """A workload that never dispatches on the backend must refuse

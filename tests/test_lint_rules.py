@@ -452,6 +452,22 @@ def test_s201_fires_on_unfrozen_registered_spec():
     assert "S201" in rule_ids(S201_POSITIVE)
 
 
+def test_s201_fires_on_unfrozen_registered_fault():
+    src = """
+        from dataclasses import dataclass
+
+        from repro.faults.specs import FaultSpec, register_fault
+
+        @register_fault("fixture")
+        @dataclass
+        class LooseFault(FaultSpec):
+            n_bits: int = 1
+    """
+    found = rule_ids(src)
+    assert "S201" in found
+    assert "S203" not in found  # FaultSpec carries spec_hash()
+
+
 def test_s201_fires_on_missing_dataclass():
     src = """
         from repro.experiments.specs import ExperimentSpec, register_experiment
