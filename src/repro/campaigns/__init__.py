@@ -61,7 +61,7 @@ from .executors import (
 )
 from .plan import Plan, PlanPoint
 from .report import manifest_summary, metrics_table, report_rows
-from .spec import CampaignSpec, campaign_from_dict, replicate_seed
+from .spec import CampaignSpec, replicate_seed
 from .store import (
     MANIFEST_SCHEMA,
     PENDING_SCHEMA,
@@ -97,7 +97,6 @@ __all__ = [
     "ProcessExecutor",
     "ResultStore",
     "SerialExecutor",
-    "campaign_from_dict",
     "make_executor",
     "make_store",
     "manifest_summary",

@@ -21,7 +21,12 @@ Every per-point run, in any executor, goes through one timed body
 (:func:`_run_point`) and one plan-aware fetch-or-build
 (:func:`_fetch_runner`): a Runner is kept while its seed recurs later
 in the run order, at most :data:`MAX_CACHED_RUNNERS` of them, and the
-one needed furthest ahead is evicted first.  Executors build their
+one needed furthest ahead is evicted first.  The bound is a count set
+from measured Runner bytes (``tracemalloc``, held after one point): a
+Fig. 4 Runner holds ~0.11 MB and the largest, a 128x128 object
+``dna_assay`` Runner, ~7.9 MB.  At 32 it covers every seed the repo's
+own campaigns keep in flight (25 in perfbench's ``fig4_dose``), so none
+of them rebuilds a chip whose seed recurs.  Executors build their
 Runners from point seeds alone; ``Runner.run_batch`` is a plain loop
 over ``Runner.run``.
 """
@@ -104,8 +109,16 @@ class Executor:
 #: A campaign has one distinct seed per replicate, so without a bound a
 #: 10k-replicate Monte Carlo would pin 10k calibrated chips per worker.
 #: Eviction only costs a rebuild (results are seed-pure), never changes
-#: numbers.
-MAX_CACHED_RUNNERS = 16
+#: numbers.  Bytes a Runner holds after one point (``tracemalloc``):
+#: Fig. 4 object ~0.11 MB; 128x128 ``dna_assay`` ~7.9 MB object and
+#: ~0.96 MB vectorized; 128x128 ``neural_recording`` (0.05 s,
+#: vectorized) ~0.84 MB.  So 32 Fig. 4 Runners hold ~3.5 MB, and the
+#: worst case, 32 recurring 128x128 object DNA seeds, ~250 MB.  The
+#: most seeds the repo's own traffic keeps in flight is 25 (perfbench
+#: ``fig4_dose``; the CI campaign-throughput bench at ``--points 64``
+#: has 16, the executor tests' recurring Fig. 4 campaign 17, a
+#: ``service_faulted`` job 2), all under the bound.
+MAX_CACHED_RUNNERS = 32
 
 #: A worker's Runner cache: point seed -> (position of that seed's next
 #: point, Runner).

@@ -286,8 +286,3 @@ class CampaignSpec:
             + (f" ×{self.replicates} replicates" if self.replicates > 1 else "")
             + ">"
         )
-
-
-def campaign_from_dict(data: Mapping[str, Any]) -> CampaignSpec:
-    """Module-level alias mirroring ``spec_from_dict``."""
-    return CampaignSpec.from_dict(data)

@@ -16,6 +16,7 @@ from repro.campaigns import (
     make_executor,
     run_campaign,
 )
+from repro.campaigns import executors
 from repro.campaigns.executors import MAX_CACHED_RUNNERS, _fetch_runner, _next_uses
 from repro.experiments import DnaAssaySpec, Runner, ScreeningSpec
 
@@ -176,8 +177,8 @@ UPSET_FAULTS = FIG4_FAULTS + ({"kind": "register_corrupt", "rate": 0.1},)
 )
 def fig4_recurring(request):
     """2 concentrations x 17 replicates (every seed recurs 17 points
-    later, one past the cache bound) plus each point run alone: its
-    result and the register file its chip is left with."""
+    later) plus each point run alone: its result and the register file
+    its chip is left with."""
     base = BASE.replace(faults=request.param)
     campaign = CampaignSpec(base=base, grid={"concentration": (1e-7, 1e-6)}, replicates=17)
     alone = [
@@ -207,7 +208,9 @@ def chip_builds(monkeypatch):
 
 
 @pytest.mark.parametrize("executor", ["serial", "batched"])
-def test_recurring_seeds_reuse_their_chips(fig4_recurring, chip_builds, executor):
+def test_recurring_seeds_reuse_their_chips(fig4_recurring, chip_builds, executor, monkeypatch):
+    # A bound of 16 sits one below the fixture's 17 recurring seeds.
+    monkeypatch.setattr(executors, "MAX_CACHED_RUNNERS", 16)
     campaign, alone, registers = fig4_recurring
     result = run_campaign(campaign, seed=3, executor=executor)
     # 17 chips for the first concentration; 16 are kept for the second
@@ -216,6 +219,18 @@ def test_recurring_seeds_reuse_their_chips(fig4_recurring, chip_builds, executor
     assert chip_builds[0] == 18
     assert [r.without_artifacts().to_json() for r in result.results()] == alone
     # A faulted point leaves a reused chip's registers as it found them.
+    assert [r.artifacts["chip"].registers.dump() for r in result.results()] == registers
+
+
+@pytest.mark.parametrize("executor", ["serial", "batched"])
+def test_recurring_seeds_build_one_chip_each_at_the_bound(
+    fig4_recurring, chip_builds, executor
+):
+    campaign, alone, registers = fig4_recurring
+    assert MAX_CACHED_RUNNERS >= 17
+    result = run_campaign(campaign, seed=3, executor=executor)
+    assert chip_builds[0] == 17
+    assert [r.without_artifacts().to_json() for r in result.results()] == alone
     assert [r.artifacts["chip"].registers.dump() for r in result.results()] == registers
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.campaigns import CampaignSpec, campaign_from_dict, replicate_seed
+from repro.campaigns import CampaignSpec, replicate_seed
 from repro.experiments import DnaAssaySpec, ScreeningSpec
 
 BASE = DnaAssaySpec(probe_count=4, replicates=4, target_subset=(0, 1))
@@ -171,7 +171,7 @@ def test_campaign_round_trips_through_json():
     )
     back = CampaignSpec.from_json(campaign.to_json())
     assert back == campaign
-    assert campaign_from_dict(json.loads(campaign.to_json())) == campaign
+    assert CampaignSpec.from_dict(json.loads(campaign.to_json())) == campaign
     assert back.base == campaign.base
     assert back.n_points == 4
 

@@ -61,13 +61,6 @@ def test_registry_contains_all_builtin_kinds():
     assert experiment_type("dna_assay") is DnaAssaySpec
 
 
-def test_from_dict_rejects_unknown_fields_and_wrong_kind():
-    with pytest.raises(ValueError, match="unknown fields"):
-        DnaAssaySpec.from_dict({"kind": "dna_assay", "not_a_field": 1})
-    with pytest.raises(ValueError, match="cannot load kind"):
-        DnaAssaySpec.from_dict(ScreeningSpec().to_dict())
-
-
 @pytest.mark.parametrize(
     "factory",
     [

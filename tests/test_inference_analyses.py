@@ -7,7 +7,6 @@ serial- and process-executed campaigns, and across memory vs reloaded
 JSONL stores.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -15,16 +14,13 @@ import pytest
 from repro.campaigns import CampaignSpec, run_campaign
 from repro.experiments import ArrayScaleSpec, DnaAssaySpec
 from repro.inference import (
-    AnalysisSpec,
     DetectionAnalysis,
     DoseResponseAnalysis,
     YieldAnalysis,
-    analysis_from_dict,
     analysis_kinds,
     analysis_type,
     analyze,
     default_analysis_for,
-    register_analysis,
 )
 
 FIG4_CAMPAIGN = CampaignSpec(
@@ -46,27 +42,6 @@ class TestRegistry:
             "detection", "dose_response", "fault_tolerance", "wafer_yield", "yield"
         ]
         assert analysis_type("yield") is YieldAnalysis
-
-    def test_unknown_kind(self):
-        with pytest.raises(KeyError, match="registered kinds"):
-            analysis_type("anova")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-
-            @register_analysis("detection")
-            @dataclasses.dataclass(frozen=True)
-            class Impostor(AnalysisSpec):
-                pass
-
-    def test_non_spec_rejected(self):
-        with pytest.raises(TypeError, match="not an AnalysisSpec"):
-            register_analysis("bogus")(dict)
-
-    def test_round_trip(self):
-        spec = DoseResponseAnalysis(model="hill", n_resamples=123, seed=7)
-        back = analysis_from_dict(json.loads(spec.to_json()))
-        assert back == spec
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="model"):
