@@ -195,4 +195,4 @@ class BatchedExecutor(Executor):
                 for point, result in compiled:
                     yield PointOutcome(point=point, result=result, wall_s=wall_each)
                 start = time.perf_counter()  # repro: allow-wallclock
-        yield from _run_in_order(fallback, capture_errors)
+        yield from _run_in_order({}, fallback, capture_errors)

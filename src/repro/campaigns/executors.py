@@ -10,7 +10,10 @@ are, so the executors are bit-identical per point (the parity tests in
 ``tests/test_campaign_executors.py`` enforce this).
 
 * :class:`SerialExecutor` — runs in the calling thread, one Runner per
-  distinct point seed.
+  distinct point seed.  An instance keeps its Runners from one
+  ``run()`` to the next, one cache per thread, so a long-lived instance
+  (a service job worker's) measures a recurring seed on the chip it
+  already built and calibrated.
 * :class:`ProcessExecutor` — a process pool; each worker process owns
   its own Runners keyed by point seed.  Specs travel as their
   ``to_dict()`` payloads and results come back artifact-free (rich
@@ -20,21 +23,27 @@ are, so the executors are bit-identical per point (the parity tests in
 Every per-point run, in any executor, goes through one timed body
 (:func:`_run_point`) and one plan-aware fetch-or-build
 (:func:`_fetch_runner`): a Runner is kept while its seed recurs later
-in the run order, at most :data:`MAX_CACHED_RUNNERS` of them, and the
-one needed furthest ahead is evicted first.  The bound is a count set
-from measured Runner bytes (``tracemalloc``, held after one point): a
-Fig. 4 Runner holds ~0.11 MB and the largest, a 128x128 object
-``dna_assay`` Runner, ~7.9 MB.  At 32 it covers every seed the repo's
-own campaigns keep in flight (25 in perfbench's ``fig4_dose``), so none
-of them rebuilds a chip whose seed recurs.  Executors build their
-Runners from point seeds alone; ``Runner.run_batch`` is a plain loop
-over ``Runner.run``.
+in the run order, and after its seed's last use as an *idle* entry
+that a later plan may pick up.  At most :data:`MAX_CACHED_RUNNERS` are
+kept; idle entries are evicted first (least recently used), then the
+one needed furthest ahead.  A run that raised drops its Runner, so a
+half-finished point's chip state never reaches a later point.  The
+bound is a count set from measured Runner bytes (``tracemalloc``, held
+after one point): a Fig. 4 Runner holds ~0.11 MB and the largest, a
+128x128 object ``dna_assay`` Runner, ~7.9 MB.  At 32 it covers every
+seed the repo's own campaigns keep in flight (25 in perfbench's
+``fig4_dose``), so none of them rebuilds a chip whose seed recurs, and
+the 2 seeds a ``service_faulted`` job worker sees stay built across
+all of its jobs.  Executors build their Runners from point seeds
+alone; ``Runner.run_batch`` is a plain loop over ``Runner.run``.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Executor as _PoolExecutor
 from concurrent.futures import ProcessPoolExecutor, wait
@@ -112,17 +121,22 @@ class Executor:
 #: numbers.  Bytes a Runner holds after one point (``tracemalloc``):
 #: Fig. 4 object ~0.11 MB; 128x128 ``dna_assay`` ~7.9 MB object and
 #: ~0.96 MB vectorized; 128x128 ``neural_recording`` (0.05 s,
-#: vectorized) ~0.84 MB.  So 32 Fig. 4 Runners hold ~3.5 MB, and the
-#: worst case, 32 recurring 128x128 object DNA seeds, ~250 MB.  The
-#: most seeds the repo's own traffic keeps in flight is 25 (perfbench
-#: ``fig4_dose``; the CI campaign-throughput bench at ``--points 64``
-#: has 16, the executor tests' recurring Fig. 4 campaign 17, a
-#: ``service_faulted`` job 2), all under the bound.
+#: vectorized) ~0.84 MB.  So 32 Fig. 4 Runners hold ~3.5 MB.  Each
+#: Runner keeps at most ``Runner``'s ``MAX_CACHED_SUBSTRATES`` (4)
+#: entries per substrate cache, so the worst case per worker (thread or
+#: process) is 32 Runners x 4 substrates x ~7.9 MB (a 128x128 object
+#: DNA chip with its layout), ~1 GB.  The most seeds the repo's own
+#: traffic keeps in flight is 25 (perfbench ``fig4_dose``; the CI
+#: campaign-throughput bench at ``--points 64`` has 16, the executor
+#: tests' recurring Fig. 4 campaign 17), all under the bound.  A
+#: service job worker keeps its Runners from one job to the next: a
+#: ``service_faulted`` worker holds its 2 seeds' Runners (~0.2 MB).
 MAX_CACHED_RUNNERS = 32
 
 #: A worker's Runner cache: point seed -> (position of that seed's next
-#: point, Runner).
-_RunnerCache = dict[int, tuple[int, Runner]]
+#: point, Runner).  An idle entry, one whose seed has no next point in
+#: the current run, has next use ``math.inf``.
+_RunnerCache = dict[int, tuple[float, Runner]]
 
 
 def _next_uses(points: Sequence[PlanPoint]) -> list[Optional[int]]:
@@ -142,19 +156,22 @@ def _fetch_runner(
 ) -> Runner:
     """Plan-aware fetch-or-build, bounded at :data:`MAX_CACHED_RUNNERS`.
 
-    The Runner for the point at ``position`` is kept only while its seed
-    recurs (``next_use`` is its next position).  Above the bound the
-    Runner needed furthest ahead is evicted, which for a known sequence
-    rebuilds the fewest chips.  An entry whose next use has already
-    passed (a process worker whose peer ran that point) is dropped."""
+    The Runner for the point at ``position`` is kept with ``next_use``
+    (its seed's next position) as its next use, or idle (``math.inf``)
+    after its seed's last use.  An entry whose next use has already
+    passed (a process worker whose peer ran that point) turns idle.
+    Above the bound the entry needed furthest ahead is evicted: idle
+    ones first, the least recently used of them first (dict order),
+    which for a known sequence rebuilds the fewest chips and evicts
+    recurring seeds exactly as a cache without idle entries would."""
     entry = runners.pop(seed, None)
     runner = Runner(seed) if entry is None else entry[1]
-    for stale in [key for key, (use, _) in runners.items() if use < position]:
-        del runners[stale]
-    if next_use is not None:
-        runners[seed] = (next_use, runner)
-        if len(runners) > MAX_CACHED_RUNNERS:
-            del runners[max(runners, key=lambda key: runners[key][0])]
+    for key, (use, stale) in runners.items():
+        if use < position:
+            runners[key] = (math.inf, stale)
+    runners[seed] = (math.inf if next_use is None else next_use, runner)
+    if len(runners) > MAX_CACHED_RUNNERS:
+        del runners[max(runners, key=lambda key: runners[key][0])]
     return runner
 
 
@@ -196,14 +213,16 @@ def _run_point(
     """The one timed-run body of every executor: fetch-or-build the
     Runner for the point's seed, execute, time.  ``capture_errors``
     turns a per-point exception into a failed outcome instead of
-    killing the whole stream."""
+    killing the whole stream.  A run that raised drops its Runner: its
+    chips may be left mid-point, and no later point may see that."""
     runner = _fetch_runner(runners, point.seed, position, next_use)
     result, error = None, None
     start = time.perf_counter()  # repro: allow-wallclock
     try:
         result = runner.run(point.spec, backend=point.backend)
-    except Exception as exc:  # noqa: BLE001 — opted into by capture_errors
-        if not capture_errors:
+    except BaseException as exc:
+        runners.pop(point.seed, None)
+        if not capture_errors or not isinstance(exc, Exception):
             raise
         error = _error_text(exc)
     wall_s = time.perf_counter() - start  # repro: allow-wallclock
@@ -211,17 +230,24 @@ def _run_point(
 
 
 def _run_in_order(
-    points: Sequence[PlanPoint], capture_errors: bool = False
+    runners: _RunnerCache, points: Sequence[PlanPoint], capture_errors: bool = False
 ) -> Iterator[PointOutcome]:
-    """Run ``points`` one by one, in the order given, sharing one
-    plan-aware Runner cache."""
-    runners: _RunnerCache = {}
+    """Run ``points`` one by one, in the order given, through the
+    plan-aware Runner cache ``runners``.  Every entry it already holds
+    turns idle first: positions left by an earlier (or cancelled) run
+    mean nothing in this one."""
+    for seed, (_, runner) in runners.items():
+        runners[seed] = (math.inf, runner)
     for position, (point, next_use) in enumerate(zip(points, _next_uses(points))):
         yield _run_point(runners, point, position, next_use, capture_errors)
 
 
 class SerialExecutor(Executor):
-    """Run every point in the calling thread, in plan order."""
+    """Run every point in the calling thread, in plan order.
+
+    The instance keeps its Runners across ``run()`` calls, one cache
+    per thread, so a thread never touches a chip another thread holds.
+    """
 
     name = "serial"
 
@@ -229,9 +255,14 @@ class SerialExecutor(Executor):
         if workers not in (None, 1):
             raise ValueError("the serial executor has exactly one worker")
         self.workers = 1
+        self._local = threading.local()
 
     def run(self, plan: Plan, *, capture_errors: bool = False) -> Iterator[PointOutcome]:
-        return _run_in_order(plan.points, capture_errors)
+        # The cache is looked up when iteration starts, in the thread
+        # that runs the points.
+        if not hasattr(self._local, "runners"):
+            self._local.runners = {}
+        yield from _run_in_order(self._local.runners, plan.points, capture_errors)
 
 
 # Per-process Runners, keyed by point seed.  Module-level so the

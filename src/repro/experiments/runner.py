@@ -9,7 +9,8 @@ never from call order.  Consequences:
 * expensive substrates (built-and-calibrated chips, probe layouts,
   compound libraries) are cached by the facet of the spec that defines
   them, so a concentration sweep of N assays provisions *one* chip and
-  *one* spotted layout instead of N;
+  *one* spotted layout instead of N (each cache keeps its
+  :data:`MAX_CACHED_SUBSTRATES` most recently used entries);
 * provenance is automatic: every ResultSet records the root seed and
   the stream paths that produced it.
 
@@ -33,6 +34,22 @@ from ..core.rng import SeedTree
 from .results import ResultSet
 from .specs import ExperimentSpec, experiment_type
 from .workloads import resolve_backend, workload_for
+
+#: Per-cache bound on a Runner's substrates (one cache per substrate
+#: kind and backend, e.g. ``dna_chip_object``); the least recently used
+#: entry is evicted first.  A Runner can outlive one campaign (a
+#: service job worker keeps its Runners from job to job), and without a
+#: bound it would keep every chip and layout key it has ever seen.
+#: Eviction only costs a rebuild, never changes numbers.  Traffic: no
+#: Runner in the repo's tests, examples or benchmarks holds more than 2
+#: keys in one cache, so 4 leaves room to alternate between a few chip
+#: configurations.  Bytes (``tracemalloc``, one entry): a Fig. 4 object
+#: chip ~0.09 MB, a 128x128 object DNA chip ~7.8 MB (its layout
+#: ~0.16 MB), a 128x128 vectorized one ~0.81 MB.  The worst case per
+#: executor worker is ``MAX_CACHED_RUNNERS`` (32) Runners x 4 x ~7.9 MB
+#: of 128x128 object DNA chips and layouts, ~1 GB; the repo's own
+#: traffic holds ~3.5 MB (32 Fig. 4 Runners).
+MAX_CACHED_SUBSTRATES = 4
 
 
 @dataclass
@@ -161,11 +178,18 @@ class Runner:
         factory: Callable[[], Any],
         counter: str = "chips",
     ) -> Any:
-        """Fetch-or-build a shared substrate, keeping reuse statistics."""
+        """Fetch-or-build a shared substrate, keeping reuse statistics.
+
+        The cache is a dict in least-recently-used order: a hit moves
+        its entry to the end, and a build first evicts the front entry
+        when :data:`MAX_CACHED_SUBSTRATES` are held."""
         cache = self._caches.setdefault(cache_name, {})
         if key in cache:
             setattr(self.stats, f"{counter}_reused", getattr(self.stats, f"{counter}_reused") + 1)
+            cache[key] = cache.pop(key)
             return cache[key]
+        if len(cache) >= MAX_CACHED_SUBSTRATES:
+            del cache[next(iter(cache))]
         built = factory()
         setattr(self.stats, f"{counter}_built", getattr(self.stats, f"{counter}_built") + 1)
         cache[key] = built

@@ -9,6 +9,14 @@ the manager's :class:`~repro.service.cache.ResultCache`, which is what
 turns overlapping submissions from many clients into mostly cache
 traffic.
 
+Every job on the (default) ``"serial"`` executor runs on the manager's
+one :class:`~repro.campaigns.SerialExecutor`, whose Runners outlive a
+job: each worker thread keeps its own cache of per-seed Runners from
+one job to the next, so a seed that recurs across jobs is measured on
+the chip its worker already built and calibrated, as the paper's chip
+is calibrated once and then measures sample after sample.  No chip is
+shared between threads.
+
 Cancellation is per-point: a cancelled job stops between outcomes,
 flushes what completed to its JSONL directory and leaves it
 *manifest-less* — the shape :func:`resume_campaign` (CLI: ``repro sweep
@@ -36,6 +44,7 @@ from ..campaigns import (
     Plan,
     PointOutcome,
     PreparedCampaign,
+    SerialExecutor,
     make_store,
     prepare_campaign,
     read_campaign_sidecar,
@@ -162,6 +171,9 @@ class JobManager:
         self.root = None if root is None else Path(root)
         self.workers = int(workers)
         self.max_finished = max_finished
+        # One executor for every "serial" job: its per-thread Runner
+        # caches are what keep a worker's chips from one job to the next.
+        self._serial = SerialExecutor()
         self._jobs: "dict[str, Job]" = {}
         self._order: list[str] = []
         self._lock = threading.Lock()
@@ -207,6 +219,8 @@ class JobManager:
                 f"campaign has {campaign.n_points} points; a job takes at most "
                 f"{MAX_CAMPAIGN_POINTS} — split it into smaller campaigns"
             )
+        if executor == "serial" and workers in (None, 1):
+            executor = self._serial
         prepared = prepare_campaign(
             campaign,
             seed=seed,

@@ -33,3 +33,19 @@ def small_array():
     array = NeuralArrayModel(ArrayGeometry(16, 16, 7.8e-6), rng=99)
     array.calibrate()
     return array
+
+
+@pytest.fixture
+def chip_builds(monkeypatch):
+    """Count DNA chip builds (either backend) through a one-item list."""
+    from repro.experiments import workloads
+
+    calls = [0]
+    build = workloads._build_dna_chip
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(workloads, "_build_dna_chip", counted)
+    return calls

@@ -5,6 +5,8 @@ The acceptance bar for the campaign subsystem: a ≥64-point campaign
 every executor, at any worker count, on both compute backends.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -127,25 +129,48 @@ def test_runner_cache_is_bounded():
     campaign = CampaignSpec(
         base=BASE, grid={"concentration": (1e-8, 1e-7, 1e-6)}, replicates=replicates
     )
-    sizes = [len(runners) for runners in _walk_cache(campaign.compile(seed=5))]
+    plan = campaign.compile(seed=5)
+    sizes = []
+    for runners in _walk_cache(plan):
+        sizes.append(len(runners))
     assert max(sizes) == MAX_CACHED_RUNNERS
-    # Nothing recurs after the last round, so nothing stays cached.
-    assert sizes[-1] == 0
+    # Nothing recurs after the last round: the cache ends full of idle
+    # Runners, the last round's most recent seeds.
+    assert all(use == math.inf for use, _ in runners.values())
+    last_round = [point.seed for point in plan.points[-replicates:]]
+    assert list(runners) == last_round[-MAX_CACHED_RUNNERS:]
 
 
-def test_runner_cache_keeps_a_runner_only_while_its_seed_recurs():
+def test_runner_cache_keeps_a_runner_idle_after_its_seeds_last_use():
     runners = {}
     once = _fetch_runner(runners, 7, position=0, next_use=None)
-    assert once.seed == 7 and runners == {}
+    assert once.seed == 7 and runners == {7: (math.inf, once)}
     again = _fetch_runner(runners, 8, position=1, next_use=4)
-    assert runners == {8: (4, again)}
+    assert runners == {7: (math.inf, once), 8: (4, again)}
     assert _fetch_runner(runners, 8, position=4, next_use=None) is again
-    assert runners == {}
+    assert runners == {7: (math.inf, once), 8: (math.inf, again)}
     # A Runner whose next point already passed (a peer worker ran it)
-    # is dropped at the next fetch.
-    _fetch_runner(runners, 9, position=5, next_use=6)
+    # turns idle at the next fetch.
+    nine = _fetch_runner(runners, 9, position=5, next_use=6)
     _fetch_runner(runners, 10, position=7, next_use=9)
-    assert list(runners) == [10]
+    assert runners[9] == (math.inf, nine) and runners[10][0] == 9
+    # An idle Runner is picked up when its seed comes back.
+    assert _fetch_runner(runners, 7, position=8, next_use=None) is once
+
+
+def test_runner_cache_evicts_idle_runners_before_any_recurring_one():
+    runners = {}
+    for seed in range(MAX_CACHED_RUNNERS - 2):
+        _fetch_runner(runners, seed, position=seed, next_use=1000 + seed)
+    _fetch_runner(runners, 100, position=50, next_use=None)
+    _fetch_runner(runners, 101, position=51, next_use=None)
+    assert len(runners) == MAX_CACHED_RUNNERS
+    # A recurring newcomer evicts the least recently used idle Runner,
+    # even though every recurring one is needed further ahead.
+    _fetch_runner(runners, 102, position=52, next_use=60)
+    assert 100 not in runners and 101 in runners and 102 in runners
+    _fetch_runner(runners, 103, position=53, next_use=61)
+    assert 101 not in runners and len(runners) == MAX_CACHED_RUNNERS
 
 
 def test_runner_cache_evicts_the_runner_needed_furthest_ahead():
@@ -159,6 +184,31 @@ def test_runner_cache_evicts_the_runner_needed_furthest_ahead():
     # A newcomer needed later than everything cached is not kept at all.
     _fetch_runner(runners, 98, position=MAX_CACHED_RUNNERS + 1, next_use=1000)
     assert 98 not in runners and len(runners) == MAX_CACHED_RUNNERS
+
+
+def test_a_run_forgets_the_plan_positions_of_an_earlier_run():
+    # An entry left by a cancelled plan, "needed" at its old position 10.
+    held = Runner(99)
+    runners = {99: (10, held)}
+    plan = CampaignSpec(base=BASE, grid={"concentration": (1e-8,)}, replicates=2).compile(0)
+    list(executors._run_in_order(runners, plan.points))
+    assert runners[99] == (math.inf, held)
+    assert all(use == math.inf for use, _ in runners.values()) and len(runners) == 3
+
+
+def test_run_campaign_keeps_no_runner_across_calls(chip_builds):
+    campaign = CampaignSpec(base=BASE, grid={"concentration": (1e-8,)}, replicates=2)
+    for _ in range(2):
+        run_campaign(campaign, seed=1, executor="serial")
+    assert chip_builds[0] == 4
+
+
+def test_a_serial_executor_keeps_its_runners_across_runs(chip_builds):
+    executor = SerialExecutor()
+    campaign = CampaignSpec(base=BASE, grid={"concentration": (1e-8,)}, replicates=2)
+    for _ in range(2):
+        run_campaign(campaign, seed=1, executor=executor)
+    assert chip_builds[0] == 2
 
 
 #: The fault schedule of the end-to-end benchmark's faulted Fig. 4 points
@@ -190,21 +240,6 @@ def fig4_recurring(request):
         [r.without_artifacts().to_json() for r in alone],
         [r.artifacts["chip"].registers.dump() for r in alone],
     )
-
-
-@pytest.fixture
-def chip_builds(monkeypatch):
-    from repro.experiments import workloads
-
-    calls = [0]
-    build = workloads._build_dna_chip
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(workloads, "_build_dna_chip", counted)
-    return calls
 
 
 @pytest.mark.parametrize("executor", ["serial", "batched"])

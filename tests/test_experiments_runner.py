@@ -12,6 +12,7 @@ from repro.experiments import (
     Runner,
     ScreeningSpec,
 )
+from repro.experiments.runner import MAX_CACHED_SUBSTRATES
 
 SMALL_DNA = DnaAssaySpec(probe_count=4, replicates=4, target_subset=(0, 1))
 SMALL_NEURAL = NeuralRecordingSpec(
@@ -235,3 +236,35 @@ def test_clear_caches_forces_rebuilds_but_not_different_results():
     assert second.artifacts["chip"] is not first.artifacts["chip"]
     # Streams derive from (root, path), so the rebuild is bit-identical.
     np.testing.assert_array_equal(first.column("count"), second.column("count"))
+
+
+# ---------------------------------------------------------------------------
+# Substrate cache bound
+# ---------------------------------------------------------------------------
+def test_provision_evicts_the_least_recently_used_substrate_at_the_bound():
+    runner = Runner(seed=1)
+    keys = [f"chip-{n}" for n in range(MAX_CACHED_SUBSTRATES)]
+    for key in keys:
+        runner._provision("toy", key, lambda key=key: key)
+    # A hit rebuilds nothing and makes its entry the most recently used.
+    assert runner._provision("toy", keys[0], lambda: pytest.fail("rebuilt a hit")) == keys[0]
+    runner._provision("toy", "newcomer", lambda: "newcomer")
+    assert list(runner._caches["toy"]) == keys[2:] + [keys[0], "newcomer"]
+    assert runner.stats.chips_built == MAX_CACHED_SUBSTRATES + 1
+    assert runner.stats.chips_reused == 1
+
+
+def test_an_evicted_chip_rebuilds_to_the_same_bits():
+    runner = Runner(seed=1)
+    first = runner.run(SMALL_DNA)
+    # As many other bias points as the cache holds push the first chip out.
+    for step in range(1, MAX_CACHED_SUBSTRATES + 1):
+        runner.run(SMALL_DNA.replace(v_generator=0.45 + 0.01 * step))
+    rebuilt = runner.run(SMALL_DNA.replace(concentration=1e-6))
+    assert runner.stats.chips_built == MAX_CACHED_SUBSTRATES + 2
+    assert rebuilt.artifacts["chip"] is not first.artifacts["chip"]
+    retaining = Runner(seed=1)
+    retaining.run(SMALL_DNA)
+    retained = retaining.run(SMALL_DNA.replace(concentration=1e-6))
+    assert retaining.stats.chips_built == 1
+    assert rebuilt.without_artifacts().to_json() == retained.without_artifacts().to_json()

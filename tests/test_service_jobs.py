@@ -1,11 +1,15 @@
 """Job manager: submit/status/cancel, resume parity."""
 
 import json
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.campaigns import CampaignSpec, run_campaign
+from repro.chip import DnaMicroarrayChip
+from repro.chip.serial_interface import TRANSCRIPT_ENTRIES
 from repro.experiments import AdcTransferSpec, DnaAssaySpec, Runner
 from repro.service import (
     JOB_STATES,
@@ -168,6 +172,148 @@ def test_job_states_is_the_full_vocabulary(manager):
     manager.wait(job.id, timeout=60)
     assert job.status in JOB_STATES
     assert all(state in JOB_STATES for state in ("queued", "running", "cancelled"))
+
+
+# ---------------------------------------------------------------------------
+# Runners kept across jobs
+# ---------------------------------------------------------------------------
+#: The fault schedule of the end-to-end benchmark's faulted Fig. 4 points.
+FIG4_FAULTS = (
+    {"kind": "serial_bitflip", "rate": 0.3, "n_flips": 2},
+    {"kind": "stuck_pixel", "rate": 0.02},
+)
+#: Register upsets too: a reused chip depends on the readout's scrub.
+UPSET_FAULTS = FIG4_FAULTS + ({"kind": "register_corrupt", "rate": 0.1},)
+
+
+def _run_job(manager, campaign, seed=1):
+    """Submit ``campaign`` and wait for it to finish."""
+    job = manager.wait(manager.submit(campaign, seed=seed).id, timeout=60)
+    assert job.status == "done", job.error
+    return job
+
+
+@pytest.mark.parametrize(
+    "faults", [(), FIG4_FAULTS, UPSET_FAULTS], ids=["clean", "faulted", "upsets"]
+)
+def test_a_job_worker_keeps_each_seeds_chip_across_jobs(faults, chip_builds):
+    base = BASE.replace(faults=faults)
+    campaigns = [
+        CampaignSpec(base=base, grid={"concentration": grid}, replicates=2)
+        for grid in ((1e-7, 1e-6), (1e-5, 1e-8))
+    ]
+    manager = JobManager(workers=1)  # no result cache: every point runs
+    jobs, registers = [], []
+    try:
+        for campaign in campaigns:
+            job = _run_job(manager, campaign)
+            jobs.append(job)
+            registers.append([r.artifacts["chip"].registers.dump() for r in job.result.results()])
+    finally:
+        manager.shutdown()
+    # Both jobs use the same 2 replicate seeds: one chip build each.
+    assert chip_builds[0] == 2
+    for job, dumps in zip(jobs, registers):
+        for point, result, dump in zip(job.prepared.plan, job.result.results(), dumps):
+            alone = Runner(point.seed).run(point.spec, backend=point.backend)
+            assert result.without_artifacts().to_json() == alone.without_artifacts().to_json()
+            # The reused chip leaves every job as a fresh one leaves its point.
+            assert dump == alone.artifacts["chip"].registers.dump()
+    first, second = (job.result.results() for job in jobs)
+    assert all(a.artifacts["chip"] is b.artifacts["chip"] for a, b in zip(first, second))
+
+
+def test_job_workers_never_share_a_runner(monkeypatch):
+    original = Runner.run
+    holders: dict[int, tuple[Runner, set]] = {}
+    lock = threading.Lock()
+    workers = 3  # more threads than a 2-core runner has cores
+    # Each worker's first run waits for all the others', so every
+    # worker runs jobs on the same seeds at the same time.
+    all_running = threading.Barrier(workers, timeout=30)
+    started = threading.local()
+
+    def recording_run(self, *args, **kwargs):
+        with lock:
+            holders.setdefault(id(self), (self, set()))[1].add(threading.get_ident())
+        if not getattr(started, "done", False):
+            started.done = True
+            all_running.wait()
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Runner, "run", recording_run)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    manager = JobManager(workers=workers)
+    try:
+        with pytest.raises(ValueError, match="exactly one worker"):
+            manager.submit(CAMPAIGN, seed=1, executor="serial", workers=2)
+        jobs = [manager.submit(CAMPAIGN, seed=1) for _ in range(2 * workers)]
+        for job in jobs:
+            manager.wait(job.id, timeout=60)
+    finally:
+        manager.shutdown()
+        sys.setswitchinterval(interval)
+    assert all(job.status == "done" for job in jobs)
+    threads = [held for _, held in holders.values()]
+    assert len(set().union(*threads)) == workers
+    assert all(len(held) == 1 for held in threads)
+
+
+def test_a_run_that_raised_drops_its_runner(monkeypatch, chip_builds):
+    original = DnaMicroarrayChip.measure_assay
+    raised_on = []
+
+    def raises_once(self, *args, **kwargs):
+        counts = original(self, *args, **kwargs)
+        if not raised_on:
+            raised_on.append(self)  # the chip is left mid-point
+            raise RuntimeError("readout lost")
+        return counts
+
+    monkeypatch.setattr(DnaMicroarrayChip, "measure_assay", raises_once)
+    campaign = CampaignSpec(base=BASE, grid={"concentration": (1e-7, 1e-6)})  # one seed
+    manager = JobManager(workers=1)
+    try:
+        failing = manager.wait(manager.submit(campaign, seed=1).id, timeout=60)
+        assert [entry["point"] for entry in failing.failed_points] == [0]
+        later = _run_job(manager, campaign)
+    finally:
+        manager.shutdown()
+    # The failed point's chip was dropped; its second point built a new
+    # one, which the next job reuses.
+    assert chip_builds[0] == 2
+    chips = [r.artifacts["chip"] for r in later.result.results()]
+    assert chips[0] is chips[1] is failing.result.results()[0].artifacts["chip"]
+    assert raised_on[0] is not chips[0]
+    alone = [Runner(1).run(point.spec) for point in later.prepared.plan]
+    assert [r.without_artifacts().to_json() for r in later.result.results()] == [
+        r.without_artifacts().to_json() for r in alone
+    ]
+
+
+def test_a_chip_kept_for_50_jobs_holds_flat_state():
+    base = BASE.replace(faults=UPSET_FAULTS)
+    concentrations = (1e-8, 1e-7, 1e-6, 1e-5)
+    manager = JobManager(workers=1)
+    chips, transcripts, registers = set(), [], []
+    try:
+        for n in range(50):
+            grid = {"concentration": concentrations[n % 4 :] + concentrations[: n % 4]}
+            job = _run_job(manager, CampaignSpec(base=base, grid=grid))
+            results = job.result.results()
+            chips.update(id(result.artifacts["chip"]) for result in results)
+            chip = results[-1].artifacts["chip"]
+            transcripts.append(len(chip.link.transcript))
+            registers.append(chip.registers.dump())
+    finally:
+        manager.shutdown()
+    assert len(chips) == 1
+    # The link keeps only its latest entries: once the kept chip has
+    # filled them, its transcript stops growing.
+    assert transcripts == sorted(transcripts)
+    assert transcripts[-10:] == [TRANSCRIPT_ENTRIES] * 10
+    assert all(dump == registers[0] for dump in registers)
 
 
 # ---------------------------------------------------------------------------
