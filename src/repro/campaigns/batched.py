@@ -50,7 +50,6 @@ from ..experiments.workloads import (
     _build_neuro_chip,
     array_scale_unit_results,
     neural_records_and_metrics,
-    workload_for,
 )
 from ..neuro.culture import Culture
 from .executors import Executor, PointOutcome, _run_in_order
@@ -90,7 +89,7 @@ def _compile_array_scale(points: list) -> Iterator[list]:
     """Every chunk of points drawn, calibrated and counted as one chip
     stack by the engine, then folded into per-point results."""
     spec = points[0].spec
-    plan = workload_for(spec.kind).stream_plan(spec)
+    plan = spec.stream_plan()
     for chunk in stack_chunks(points, spec.n_chips * spec.rows * spec.cols):
         unit_streams = [plan.generators(point.seed) for point in chunk]
         params, peripheries = draw_array_scale(spec, unit_streams)
@@ -106,7 +105,7 @@ def _compile_neural(points: list) -> Iterator[list]:
     sweep (the per-step cost is flat in the neuron count), then each
     point's frames synthesised and scored on its own streams."""
     spec = points[0].spec
-    plan = workload_for(spec.kind).stream_plan(spec)
+    plan = spec.stream_plan()
     chunk_points = max(1, NEURAL_CHUNK_NEURONS // max(1, spec.n_neurons))
     for start in range(0, len(points), chunk_points):
         prepared: list = []

@@ -26,28 +26,21 @@ override, then the campaign's ``backend``, then the spec's own
 from __future__ import annotations
 
 import dataclasses
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from ..core.rng import stable_entropy
+from ..core.specs import Spec
+from ..core.values import plain
 from ..experiments.specs import BACKENDS, ExperimentSpec, spec_from_dict
 from ..experiments.workloads import resolve_backend
 
 
-def _normalize_axis_value(value: Any) -> Any:
-    """Strip numpy scalar/array types from axis values at construction,
-    so specs built from them serialize (content_hash, JSONL lines,
-    manifests) without 'int64 is not JSON serializable' surprises."""
-    import numpy as np
-
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return tuple(_normalize_axis_value(item) for item in value)
-    if isinstance(value, (list, tuple)):
-        return type(value)(_normalize_axis_value(item) for item in value)
+def _field_value(value: Any) -> Any:
+    """A plain axis value as a spec field holds it: sequences as tuples."""
+    if isinstance(value, list):
+        return tuple(_field_value(entry) for entry in value)
     return value
 
 
@@ -69,8 +62,13 @@ def replicate_seed(root: int, replicate: int) -> int:
 
 
 @dataclass(frozen=True)
-class CampaignSpec:
-    """A declarative, serializable sweep over one experiment kind."""
+class CampaignSpec(Spec):
+    """A declarative, serializable sweep over one experiment kind.
+
+    It shares the spec base's JSON, ``replace`` and ``spec_hash``; its
+    own ``to_dict`` / ``from_dict`` nest the base spec and carry no
+    ``kind``.
+    """
 
     base: ExperimentSpec
     grid: Mapping[str, tuple] = field(default_factory=dict)
@@ -91,22 +89,14 @@ class CampaignSpec:
                         f"{axis} axis {key!r} must be a sequence of values, "
                         f"got the single value {values!r} — wrap it in a list"
                     )
-        object.__setattr__(
-            self,
-            "grid",
-            {
-                key: tuple(_normalize_axis_value(value) for value in values)
-                for key, values in dict(self.grid).items()
-            },
-        )
-        object.__setattr__(
-            self,
-            "zip",
-            {
-                key: tuple(_normalize_axis_value(value) for value in values)
-                for key, values in dict(self.zip).items()
-            },
-        )
+        # Plain axis values: specs built from them serialize (content
+        # hash, JSONL lines, manifests) with no NumPy types inside.
+        for axis in ("grid", "zip"):
+            values = {
+                key: tuple(_field_value(plain(value)) for value in values)
+                for key, values in dict(getattr(self, axis)).items()
+            }
+            object.__setattr__(self, axis, values)
         field_names = {f.name for f in dataclasses.fields(self.base)}
         for axis, mapping in (("grid", self.grid), ("zip", self.zip)):
             # Dotted axes ("faults.rate") sweep one sub-field across
@@ -209,12 +199,6 @@ class CampaignSpec:
         points = []
         index = 0
         for assignment in self.assignments():
-            # Lists arrive from JSON campaigns / CLI axes; specs store
-            # sequence fields as tuples (mirrors ExperimentSpec.from_dict).
-            assignment = {
-                key: tuple(value) if isinstance(value, list) else value
-                for key, value in assignment.items()
-            }
             direct = {key: v for key, v in assignment.items() if "." not in key}
             spec = self.base.replace(**direct) if direct else self.base
             for key, value in assignment.items():
@@ -267,13 +251,6 @@ class CampaignSpec:
         if unknown:
             raise ValueError(f"unknown campaign fields: {sorted(unknown)}")
         return cls(base=spec_from_dict(dict(base)), **payload)
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "CampaignSpec":
-        return cls.from_dict(json.loads(payload))
 
     def summary(self) -> str:
         axes = ", ".join(

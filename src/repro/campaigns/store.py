@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Optional, Sequence, Union
 
+from ..core.values import plain
 from ..experiments.results import ResultSet
 from .executors import PointOutcome
 from .plan import Plan
@@ -123,8 +124,6 @@ _SCALARS = (bool, int, float, str)
 
 
 def _outcome_meta(outcome: PointOutcome) -> dict[str, Any]:
-    import numpy as np
-
     meta = outcome.point.describe()
     meta["wall_s"] = float(outcome.wall_s)
     meta["n_records"] = outcome.result.n_records
@@ -133,8 +132,7 @@ def _outcome_meta(outcome: PointOutcome) -> dict[str, Any]:
     # (np.int64 sums etc. from custom workloads) count as scalars too.
     metrics: dict[str, Any] = {}
     for name, value in outcome.result.metrics.items():
-        if isinstance(value, np.generic):
-            value = value.item()
+        value = plain(value)
         if isinstance(value, _SCALARS):
             metrics[name] = value
     meta["metrics"] = metrics

@@ -6,7 +6,9 @@ and no RNG objects, so the same spec can be re-run, swept, hashed or
 shipped over the wire as plain JSON.  Each family keeps one
 :class:`KindRegistry`, which is what makes tooling round trip
 ``spec -> to_dict() -> registry.from_dict()`` without knowing the
-concrete type up front.
+concrete type up front.  A spec may also declare facets (slices of its
+fields, :class:`Facet`) that :meth:`Spec.facet` renders as frozen JSON
+text through the one value normalizer, :func:`repro.core.values.plain`.
 """
 
 from __future__ import annotations
@@ -14,31 +16,33 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Generic, Mapping, Optional, TypeVar
+from typing import Any, Callable, ClassVar, Generic, Mapping, NamedTuple, Optional, TypeVar
+
+from .values import plain
 
 
-def _plain(value: Any) -> Any:
-    """JSON-safe field value: tuples -> lists, numpy scalars/arrays ->
-    Python values (recursively).
+class Facet(NamedTuple):
+    """A declared slice of a spec that keys shared streams and caches.
 
-    ``replace(rows=np.int64(32))`` is a natural thing to write in a
-    sweep; without this, ``to_dict`` would leak the numpy type and the
-    payload would either fail to serialize (np.int64) or serialize but
-    round-trip to a differently-typed spec.  Duck-typed on ``.item()``
-    / ``.tolist()`` so this module stays numpy-import-free.
+    ``Facet("dna_chip", ("rows", "cols"))`` renders
+    ``{"cols": ..., "kind": "dna_chip", "rows": ...}``.  A facet built by
+    :func:`all_fields_except` (``tag`` ``None``) renders the whole
+    ``to_dict()``, tagged with the spec's own kind, minus ``fields``.
     """
-    if isinstance(value, (list, tuple)):
-        return [_plain(entry) for entry in value]
-    item = getattr(value, "item", None)
-    if item is not None and getattr(value, "shape", None) == ():
-        return item()
-    tolist = getattr(value, "tolist", None)
-    if tolist is not None:
-        return _plain(tolist())
-    return value
+
+    tag: Optional[str]
+    fields: tuple[str, ...]
+
+
+def all_fields_except(*fields: str) -> Facet:
+    """The facet of every field but ``fields`` (analysis-only knobs)."""
+    return Facet(None, fields)
 
 
 SpecT = TypeVar("SpecT", bound="Spec")
+
+#: ``json.dumps(value, sort_keys=True)``, without an encoder built per call.
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -46,11 +50,13 @@ class Spec:
     """Common serialization / hashing machinery for every spec family."""
 
     kind: ClassVar[str] = ""
+    #: ``name -> Facet``: the slices :meth:`facet` renders.
+    facets: ClassVar[Mapping[str, Facet]] = {}
 
     def to_dict(self) -> dict[str, Any]:
         data: dict[str, Any] = {"kind": self.kind}
         for field in dataclasses.fields(self):
-            data[field.name] = _plain(getattr(self, field.name))
+            data[field.name] = plain(getattr(self, field.name))
         return data
 
     @classmethod
@@ -71,6 +77,34 @@ class Spec:
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+    @classmethod
+    def from_json(cls: type[SpecT], payload: str) -> SpecT:
+        return cls.from_dict(json.loads(payload))
+
+    def facet(self, name: str) -> str:
+        """The declared facet ``name`` as frozen JSON text.
+
+        Frozen format: facet strings seed random streams and key shared
+        substrates (chips, layouts, libraries), so their bytes never
+        change without changing every downstream random number.
+        """
+        try:
+            tag, fields = self.facets[name]
+        except KeyError:
+            raise KeyError(
+                f"{type(self).__name__} declares no facet {name!r}; "
+                f"declared: {sorted(self.facets)}"
+            ) from None
+        if tag is None:
+            data = self.to_dict()
+            for excluded in fields:
+                del data[excluded]
+        else:
+            data = {"kind": tag}
+            for field in fields:
+                data[field] = plain(getattr(self, field))
+        return _SORTED_JSON.encode(data)
 
     def replace(self: SpecT, **changes: Any) -> SpecT:
         """Functional update — the idiom for sweeps:

@@ -18,6 +18,8 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from ..core.values import plain
+
 
 @dataclass
 class ResultSet:
@@ -88,7 +90,7 @@ class ResultSet:
             # load would flip int columns carrying floats-as-json back
             # to float64 and string columns to '<U..' instead of object.
             "dtypes": {name: _dtype_token(column) for name, column in self.records.items()},
-            "metrics": {name: _as_python(value) for name, value in self.metrics.items()},
+            "metrics": {name: plain(value) for name, value in self.metrics.items()},
             # Traceless payloads stay byte-identical to pre-trace ones.
             **({"trace": self.trace.to_dict()} if self.trace is not None else {}),
         }
@@ -217,21 +219,12 @@ def stack_metrics(
     return {name: np.asarray([r.metrics[name] for r in results]) for name in names}
 
 
-def _as_python(value: Any) -> Any:
-    """Strip numpy scalar types so json serialization round-trips."""
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_as_python(item) for item in value]
-    return value
-
-
 def _plain_column(column: Any) -> list:
-    """``[_as_python(v) for v in column]``, in C for non-object arrays
-    (``tolist`` leaves NumPy scalars inside object arrays)."""
+    """``plain(column)``, with one C-speed ``tolist`` for a non-object
+    array (whose elements ``tolist`` already makes plain)."""
     if isinstance(column, np.ndarray) and column.dtype != object:
         return column.tolist()
-    return [_as_python(value) for value in column]
+    return plain(column)
 
 
 def _dtype_token(column: np.ndarray) -> str:

@@ -130,7 +130,7 @@ class Runner:
         spec = self._coerce_spec(spec, params)
         resolved_backend = resolve_backend(spec, backend)
         workload = workload_for(spec.kind)
-        plan = workload.stream_plan(spec)
+        plan = spec.stream_plan()
         rngs = plan.generators(self.seed)
         self._current_seeds = plan.provenance(self.seed)
         # Save-and-restore so a workload that re-enters run() (composite

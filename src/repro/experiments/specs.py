@@ -10,16 +10,25 @@ Every spec class registers under a string ``kind`` in
 :data:`EXPERIMENTS` (a :class:`~repro.core.specs.KindRegistry`), so
 tooling can round trip ``spec -> to_dict() -> spec_from_dict()``
 without knowing the concrete type up front.
+
+Each class also declares, next to its fields, the random streams its
+workload draws: ``facets`` names the slices of the spec that key shared
+substrates (a chip configuration, a probe panel, a compound library),
+and ``streams`` maps each stream to ``(domain, facet)`` or ``(domain,
+CONTENT_HASH)``.  The bases render both (:meth:`~repro.core.specs.Spec
+.facet`, :meth:`ExperimentSpec.stream_paths`), so paired experiments
+(one chip, many concentrations; CMOS vs conventional on one library)
+share exactly the streams their facets share.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, ClassVar, Mapping, Optional
 
-from ..core.specs import KindRegistry, Spec
+from ..core.rng import StreamPlan
+from ..core.specs import Facet, KindRegistry, Spec, all_fields_except
 
 #: Compute backends an experiment can run on.  ``"object"`` is the
 #: per-pixel reference model; ``"vectorized"`` routes array hot paths
@@ -28,12 +37,19 @@ from ..core.specs import KindRegistry, Spec
 #: spec validation and workload registrations alike.
 BACKENDS = ("object", "vectorized")
 
+#: The key of a stream seeded by the whole spec rather than one facet.
+CONTENT_HASH = "content_hash"
+
 
 @dataclass(frozen=True)
 class ExperimentSpec(Spec):
-    """Base of every experiment kind: adds the frozen stream-seeding
-    :meth:`content_hash` to the shared :class:`~repro.core.specs.Spec`
-    machinery."""
+    """Base of every experiment kind: adds the declared random streams
+    and the frozen stream-seeding :meth:`content_hash` to the shared
+    :class:`~repro.core.specs.Spec` machinery."""
+
+    #: ``stream name -> (domain, facet name or CONTENT_HASH)``: every
+    #: random stream the kind's workload draws from.
+    streams: ClassVar[Mapping[str, tuple[str, str]]] = {}
 
     def content_hash(self) -> str:
         """Stable hex digest of the full spec content (seeds streams).
@@ -45,6 +61,27 @@ class ExperimentSpec(Spec):
         wrappers and representation details.
         """
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+
+    def stream_paths(self) -> dict[str, tuple[str, str, str]]:
+        """Each declared stream's seed-tree path, ``(domain, name, key)``.
+
+        The key is the stream's facet, so specs sharing a facet (one
+        chip configuration, one probe panel, one compound library) draw
+        identical streams for it, or the full :meth:`content_hash`, so
+        distinct experiments get independent noise.
+        """
+        keys: dict[str, str] = {}
+        paths = {}
+        for name, (domain, facet) in self.streams.items():
+            if facet not in keys:
+                keys[facet] = self.content_hash() if facet == CONTENT_HASH else self.facet(facet)
+            paths[name] = (domain, name, keys[facet])
+        return paths
+
+    def stream_plan(self) -> StreamPlan:
+        """The spec's streams, hashed once for any root seed: what the
+        Runner, the batched executor and the wafer tiler draw from."""
+        return StreamPlan(self.stream_paths())
 
 
 #: The registry is what makes the front door string-addressable:
@@ -104,6 +141,37 @@ class DnaAssaySpec(ExperimentSpec):
     frame_s: float = 1.0
     faults: tuple = ()
 
+    facets = {
+        # Specs with one chip facet share one built-and-calibrated chip.
+        "chip": Facet(
+            "dna_chip",
+            ("rows", "cols", "v_generator", "v_collector", "calibrate", "calibration_frame_s"),
+        ),
+        # Sweeps over sample composition keep the same spotted layout
+        # (and therefore comparable sites).
+        "layout": Facet(
+            "dna_layout",
+            (
+                "rows",
+                "cols",
+                "panel",
+                "probe_count",
+                "probe_length",
+                "replicates",
+                "control_every",
+                "mismatch_counts",
+            ),
+        ),
+    }
+    streams = {
+        "chip": ("dna", "chip"),
+        "calibration": ("dna", "chip"),
+        "layout": ("dna", "layout"),
+        "measure": ("dna", CONTENT_HASH),
+        # The fault schedule is part of the experiment, not of a facet.
+        "faults": ("dna", CONTENT_HASH),
+    }
+
     def __post_init__(self) -> None:
         from ..faults.specs import normalize_faults
 
@@ -139,42 +207,14 @@ class DnaAssaySpec(ExperimentSpec):
             data.pop("faults", None)
         return data
 
-    def chip_key(self) -> str:
-        """The chip-configuration facet of the spec.
-
-        Two specs with the same chip key can share one built-and-
-        calibrated chip instance; the Runner batches on this.
-        """
-        return json.dumps(
-            {
-                "kind": "dna_chip",
-                "rows": self.rows,
-                "cols": self.cols,
-                "v_generator": self.v_generator,
-                "v_collector": self.v_collector,
-                "calibrate": self.calibrate,
-                "calibration_frame_s": self.calibration_frame_s,
-            },
-            sort_keys=True,
-        )
-
-    def layout_key(self) -> str:
-        """The probe-panel facet: sweeps over sample composition keep
-        the same spotted layout (and therefore comparable sites)."""
-        return json.dumps(
-            {
-                "kind": "dna_layout",
-                "rows": self.rows,
-                "cols": self.cols,
-                "panel": self.panel,
-                "probe_count": self.probe_count,
-                "probe_length": self.probe_length,
-                "replicates": self.replicates,
-                "control_every": self.control_every,
-                "mismatch_counts": list(self.mismatch_counts),
-            },
-            sort_keys=True,
-        )
+    def stream_paths(self) -> dict[str, tuple[str, str, str]]:
+        """Like the base, but the fault stream exists only when faults
+        do: zero-fault specs keep their historical stream set (and
+        ResultSet seed provenance) byte-identical."""
+        paths = super().stream_paths()
+        if not self.faults:
+            del paths["faults"]
+        return paths
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +236,18 @@ class NeuralRecordingSpec(ExperimentSpec):
     threshold_sigma: float = 4.5
     tolerance_s: float = 3e-3
 
+    facets = {
+        "chip": Facet("neuro_chip", ("rows", "cols", "pitch_m")),
+        # Everything but the detection knobs: a threshold/tolerance sweep
+        # re-scores the same culture and recording (paired comparison).
+        "physics": all_fields_except("threshold_sigma", "tolerance_s"),
+    }
+    streams = {
+        "chip": ("neuro", "chip"),
+        "culture": ("neuro", "physics"),
+        "record": ("neuro", "physics"),
+    }
+
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1 or self.pitch_m <= 0:
             raise ValueError("invalid array geometry")
@@ -208,26 +260,6 @@ class NeuralRecordingSpec(ExperimentSpec):
             raise ValueError("duration and firing rate must be positive")
         if self.threshold_sigma <= 0 or self.tolerance_s <= 0:
             raise ValueError("detection parameters must be positive")
-
-    def chip_key(self) -> str:
-        return json.dumps(
-            {
-                "kind": "neuro_chip",
-                "rows": self.rows,
-                "cols": self.cols,
-                "pitch_m": self.pitch_m,
-            },
-            sort_keys=True,
-        )
-
-    def physics_key(self) -> str:
-        """The simulation facet: everything except the detection
-        analysis knobs, so a threshold/tolerance sweep re-scores the
-        same culture and recording (paired comparison)."""
-        data = self.to_dict()
-        for analysis_only in ("threshold_sigma", "tolerance_s"):
-            data.pop(analysis_only)
-        return json.dumps(data, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -247,21 +279,14 @@ class ScreeningSpec(ExperimentSpec):
     viable_rate: float = 1e-4
     cmos: bool = False
 
+    facets = {"library": Facet("compound_library", ("library_size", "viable_rate"))}
+    streams = {"library": ("screening", "library"), "funnel": ("screening", "library")}
+
     def __post_init__(self) -> None:
         if self.library_size < 1:
             raise ValueError("library must contain at least one compound")
         if not 0.0 <= self.viable_rate <= 1.0:
             raise ValueError("viable rate must lie in [0, 1]")
-
-    def library_key(self) -> str:
-        return json.dumps(
-            {
-                "kind": "compound_library",
-                "library_size": self.library_size,
-                "viable_rate": self.viable_rate,
-            },
-            sort_keys=True,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +308,10 @@ class AdcTransferSpec(ExperimentSpec):
     frame_s: float = 1.0
     max_rel_error: float = 0.05
 
+    # max_rel_error only post-processes: it must not move the counts.
+    facets = {"sweep": all_fields_except("max_rel_error")}
+    streams = {"measure": ("adc", "sweep")}
+
     def __post_init__(self) -> None:
         if not 0 < self.i_low_a < self.i_high_a:
             raise ValueError("need 0 < i_low < i_high")
@@ -292,12 +321,6 @@ class AdcTransferSpec(ExperimentSpec):
             raise ValueError("frame must be positive")
         if self.max_rel_error <= 0:
             raise ValueError("max_rel_error must be positive")
-
-    def sweep_key(self) -> str:
-        """The measurement facet: max_rel_error only post-processes."""
-        data = self.to_dict()
-        data.pop("max_rel_error")
-        return json.dumps(data, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +361,22 @@ class ArrayScaleSpec(ExperimentSpec):
     backend: str = "vectorized"
     mismatch: str = "fast"
 
+    # The backend deliberately does not take part in the chip facet:
+    # both backends draw the same chip and calibration streams (paired
+    # mismatch draws), while the Runner keeps their chips in separate,
+    # backend-named caches.
+    facets = {
+        "chip": Facet(
+            "array_scale_chip",
+            ("rows", "cols", "n_chips", "calibrate", "calibration_frame_s", "mismatch"),
+        )
+    }
+    streams = {
+        "chip": ("array_scale", "chip"),
+        "calibration": ("array_scale", "chip"),
+        "measure": ("array_scale", CONTENT_HASH),
+    }
+
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError("array dimensions must be positive")
@@ -353,26 +392,6 @@ class ArrayScaleSpec(ExperimentSpec):
             raise ValueError(f"unknown backend {self.backend!r}; choose from {BACKENDS}")
         if self.mismatch not in ("paired", "fast"):
             raise ValueError(f"unknown mismatch mode {self.mismatch!r}")
-
-    def chip_key(self) -> str:
-        """The chip-configuration facet (geometry + calibration plan).
-
-        The backend deliberately does NOT participate: both backends
-        derive the same chip/calibration streams from this key (paired
-        mismatch draws), while the Runner keeps them in separate,
-        backend-named caches so built chips never cross over."""
-        return json.dumps(
-            {
-                "kind": "array_scale_chip",
-                "rows": self.rows,
-                "cols": self.cols,
-                "n_chips": self.n_chips,
-                "calibrate": self.calibrate,
-                "calibration_frame_s": self.calibration_frame_s,
-                "mismatch": self.mismatch,
-            },
-            sort_keys=True,
-        )
 
     def site_currents(self):
         """The deterministic per-site current matrix (rows x cols)."""

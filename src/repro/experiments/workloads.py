@@ -1,18 +1,14 @@
 """Workload implementations behind the Runner.
 
-Each experiment kind contributes two functions:
-
-* ``streams(spec)`` — the named random streams it consumes, each mapped
-  to a seed-tree path.  Paths are keyed by the *facet* of the spec they
-  serve: chip streams hash only chip configuration (so identical chips
-  are shared and re-seeded identically), layout streams only the panel
-  design (so concentration sweeps keep the same spotted array), and
-  measurement streams the full spec (so distinct experiments get
-  independent noise).
-* ``execute(runner, spec, rngs)`` — provision the substrates it needs
-  through ``runner._provision`` (chips, layouts, libraries; cached per
-  facet), run the physics and fold the outcome into a
-  :class:`~repro.experiments.results.ResultSet`.
+Each experiment kind contributes one function, ``execute(runner, spec,
+rngs)``: it provisions the substrates it needs through
+``runner._provision`` (chips, layouts, libraries; cached under the
+spec's facet, ``spec.facet("chip")``), runs the physics and folds the
+outcome into a :class:`~repro.experiments.results.ResultSet`.  The
+random streams in ``rngs`` are not the workload's business: each spec
+class declares them next to its fields (``streams``, keyed by its
+``facets``), and :meth:`~repro.experiments.specs.ExperimentSpec
+.stream_plan` turns them into seed-tree paths.
 
 Each chip kind has one builder that takes the backend
 (``_build_dna_chip``, ``_build_neuro_chip``), cached under a
@@ -41,7 +37,6 @@ from ..dna.assay import AssayProtocol, MicroarrayAssay
 from ..dna.sample import Sample
 from ..dna.sequences import DnaSequence, Probe, Target
 from ..dna.spotting import ProbeLayout
-from ..core.rng import StreamPlan
 from ..core.signals import Trace
 from ..engine import (
     VectorizedDnaChip,
@@ -70,40 +65,29 @@ from .specs import (
 if TYPE_CHECKING:  # pragma: no cover
     from .runner import Runner
 
-StreamsFn = Callable[[ExperimentSpec], dict[str, tuple]]
 ExecuteFn = Callable[["Runner", ExperimentSpec, dict], ResultSet]
 
 
 @dataclass(frozen=True)
 class Workload:
     kind: str
-    streams: StreamsFn
     execute: ExecuteFn
     #: Compute backends this workload actually dispatches on; the Runner
     #: rejects requests for any other so "vectorized" can never silently
     #: run object-model code.
     backends: tuple[str, ...] = ("object",)
 
-    def stream_plan(self, spec: ExperimentSpec) -> StreamPlan:
-        """The spec's named streams, hashed once for any root seed —
-        what the Runner, the batched executor and the wafer tiler all
-        draw per-point streams from."""
-        return StreamPlan(self.streams(spec))
-
 
 WORKLOADS: dict[str, Workload] = {}
 
 
 def register_workload(
-    kind: str,
-    streams: StreamsFn,
-    execute: ExecuteFn,
-    backends: tuple[str, ...] = ("object",),
+    kind: str, execute: ExecuteFn, backends: tuple[str, ...] = ("object",)
 ) -> None:
     """Plug a new experiment kind into the Runner dispatch table."""
     if kind in WORKLOADS:
         raise ValueError(f"workload {kind!r} already registered")
-    WORKLOADS[kind] = Workload(kind=kind, streams=streams, execute=execute, backends=backends)
+    WORKLOADS[kind] = Workload(kind=kind, execute=execute, backends=backends)
 
 
 def workload_for(kind: str) -> Workload:
@@ -155,22 +139,6 @@ def resolve_backend(spec: ExperimentSpec, backend: "str | None") -> str:
 # ---------------------------------------------------------------------------
 # DNA microarray assay
 # ---------------------------------------------------------------------------
-def _dna_streams(spec: DnaAssaySpec) -> dict[str, tuple]:
-    streams = {
-        "chip": ("dna", "chip", spec.chip_key()),
-        "calibration": ("dna", "calibration", spec.chip_key()),
-        "layout": ("dna", "layout", spec.layout_key()),
-        "measure": ("dna", "measure", spec.content_hash()),
-    }
-    # The fault stream exists only when faults do: zero-fault specs keep
-    # their historical stream set (and ResultSet seed provenance)
-    # byte-identical.  Keyed on the full content hash — the fault
-    # schedule is part of the experiment, not of any shared facet.
-    if getattr(spec, "faults", ()):
-        streams["faults"] = ("dna", "faults", spec.content_hash())
-    return streams
-
-
 def _build_dna_chip(
     spec: DnaAssaySpec, backend: str, chip_rng, calibration_rng, recorder: Any
 ) -> DnaMicroarrayChip:
@@ -309,14 +277,14 @@ def _execute_dna(runner: "Runner", spec: DnaAssaySpec, rngs: dict) -> ResultSet:
     backend = runner.backend
     chip = runner._provision(
         f"dna_chip_{backend}",
-        spec.chip_key(),
+        spec.facet("chip"),
         lambda: _build_dna_chip(
             spec, backend, rngs["chip"], rngs["calibration"], runner.recorder
         ),
     )
     cached_layout = runner._provision(
         "dna_layout",
-        spec.layout_key(),
+        spec.facet("layout"),
         lambda: _build_dna_layout(spec, rngs["layout"]),
         counter="layouts",
     )
@@ -326,7 +294,7 @@ def _execute_dna(runner: "Runner", spec: DnaAssaySpec, rngs: dict) -> ResultSet:
     assay = MicroarrayAssay(layout).run(sample, protocol)
     counts = chip.measure_assay(assay, frame_s=spec.frame_s, rng=rngs["measure"])
     fault_info = None
-    if getattr(spec, "faults", ()):
+    if spec.faults:
         # The host now only knows what the resilient readout recovered:
         # counts (and everything downstream) switch to the wire values,
         # with lost frames zero-filled and flagged per site.
@@ -408,18 +376,6 @@ def _execute_dna(runner: "Runner", spec: DnaAssaySpec, rngs: dict) -> ResultSet:
 # ---------------------------------------------------------------------------
 # Neural recording
 # ---------------------------------------------------------------------------
-def _neural_streams(spec: NeuralRecordingSpec) -> dict[str, tuple]:
-    # Culture/recording hash only the physics facet: sweeping analysis
-    # knobs (threshold_sigma, tolerance_s) re-scores the *same*
-    # simulated culture and recording, keeping ROC-style comparisons
-    # paired.
-    return {
-        "chip": ("neuro", "chip", spec.chip_key()),
-        "culture": ("neuro", "culture", spec.physics_key()),
-        "record": ("neuro", "record", spec.physics_key()),
-    }
-
-
 def _build_neuro_chip(
     spec: NeuralRecordingSpec, backend: str, chip_rng, recorder: Any
 ) -> NeuralRecordingChip:
@@ -562,7 +518,7 @@ def _execute_neural(runner: "Runner", spec: NeuralRecordingSpec, rngs: dict) -> 
     backend = runner.backend
     chip = runner._provision(
         f"neuro_chip_{backend}",
-        spec.chip_key(),
+        spec.facet("chip"),
         lambda: _build_neuro_chip(spec, backend, rngs["chip"], runner.recorder),
     )
     culture = Culture.random(
@@ -591,21 +547,12 @@ def _execute_neural(runner: "Runner", spec: NeuralRecordingSpec, rngs: dict) -> 
 # ---------------------------------------------------------------------------
 # Drug-screening funnel
 # ---------------------------------------------------------------------------
-def _screening_streams(spec: ScreeningSpec) -> dict[str, tuple]:
-    # The funnel stream hashes only the library facet: specs differing in
-    # `cmos` draw identical decision noise, giving paired comparisons.
-    return {
-        "library": ("screening", "library", spec.library_key()),
-        "funnel": ("screening", "funnel", spec.library_key()),
-    }
-
-
 def _execute_screening(runner: "Runner", spec: ScreeningSpec, rngs: dict) -> ResultSet:
     from ..screening.funnel import ScreeningFunnel
 
     library = runner._provision(
         "library",
-        spec.library_key(),
+        spec.facet("library"),
         lambda: CompoundLibrary.generate(
             size=spec.library_size, viable_rate=spec.viable_rate, rng=rngs["library"]
         ),
@@ -648,12 +595,6 @@ def _execute_screening(runner: "Runner", spec: ScreeningSpec, rngs: dict) -> Res
 # ---------------------------------------------------------------------------
 # ADC transfer sweep
 # ---------------------------------------------------------------------------
-def _adc_streams(spec: AdcTransferSpec) -> dict[str, tuple]:
-    # Hash the sweep facet only: max_rel_error is an analysis knob and
-    # must not change the measured counts.
-    return {"measure": ("adc", "measure", spec.sweep_key())}
-
-
 def _execute_adc(runner: "Runner", spec: AdcTransferSpec, rngs: dict) -> ResultSet:
     adc = SawtoothAdc()
     analysis = characterize_adc(
@@ -692,19 +633,6 @@ def _execute_adc(runner: "Runner", spec: AdcTransferSpec, rngs: dict) -> ResultS
 # ---------------------------------------------------------------------------
 # Array-scale sweep (the repro.engine workload)
 # ---------------------------------------------------------------------------
-def _array_scale_streams(spec: ArrayScaleSpec) -> dict[str, tuple]:
-    # Chip and calibration streams hash the chip facet (shared across
-    # pattern/frame sweeps); measurement the full spec.  The backend is
-    # deliberately absent from the facet: object and vectorized runs
-    # draw the same chip streams (paired comparisons) and are kept
-    # apart by the backend-named cache below instead.
-    return {
-        "chip": ("array_scale", "chip", spec.chip_key()),
-        "calibration": ("array_scale", "calibration", spec.chip_key()),
-        "measure": ("array_scale", "measure", spec.content_hash()),
-    }
-
-
 def _build_array_scale_chips(spec: ArrayScaleSpec, chip_rng, calibration_rng, recorder: Any):
     """The object backend's ``spec.n_chips`` chips (which carry
     ``recorder``), each calibrated when the spec asks."""
@@ -808,7 +736,7 @@ def _execute_array_scale(runner: "Runner", spec: ArrayScaleSpec, rngs: dict) -> 
     if backend == "vectorized":
         params, corrections = runner._provision(
             f"array_scale_chip_{backend}",
-            spec.chip_key(),
+            spec.facet("chip"),
             lambda: _draw_array_scale_stack(spec, rngs),
         )
         counts, dead = count_array_scale(spec, params, [rngs])
@@ -819,7 +747,7 @@ def _execute_array_scale(runner: "Runner", spec: ArrayScaleSpec, rngs: dict) -> 
     else:
         chips = runner._provision(
             f"array_scale_chip_{backend}",
-            spec.chip_key(),
+            spec.facet("chip"),
             lambda: _build_array_scale_chips(
                 spec, rngs["chip"], rngs["calibration"], runner.recorder
             ),
@@ -849,12 +777,8 @@ def _execute_array_scale(runner: "Runner", spec: ArrayScaleSpec, rngs: dict) -> 
     )
 
 
-register_workload("dna_assay", _dna_streams, _execute_dna, backends=("object", "vectorized"))
-register_workload(
-    "neural_recording", _neural_streams, _execute_neural, backends=("object", "vectorized")
-)
-register_workload("screening", _screening_streams, _execute_screening)
-register_workload("adc_transfer", _adc_streams, _execute_adc)
-register_workload(
-    "array_scale", _array_scale_streams, _execute_array_scale, backends=("object", "vectorized")
-)
+register_workload("dna_assay", _execute_dna, backends=("object", "vectorized"))
+register_workload("neural_recording", _execute_neural, backends=("object", "vectorized"))
+register_workload("screening", _execute_screening)
+register_workload("adc_transfer", _execute_adc)
+register_workload("array_scale", _execute_array_scale, backends=("object", "vectorized"))

@@ -22,24 +22,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from ..core.tables import format_cell, render_kv, render_table
+from ..core.values import plain
 
 
-def _json_safe(value: Any) -> Any:
-    """Plain-python, strict-JSON-serializable copy of ``value``."""
-    if isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, np.ndarray):
-        return [_json_safe(item) for item in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(item) for item in value]
-    if isinstance(value, dict):
-        return {str(key): _json_safe(item) for key, item in value.items()}
-    return value
+def _finite_or_none(value: Any) -> Any:
+    """The report's rule on plain values: strict JSON has no NaN/Inf."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _md_cell(value: Any) -> str:
@@ -59,7 +48,7 @@ class ReportTable:
         return {
             "title": self.title,
             "headers": list(self.headers),
-            "rows": [_json_safe(row) for row in self.rows],
+            "rows": plain(self.rows, _finite_or_none),
         }
 
     def to_text(self) -> str:
@@ -94,9 +83,9 @@ class AnalysisReport:
         data = {
             "schema": "repro-analysis/1",
             "kind": self.kind,
-            "analysis": _json_safe(self.analysis),
-            "source": _json_safe(self.source),
-            "scalars": _json_safe(self.scalars),
+            "analysis": plain(self.analysis, _finite_or_none),
+            "source": plain(self.source, _finite_or_none),
+            "scalars": plain(self.scalars, _finite_or_none),
             "tables": [table.to_dict() for table in self.tables],
             "notes": list(self.notes),
         }

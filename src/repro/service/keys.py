@@ -8,19 +8,25 @@ no staleness policy needed.  This module defines that key.
 
 Hashing JSON is only sound if the serialization is canonical, so
 :func:`canonicalize` normalises every representation detail that does
-not change the computation:
+not change the computation.  Its walk is the shared value normalizer,
+:func:`repro.core.values.plain`:
 
-* **dict ordering** — keys are emitted sorted (two dicts built in
-  different insertion orders hash identically);
 * **dtype wrappers** — numpy scalars collapse to their Python values
   (``np.float64(1e-6)`` and ``1e-6`` hash identically; ``np.int64``
   would not even serialize otherwise), numpy arrays to nested lists;
 * **sequence spelling** — tuples and lists hash identically (specs
   store tuples, JSON round-trips produce lists);
+* **dict keys** — coerced to ``str``, and emitted sorted (two dicts
+  built in different insertion orders hash identically).
+
+On top of that walk the key layer adds its own rules:
+
 * **float text** — ``json.dumps`` already emits ``repr``-shortest
   floats, which is process- and platform-stable for IEEE doubles; we
   reject NaN/Infinity outright because their JSON spellings are not
-  interoperable (and no spec should carry them).
+  interoperable (and no spec should carry them);
+* **no guessing** — a value with no canonical JSON form (a set, an
+  arbitrary object) raises instead of hashing its ``repr``.
 
 Everything here is stdlib-only and import-light: ``ExperimentSpec
 .spec_hash()`` reaches in lazily without dragging the whole service
@@ -31,11 +37,29 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any, Mapping
+
+from ..core.values import plain
 
 #: Schema tag baked into every point key; bump on incompatible changes
 #: to the key derivation itself (a bump invalidates every cache).
 KEY_SCHEMA = "repro-key/1"
+
+
+def _canonical_scalar(value: Any) -> Any:
+    """The key rules on one plain scalar: finite floats only, and no
+    type without a canonical JSON form."""
+    # Bool first: bool is an int subclass but must stay bool.
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite float {value!r} has no canonical JSON form")
+        return float(value)
+    raise TypeError(f"cannot canonicalize {type(value).__name__} value {value!r}")
 
 
 def canonicalize(value: Any) -> Any:
@@ -46,31 +70,7 @@ def canonicalize(value: Any) -> Any:
     equivalents.  Raises ``TypeError`` for values with no canonical JSON
     form and ``ValueError`` for non-finite floats.
     """
-    # Bool first: bool is an int subclass but must stay bool.
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, int):
-        return int(value)
-    if isinstance(value, float):
-        value = float(value)  # np.float64 is a float subclass
-        if value != value or value in (float("inf"), float("-inf")):
-            raise ValueError(f"non-finite float {value!r} has no canonical JSON form")
-        return value
-    # Numpy scalars that are neither int nor float subclasses
-    # (np.int64 on all platforms, np.bool_): duck-type via .item() so
-    # this module never has to import numpy.
-    item = getattr(value, "item", None)
-    if item is not None and getattr(value, "shape", None) == ():
-        return canonicalize(item())
-    if isinstance(value, Mapping):
-        return {str(key): canonicalize(entry) for key, entry in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [canonicalize(entry) for entry in value]
-    # Numpy arrays expose .tolist(); accept any such array-like.
-    tolist = getattr(value, "tolist", None)
-    if tolist is not None:
-        return canonicalize(tolist())
-    raise TypeError(f"cannot canonicalize {type(value).__name__} value {value!r}")
+    return plain(value, _canonical_scalar)
 
 
 def canonical_json(value: Any) -> str:

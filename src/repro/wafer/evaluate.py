@@ -30,10 +30,10 @@ from typing import Any, Iterator, Optional
 
 import numpy as np
 
-from ..core.rng import SeedTree, stable_entropy
+from ..core.rng import stable_entropy
 from ..engine import PixelArrayParams, draw_array_scale, stack_chunks
 from ..experiments.specs import ArrayScaleSpec
-from ..experiments.workloads import array_scale_unit_results, workload_for
+from ..experiments.workloads import array_scale_unit_results
 from .field import WaferField, sample_field
 from .geometry import Die
 from .spec import WaferSpec
@@ -61,8 +61,7 @@ def wafer_die_seed(root: int, grid_x: int, grid_y: int) -> int:
 def wafer_field_for(spec: WaferSpec, seed: int) -> WaferField:
     """The correlated field a Runner rooted at ``seed`` would sample —
     the standalone twin of the Runner's ``"field"`` stream."""
-    rng = SeedTree(seed).generator("wafer", "field", spec.field_key())
-    return sample_field(spec, rng)
+    return sample_field(spec, spec.stream_plan().generators(seed)["field"])
 
 
 def _apply_field(
@@ -95,7 +94,7 @@ def _evaluate_group(
 ) -> None:
     """Evaluate one same-spec die group tile by tile, filling
     ``outputs[die.index]`` with ``(die, die_spec, records, metrics)``."""
-    plan = workload_for(die_spec.kind).stream_plan(die_spec)
+    plan = die_spec.stream_plan()
     for tile in stack_chunks(dies, die_spec.rows * die_spec.cols):
         unit_streams = [
             plan.generators(wafer_die_seed(seed, die.grid_x, die.grid_y)) for die in tile

@@ -126,9 +126,9 @@ def _profile_moments(layout: WaferLayout, rows: int, cols: int) -> tuple[float, 
 def sample_field(spec: WaferSpec, rng: RngLike = None) -> WaferField:
     """Draw one wafer's correlated field from the wafer field stream.
 
-    The stream is ``SeedTree(root).generator("wafer", "field",
-    spec.field_key())`` — one draw per wafer, shared by every die, which
-    is what makes neighbouring dies correlated rather than independent.
+    The stream is the spec's ``"field"`` stream, keyed by its field
+    facet — one draw per wafer, shared by every die, which is what makes
+    neighbouring dies correlated rather than independent.
     """
     generator = ensure_rng(rng)
     layout = spec.layout()

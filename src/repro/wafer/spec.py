@@ -32,11 +32,11 @@ every die shares one mask set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any
 
+from ..core.specs import Facet
 from ..experiments.specs import ArrayScaleSpec, ExperimentSpec, register_experiment
 from .geometry import Die, WaferLayout, build_layout
 
@@ -106,6 +106,28 @@ class WaferSpec(ExperimentSpec):
     # Per-die measurement overrides: ((grid_x, grid_y, field, value), ...)
     die_overrides: tuple = ()
     backend: str = "vectorized"
+
+    # The correlated-field facet: measurement knobs (currents, frames,
+    # overrides) do not take part, so the same wafer re-measured
+    # differently sees the same process variation.
+    facets = {
+        "field": Facet(
+            "wafer_field",
+            (
+                "wafer_diameter_mm",
+                "edge_exclusion_mm",
+                "die_width_mm",
+                "die_height_mm",
+                "reticle_rows",
+                "reticle_cols",
+                "rows",
+                "cols",
+                "radial_gradient",
+                "reticle_sigma",
+            ),
+        )
+    }
+    streams = {"field": ("wafer", "field")}
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.radial_gradient <= 1.0:
@@ -213,32 +235,3 @@ class WaferSpec(ExperimentSpec):
         overrides = self.overrides_for(die.grid_x, die.grid_y)
         template = self.die_template()
         return template.replace(**overrides) if overrides else template
-
-    # ------------------------------------------------------------------
-    # Stream facet
-    # ------------------------------------------------------------------
-    def field_key(self) -> str:
-        """The correlated-field facet of the spec.
-
-        Frozen format — this key seeds the wafer field stream, so its
-        byte recipe can never change without changing every correlated
-        draw.  Measurement knobs (currents, frames, overrides) do not
-        participate: the same wafer re-measured differently sees the
-        same process variation.
-        """
-        return json.dumps(
-            {
-                "kind": "wafer_field",
-                "wafer_diameter_mm": self.wafer_diameter_mm,
-                "edge_exclusion_mm": self.edge_exclusion_mm,
-                "die_width_mm": self.die_width_mm,
-                "die_height_mm": self.die_height_mm,
-                "reticle_rows": self.reticle_rows,
-                "reticle_cols": self.reticle_cols,
-                "rows": self.rows,
-                "cols": self.cols,
-                "radial_gradient": self.radial_gradient,
-                "reticle_sigma": self.reticle_sigma,
-            },
-            sort_keys=True,
-        )

@@ -1,7 +1,7 @@
 """The wafer workload: Runner wiring for :class:`WaferSpec`.
 
-One random stream, ``"field"`` — the once-per-wafer correlated-field
-draw, keyed by the spec's field facet.  The per-die white streams do
+One random stream, ``"field"`` (declared on :class:`WaferSpec`) — the
+once-per-wafer correlated-field draw, keyed by the spec's field facet.  The per-die white streams do
 *not* come from the wafer Runner's seed tree: each die derives its own
 root through :func:`~repro.wafer.evaluate.wafer_die_seed` and draws the
 array-scale workload's streams from it, which is precisely what makes a
@@ -22,10 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..experiments.runner import Runner
 
 
-def _wafer_streams(spec: WaferSpec) -> dict[str, tuple]:
-    return {"field": ("wafer", "field", spec.field_key())}
-
-
 def _execute_wafer(runner: "Runner", spec: WaferSpec, rngs: dict) -> ResultSet:
     field = sample_field(spec, rngs["field"])
     records, metrics = wafer_records_and_metrics(spec, runner.seed, field=field)
@@ -38,4 +34,4 @@ def _execute_wafer(runner: "Runner", spec: WaferSpec, rngs: dict) -> ResultSet:
     )
 
 
-register_workload("wafer", _wafer_streams, _execute_wafer, backends=("vectorized",))
+register_workload("wafer", _execute_wafer, backends=("vectorized",))

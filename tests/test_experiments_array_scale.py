@@ -6,7 +6,6 @@ import pytest
 from repro.chip import ChipSpecs
 from repro.engine import VectorizedDnaChip
 from repro.experiments import ArrayScaleSpec, Runner, spec_from_dict
-from repro.experiments.workloads import workload_for
 
 
 class TestSpec:
@@ -52,8 +51,8 @@ class TestSpec:
         a = ArrayScaleSpec(rows=16, cols=8)
         b = a.replace(frame_s=0.5)  # measurement knob: same chip facet
         c = a.replace(rows=32)
-        assert a.chip_key() == b.chip_key()
-        assert a.chip_key() != c.chip_key()
+        assert a.facet("chip") == b.facet("chip")
+        assert a.facet("chip") != c.facet("chip")
 
 
 class TestWorkload:
@@ -117,7 +116,7 @@ class TestWorkload:
         corrections = result.artifacts["gain_correction"]
         assert corrections.shape == (1, 8, 8)
         assert not np.all(corrections == 1.0)
-        rngs = workload_for(spec.kind).stream_plan(spec).generators(4)
+        rngs = spec.stream_plan().generators(4)
         chip = VectorizedDnaChip(ChipSpecs(rows=8, cols=8), rng=rngs["chip"])
         expected = chip.auto_calibrate(frame_s=spec.calibration_frame_s, rng=rngs["calibration"])
         np.testing.assert_array_equal(corrections.reshape(-1), expected)

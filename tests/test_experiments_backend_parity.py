@@ -134,9 +134,6 @@ class TestRunnerMechanics:
 
         observed = []
 
-        def streams(spec):
-            return {}
-
         def execute(runner, spec, rngs):
             inner = ArrayScaleSpec(rows=4, cols=4, frame_s=0.01)
             runner.run(inner, backend="object")
@@ -151,7 +148,7 @@ class TestRunnerMechanics:
         class ReentrantProbeSpec(ExperimentSpec):
             pass
 
-        register_workload("reentrant_probe", streams, execute, backends=("object", "vectorized"))
+        register_workload("reentrant_probe", execute, backends=("object", "vectorized"))
         try:
             Runner(seed=1).run(ReentrantProbeSpec(), backend="vectorized")
             assert observed == ["vectorized"]

@@ -18,7 +18,6 @@ from repro.experiments import NeuralRecordingSpec, ResultSet, Runner
 from repro.experiments.workloads import (
     _build_neuro_chip,
     neural_records_and_metrics,
-    workload_for,
 )
 from repro.neuro.culture import ArrayGeometry, Culture, PlacedNeuron
 from repro.neuro.junction import CellChipJunction
@@ -47,7 +46,7 @@ def record_culture_pair(spec, culture, seed=17):
     """A hand-placed culture (one no spec draws) recorded and scored on
     each backend the way the workload does, on the chip and record
     streams of ``(spec, seed)``: ``(object, vectorized)`` results."""
-    plan = workload_for(spec.kind).stream_plan(spec)
+    plan = spec.stream_plan()
     results = []
     for backend in ("object", "vectorized"):
         rngs = plan.generators(seed)

@@ -1,7 +1,9 @@
 """Spec serialization, validation and the experiment registry."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -9,6 +11,7 @@ from repro.experiments import (
     DnaAssaySpec,
     ExperimentSpec,
     NeuralRecordingSpec,
+    Runner,
     ScreeningSpec,
     experiment_kinds,
     experiment_type,
@@ -87,12 +90,54 @@ def test_facet_keys_separate_chip_from_sample():
     a = DnaAssaySpec(concentration=1e-7)
     b = DnaAssaySpec(concentration=1e-4)
     # Same chip + layout facets (shareable substrates) ...
-    assert a.chip_key() == b.chip_key()
-    assert a.layout_key() == b.layout_key()
+    assert a.facet("chip") == b.facet("chip")
+    assert a.facet("layout") == b.facet("layout")
     # ... but distinct experiments.
     assert a.content_hash() != b.content_hash()
-    assert a.chip_key() != DnaAssaySpec(v_generator=0.5).chip_key()
-    assert a.layout_key() != DnaAssaySpec(replicates=4).layout_key()
+    assert a.facet("chip") != DnaAssaySpec(v_generator=0.5).facet("chip")
+    assert a.facet("layout") != DnaAssaySpec(replicates=4).facet("layout")
+
+
+def test_every_declared_facet_and_stream_resolves():
+    import dataclasses
+
+    from repro.experiments.specs import CONTENT_HASH, EXPERIMENTS
+
+    assert "wafer" in EXPERIMENTS.types  # importing repro registers every kind
+    for kind, cls in EXPERIMENTS.types.items():
+        fields = {field.name for field in dataclasses.fields(cls)}
+        for name, facet in cls.facets.items():
+            assert set(facet.fields) <= fields, (kind, name, set(facet.fields) - fields)
+        for name, (_, facet) in cls.streams.items():
+            assert facet == CONTENT_HASH or facet in cls.facets, (kind, name, facet)
+
+
+def _digest(result) -> str:
+    return hashlib.sha256(result.without_artifacts().to_json().encode("utf-8")).hexdigest()
+
+
+#: A NumPy value in a spec field, and the backend to run it on.
+NUMPY_FIELDS = {
+    "dna-replicates-object": (DnaAssaySpec(), "replicates", np.int64(8), "object"),
+    "dna-replicates-vectorized": (DnaAssaySpec(), "replicates", np.int64(8), "vectorized"),
+    "dna-calibrate-object": (DnaAssaySpec(), "calibrate", np.bool_(True), "object"),
+    "dna-calibrate-vectorized": (DnaAssaySpec(), "calibrate", np.bool_(True), "vectorized"),
+    "screening-library_size": (ScreeningSpec(), "library_size", np.int64(1000), "object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMPY_FIELDS))
+def test_numpy_scalar_fields_run_like_plain_values(case):
+    """Facets render through the value normalizer, so a NumPy field
+    (which ``content_hash()`` already accepts) runs, with the same bits
+    as the plain value."""
+    base, field, value, backend = NUMPY_FIELDS[case]
+    with_numpy = base.replace(**{field: value})
+    with_plain = base.replace(**{field: value.item()})
+    digests = [
+        _digest(Runner(seed=2).run(spec, backend=backend)) for spec in (with_numpy, with_plain)
+    ]
+    assert digests[0] == digests[1]
 
 
 def test_custom_registration_round_trips():

@@ -27,7 +27,7 @@ import pytest
 import repro
 from repro.campaigns import CampaignSpec, run_campaign
 from repro.experiments.specs import EXPERIMENTS, spec_from_dict
-from repro.experiments.workloads import resolve_backend, workload_for
+from repro.experiments.workloads import resolve_backend
 from repro.faults.specs import FAULTS
 from repro.inference.specs import ANALYSES
 from repro.service.keys import point_key
@@ -52,29 +52,10 @@ def _load(path: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-#: The hand-written facet methods of the specs, by facet name.
-FACET_METHODS = {
-    "chip": "chip_key",
-    "layout": "layout_key",
-    "physics": "physics_key",
-    "library": "library_key",
-    "sweep": "sweep_key",
-    "field": "field_key",
-}
-
-
-def _facets(spec) -> dict:
-    return {
-        name: getattr(spec, method)()
-        for name, method in FACET_METHODS.items()
-        if hasattr(spec, method)
-    }
-
-
 def _experiment_pins(spec, seed: int, backend: str) -> dict:
     return {
-        "facets": _facets(spec),
-        "streams": workload_for(spec.kind).stream_plan(spec).streams,
+        "facets": {name: spec.facet(name) for name in spec.facets},
+        "streams": spec.stream_plan().streams,
         "content_hash": spec.content_hash(),
         "spec_hash": spec.spec_hash(),
         "point_key": point_key(spec.to_dict(), seed, backend, repro.__version__),

@@ -114,7 +114,7 @@ def test_field_bytes_are_frozen_for_a_fixed_seed():
 
 
 def test_wafer_field_for_matches_the_runner_stream():
-    rng = SeedTree(7).generator("wafer", "field", SPEC.field_key())
+    rng = SeedTree(7).generator("wafer", "field", SPEC.facet("field"))
     direct = sample_field(SPEC, rng)
     via = wafer_field_for(SPEC, 7)
     assert field_digest(direct) == field_digest(via)
